@@ -10,6 +10,7 @@ stays small and dependency free.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -162,10 +163,17 @@ class MonomialOrder:
             return _grevlex_key(m)
         if self.kind == "lex":
             return m
-        inside = set(self.block)
-        head = tuple(m[i] for i in self.block)
-        tail = tuple(e for i, e in enumerate(m) if i not in inside)
-        return (_grevlex_key(head), _grevlex_key(tail))
+        tail = _block_tail(self.block, len(m))
+        return (_grevlex_key([m[i] for i in self.block]),
+                _grevlex_key([m[i] for i in tail]))
+
+
+@functools.lru_cache(maxsize=256)
+def _block_tail(block: tuple[int, ...], nvars: int) -> tuple[int, ...]:
+    """Indices outside a block, in order; computed once per (block, nvars)
+    because block-order keys are taken on every Buchberger step."""
+    inside = set(block)
+    return tuple(i for i in range(nvars) if i not in inside)
 
 
 def monomial_compare(order: MonomialOrder, a: Mono, b: Mono) -> int:

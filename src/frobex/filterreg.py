@@ -21,6 +21,7 @@ from .algebra import AlgebraError, Polynomial
 from .groebner import (
     GBConfig,
     IdealHandle,
+    ImproperIdealError,
     QuotientRing,
     colon,
     dimension,
@@ -157,8 +158,8 @@ def random_filter_regular_sop(R: QuotientRing, seed: int,
                 try:
                     if dimension(extended, config) != d - step - 1:
                         continue
-                except Exception:
-                    continue
+                except ImproperIdealError:
+                    continue  # the candidate made the unit ideal
                 quotient = colon(prefix, ideal(R, [cand]), config)
                 if not saturated.contains_ideal(quotient, config):
                     continue

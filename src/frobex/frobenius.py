@@ -6,12 +6,18 @@ with q = p^e, raised term by term.  The closure chain is
 
     J_e = { x : x^q lies in I^[q] + J },
 
-an ascending chain of ideals whose union is the Frobenius closure of I; each
-J_e comes from an elimination: in S[w_1..w_n] the membership x^q in K becomes
-linear algebra over the subring generated by the w_i = x_i^q, because
-g(x)^q = g(x^q) over F_p.  This preimage is genuinely different from the
-Frobenius root K^[1/q] (for K = (x^3), q = 2 the preimage is (x^2) while the
-root is (x)), so no basis-decomposition shortcut applies.
+an ascending chain of ideals whose union is the Frobenius closure of I.  Each
+J_e is the preimage of K = I^[q] + J under the q-th power map, computed in
+one of two ways.  When K is homogeneous and m-primary under the standard
+grading (as for every homogeneous parameter ideal), the degree-d part of the
+preimage is the kernel of the F_p-linear map m -> NF_K(m^q) on the degree-d
+monomials, linear because (sum c*m)^q = sum c*m^q over F_p; degrees are taken
+one at a time until every image vanishes.  Otherwise the preimage comes from
+an elimination: in S[w_1..w_n] the membership x^q in K becomes linear algebra
+over the subring generated by the w_i = x_i^q, because g(x)^q = g(x^q) over
+F_p.  This preimage is genuinely different from the Frobenius root K^[1/q]
+(for K = (x^3), q = 2 the preimage is (x^2) while the root is (x)), so no
+basis-decomposition shortcut applies.
 
 The Frobenius test exponent of I is the least e with (closure)^[p^e] =
 I^[p^e]; scanning it over sampled parameter ideals gives the empirical lower
@@ -25,7 +31,14 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraError, MonomialOrder, Polynomial, frobenius_raise
+from . import linalg
+from .algebra import (
+    AlgebraError,
+    MonomialOrder,
+    Polynomial,
+    frobenius_raise,
+    monomials_of_weighted_degree,
+)
 from .filterreg import (
     FilterSequence,
     is_filter_regular_sequence,
@@ -38,6 +51,7 @@ from .groebner import (
     IdealHandle,
     QuotientRing,
     ResourceCapExceeded,
+    _nf_terms,
     fresh_names,
     ideal,
     quotient_from_data,
@@ -66,7 +80,72 @@ def frobenius_power(I: IdealHandle, e: int,
 
 def qpower_preimage(K: IdealHandle, e: int,
                     config: GBConfig | None = None) -> IdealHandle:
-    """The ideal { x : x^(p^e) lies in K }, via elimination.
+    """The ideal { x : x^(p^e) lies in K }.
+
+    For e >= 1 and K homogeneous (quotient relations included) under the
+    standard grading, with a pure power of every variable among the leading
+    monomials of its Groebner basis (K is m-primary), the preimage is built
+    degree by degree from kernels of m -> NF_K(m^q); see _graded_preimage.
+    Everything else -- e = 0, inhomogeneous or weighted input, K not
+    m-primary, or K's basis tripping a resource cap -- goes through the
+    tag-variable elimination of _preimage_by_elimination.
+    """
+    if e > 0:
+        gens = _graded_preimage(K, e, config)
+        if gens is not None:
+            return IdealHandle(K.ring, gens, config)
+    return _preimage_by_elimination(K, e, config)
+
+
+def _graded_preimage(K: IdealHandle, e: int,
+                     config: GBConfig | None) -> list[Polynomial] | None:
+    """Generators of { x : x^q in K } by graded linear algebra, or None when
+    K is not a standard-graded homogeneous m-primary ideal or its basis hits
+    a resource cap.
+
+    For homogeneous K the preimage is homogeneous, and its degree-d part is
+    the kernel of the F_p-linear map m -> NF_K(m^q) on the monomials of
+    degree d.  Since K is m-primary some degree d has every image zero; then
+    all of S_d, hence all of S_{>=d}, lies in the preimage, so the kernels
+    below d plus the degree-d monomials generate it.
+    """
+    ring = K.ambient
+    n = ring.nvars
+    if any(w != 1 for w in ring.weights):
+        return None
+    if not all(g.is_homogeneous() for g in K.generators):
+        return None
+    try:
+        gb = K.groebner_basis(config)
+    except ResourceCapExceeded:
+        return None
+    lms = [g.leading_monomial() for g in gb]
+    # m-primary: some leading monomial is a pure power of each variable
+    if not all(any(lm[i] == sum(lm) for lm in lms) for i in range(n)):
+        return None
+    p, q, order = ring.p, ring.p**e, ring.order
+    reducers = [(lm, g.terms) for lm, g in zip(lms, gb)]
+    gens: list[Polynomial] = []
+    for d in itertools.count():
+        monos = monomials_of_weighted_degree(n, d, ring.weights)
+        images = [_nf_terms({tuple(q * a for a in m): 1}, reducers, p, order)[0]
+                  for m in monos]
+        if not any(images):
+            return gens + [ring.monomial(m) for m in monos]
+        rows = {t: r for r, t in enumerate({t for img in images for t in img})}
+        matrix = linalg.zeros(len(rows), len(monos))
+        for col, img in enumerate(images):
+            for t, c in img.items():
+                matrix[rows[t], col] = c
+        for vec in linalg.nullspace(matrix, p):
+            gens.append(Polynomial(ring, {m: int(c)
+                                          for m, c in zip(monos, vec) if c}))
+
+
+def _preimage_by_elimination(K: IdealHandle, e: int,
+                             config: GBConfig | None = None) -> IdealHandle:
+    """The ideal { x : x^(p^e) lies in K }, via elimination; the general
+    path of qpower_preimage and the oracle its graded path is tested against.
 
     Adjoin one tag variable w_i per original variable together with the
     relations w_i - x_i^q; rewriting x_i^q as w_i throughout K and

@@ -110,6 +110,24 @@ def test_block_order_eliminates_front_block():
     assert monomial_compare(o, (0, 3, 1), (0, 2, 2)) == 1
 
 
+def test_block_order_key_matches_direct_split():
+    # the key splits off the block with cached index tuples; it must equal
+    # grevlex on the block then grevlex on the rest, rebuilt per monomial
+    def direct(block, m):
+        head = tuple(m[i] for i in block)
+        tail = tuple(e for i, e in enumerate(m) if i not in set(block))
+        return ((sum(head), tuple(-e for e in reversed(head))),
+                (sum(tail), tuple(-e for e in reversed(tail))))
+
+    rng = random.Random(1801)
+    for block, nvars in (((0,), 3), ((2,), 3), ((0, 1, 2), 6), ((1, 3), 5),
+                         ((0, 1), 2)):
+        o = MonomialOrder("block", block)
+        for _ in range(200):
+            m = tuple(rng.randrange(9) for _ in range(nvars))
+            assert o.key(m) == direct(block, m)
+
+
 # --- polynomial arithmetic ---
 
 def test_ring_equality_and_mismatch():

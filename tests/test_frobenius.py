@@ -1,18 +1,23 @@
 """Bracket powers, q-th power preimages, Frobenius closure, test exponents."""
 
 import math
+import random
 
 import pytest
 
+import frobex.frobenius as frobenius_module
 from frobex.algebra import (
     AlgebraError,
     MonomialOrder,
     PolyRing,
     PrimeField,
     frobenius_raise,
+    monomials_of_weighted_degree,
 )
 from frobex.corpus import load_corpus_ring
+from frobex.filterreg import random_filter_regular_sop
 from frobex.frobenius import (
+    _preimage_by_elimination,
     fte_of_ideal,
     fte_scan,
     frobenius_closure,
@@ -121,6 +126,108 @@ def test_preimage_defining_property_in_quotient():
     # but x itself does not square into K
     assert not K.contains("x^2")
     assert not pre.contains("x")
+
+
+# --- graded preimages against the elimination oracle ---
+
+def random_form(rng, P, degree):
+    """A homogeneous polynomial on at most three random monomials of the
+    given standard degree."""
+    monos = monomials_of_weighted_degree(P.nvars, degree, P.weights)
+    return P.poly({m: rng.randrange(1, P.p)
+                   for m in rng.sample(monos, min(3, len(monos)))})
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """Record every fallback qpower_preimage makes to the elimination."""
+    calls = []
+
+    def spy(K, e, config=None):
+        calls.append((K, e))
+        return _preimage_by_elimination(K, e, config)
+
+    monkeypatch.setattr(frobenius_module, "_preimage_by_elimination", spy)
+    return calls
+
+
+def assert_graded_matches_oracle(K, e, calls, config=None):
+    got = qpower_preimage(K, e, config)
+    assert not calls, f"fell back to elimination on {K!r}, e={e}"
+    want = _preimage_by_elimination(K, e, config)
+    assert got.groebner_basis(config) == want.groebner_basis(config), (K, e)
+
+
+def random_mprimary_K(rng, P, e):
+    """I^[q] for random forms I, plus pure powers x_i^b with q < b < 4q so
+    that K is m-primary, plus one random form of degree between q and 3q."""
+    q = P.p**e
+    n = P.nvars
+    gens = [frobenius_raise(random_form(rng, P, rng.randrange(1, 4)), e)
+            for _ in range(rng.randrange(1, 3))]
+    gens += [P.monomial(tuple(rng.randrange(q + 1, 4 * q) if k == i else 0
+                              for k in range(n))) for i in range(n)]
+    gens.append(random_form(rng, P, rng.randrange(q, 3 * q)))
+    return ideal(P, gens)
+
+
+def test_graded_preimage_matches_elimination_on_random_forms(elimination_calls):
+    rng = random.Random(1801)
+    config = GBConfig(max_pairs=50_000, max_degree=400)
+    for p in (2, 3, 7):
+        for names in (("x", "y"), ("x", "y", "z")):
+            P = poly_ring(p, *names)
+            for _ in range(3):
+                for e in (1, 2):
+                    assert_graded_matches_oracle(random_mprimary_K(rng, P, e), e,
+                                                 elimination_calls, config)
+
+
+@pytest.mark.parametrize("label", ["fermat-cubic-p2", "two-planes-f2"])
+def test_graded_preimage_matches_elimination_on_parameter_brackets(
+        label, elimination_calls):
+    R = load_corpus_ring(label)
+    base = parameter_base(R, seed=42)
+    ideals = [power_family_ideal(R, base.elements, t, n)
+              for t in range(1, R.dim + 1) for n in (1, 2)]
+    ideals.append(ideal(R, list(random_filter_regular_sop(R, seed=1801).elements)))
+    for I in ideals:
+        for e in (1, 2):
+            assert_graded_matches_oracle(frobenius_power(I, e), e,
+                                         elimination_calls)
+
+
+def weighted_K():
+    P = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (1, 2))
+    return ideal(P, "x^2 + y", "y^3")
+
+
+@pytest.mark.parametrize("make_K, config", [
+    (lambda: ideal(poly_ring(2, "x", "y"), "x^3 + y", "y^2"), None),
+    (lambda: ideal(poly_ring(2, "x", "y"), "x^2"), None),
+    (weighted_K, None),
+    # K's own basis trips the degree cap; the elimination stays below it
+    (lambda: ideal(poly_ring(2, "x", "y"), "x^8 + x^4*y^4", "y^8"),
+     GBConfig(max_degree=6)),
+], ids=["inhomogeneous", "not-m-primary", "weighted", "degree-cap"])
+def test_preimage_fallbacks_take_elimination(make_K, config, elimination_calls):
+    K = make_K()
+    got = qpower_preimage(K, 2, config)
+    assert len(elimination_calls) == 1
+    want = _preimage_by_elimination(K, 2, config)
+    assert got.groebner_basis(config) == want.groebner_basis(config)
+
+
+def test_fte_on_p7_at_default_caps(elimination_calls):
+    # at q = 49 the bracket power has degree 147, over the default degree cap
+    # of 120, so the chain's second level must come from the elimination
+    R = load_corpus_ring("fermat-cubic-p7")
+    config = GBConfig()
+    I = ideal(R, "x^3", "y")
+    res = frobenius_closure(I, config=config)
+    assert res.certified and res.stabilized_at == 0
+    assert fte_of_ideal(I, res.closure, config=config) == 0
+    assert [e for _, e in elimination_calls] == [2]
 
 
 # --- closure and test exponent ---
