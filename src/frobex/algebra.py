@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 Mono = tuple[int, ...]
 
@@ -21,8 +23,6 @@ Mono = tuple[int, ...]
 # exponents by p^e, so this is the guard that turns silent wraparound into a
 # loud error.
 MAX_EXPONENT = 2**31 - 1
-
-LT, EQ, GT = -1, 0, 1
 
 
 class AlgebraError(Exception):
@@ -84,7 +84,7 @@ class PrimeField:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -97,11 +97,11 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     """Exponent vector of a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(m: Mono) -> int:
@@ -139,33 +139,16 @@ def _grevlex_key(m: Mono):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Monomial order on exponent tuples.
+def _grevlex_heap_key(m: Mono):
+    return (-sum(m), m[::-1])
 
-    kind is one of "grevlex", "lex", "block".  A block order compares the
-    projection onto ``block`` (a tuple of variable indices) by grevlex first,
-    then the remaining variables by grevlex; this is an elimination order for
-    the block variables.
-    """
 
-    kind: str = "grevlex"
-    block: tuple[int, ...] = ()
+def _lex_key(m: Mono):
+    return m
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "block"):
-            raise AlgebraError(f"unknown monomial order: {self.kind}")
-        if self.kind == "block" and not self.block:
-            raise AlgebraError("block order needs a nonempty variable block")
 
-    def key(self, m: Mono):
-        if self.kind == "grevlex":
-            return _grevlex_key(m)
-        if self.kind == "lex":
-            return m
-        tail = _block_tail(self.block, len(m))
-        return (_grevlex_key([m[i] for i in self.block]),
-                _grevlex_key([m[i] for i in tail]))
+def _lex_heap_key(m: Mono):
+    return tuple(map(operator.neg, m))
 
 
 @functools.lru_cache(maxsize=256)
@@ -176,16 +159,54 @@ def _block_tail(block: tuple[int, ...], nvars: int) -> tuple[int, ...]:
     return tuple(i for i in range(nvars) if i not in inside)
 
 
-def monomial_compare(order: MonomialOrder, a: Mono, b: Mono) -> int:
-    """Three-way comparison; returns one of LT, EQ, GT."""
-    if len(a) != len(b):
-        raise AlgebraError("monomials of different lengths")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
+def _block_key(block: tuple[int, ...], m: Mono):
+    tail = _block_tail(block, len(m))
+    return (_grevlex_key([m[i] for i in block]),
+            _grevlex_key([m[i] for i in tail]))
+
+
+def _block_heap_key(block: tuple[int, ...], m: Mono):
+    # the two grevlex heap keys, flattened: tuples compare the same either way
+    tail = _block_tail(block, len(m))
+    head = tuple([m[i] for i in block])
+    rest = tuple([m[i] for i in tail])
+    return (-sum(head), head[::-1], -sum(rest), rest[::-1])
+
+
+@dataclass(frozen=True)
+class MonomialOrder:
+    """Monomial order on exponent tuples.
+
+    kind is one of "grevlex", "lex", "block".  A block order compares the
+    projection onto ``block`` (a tuple of variable indices) by grevlex first,
+    then the remaining variables by grevlex; this is an elimination order for
+    the block variables.
+
+    ``key(m)`` sorts monomials ascending in the order; ``heap_key(m)`` sorts
+    them descending, so a min-heap on it pops the largest monomial first.
+    Both are chosen once per order, when it is built.
+    """
+
+    kind: str = "grevlex"
+    block: tuple[int, ...] = ()
+    key: Callable[[Mono], object] = field(init=False, repr=False, compare=False)
+    heap_key: Callable[[Mono], object] = field(init=False, repr=False,
+                                               compare=False)
+
+    def __post_init__(self):
+        if self.kind == "grevlex":
+            key, heap_key = _grevlex_key, _grevlex_heap_key
+        elif self.kind == "lex":
+            key, heap_key = _lex_key, _lex_heap_key
+        elif self.kind == "block":
+            if not self.block:
+                raise AlgebraError("block order needs a nonempty variable block")
+            key = functools.partial(_block_key, self.block)
+            heap_key = functools.partial(_block_heap_key, self.block)
+        else:
+            raise AlgebraError(f"unknown monomial order: {self.kind}")
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "heap_key", heap_key)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +638,3 @@ def format_poly(f: Polynomial) -> str:
             parts.append(f"{c}*" + "*".join(factors))
     return "+".join(parts)
 
-
-def poly_from_string_list(ring: PolyRing, items) -> list[Polynomial]:
-    """Parse a list of polynomial strings (convenience for specs and CLI)."""
-    return [parse_poly(ring, s) for s in items]

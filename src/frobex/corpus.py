@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .algebra import AlgebraError, ParseError, is_prime
+from .algebra import AlgebraError, ParseError, PolyRing, is_prime, parse_poly
 from .groebner import GBConfig, QuotientRing, ResourceCapExceeded, quotient_from_data
 
 
@@ -68,6 +68,7 @@ def ring_from_spec(data, config: GBConfig | None = None) -> QuotientRing:
     """Build the quotient ring described by a validated spec dict."""
     spec = validate_ring_spec(data)
     try:
+        _check_homogeneous(spec)
         return quotient_from_data({
             "characteristic": spec["characteristic"],
             "variables": list(spec["variables"]),
@@ -81,6 +82,18 @@ def ring_from_spec(data, config: GBConfig | None = None) -> QuotientRing:
         raise  # a resource cap is not a spec problem; let the caller classify
     except AlgebraError as exc:
         raise RingSpecError(str(exc)) from exc
+
+
+def _check_homogeneous(spec: dict):
+    """Every relation must be homogeneous for the spec's grading (all ones
+    when absent); checked before any Groebner work on the relations."""
+    ambient = PolyRing(spec["characteristic"], spec["variables"],
+                       grading=spec.get("grading"))
+    for text in spec["relations"]:
+        if not parse_poly(ambient, text).is_homogeneous():
+            raise RingSpecError(
+                f"relation {text!r} is not homogeneous for the grading "
+                f"{list(ambient.weights)}")
 
 
 def load_ring_spec(path: str, config: GBConfig | None = None) -> QuotientRing:

@@ -103,15 +103,23 @@ def _nf_terms(fterms: dict, reducers: list, p: int, order: MonomialOrder,
     Every reducer must be monic with leading monomial lm.  Returns
     (remainder, quotients) where quotients is None unless track is set; with
     tracking, input == sum(quotients[i] * reducers[i]) + remainder.
+
+    Work terms wait in a min-heap on order.heap_key, so each step pops the
+    leading term in O(log n).  A term whose coefficient cancels stays in
+    work at 0 until it is popped and skipped; as every new term lies below
+    the popped one, each monomial enters the heap at most once.
     """
+    heap_key = order.heap_key
     work = dict(fterms)
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[Mono, int] = {}
     quotients = [dict() for _ in reducers] if track else None
-    key = order.key
-    while work:
-        mono = max(work, key=key)
+    while heap:
+        mono = heapq.heappop(heap)[1]
         coeff = work.pop(mono)
-        reduced = False
+        if not coeff:
+            continue
         for idx, (lm, gterms) in enumerate(reducers):
             if mono_divides(lm, mono):
                 shift = mono_div(mono, lm)
@@ -119,17 +127,17 @@ def _nf_terms(fterms: dict, reducers: list, p: int, order: MonomialOrder,
                     if gm == lm:
                         continue
                     t = mono_mul(gm, shift)
-                    v = (work.get(t, 0) - coeff * gc) % p
-                    if v:
-                        work[t] = v
-                    elif t in work:
-                        del work[t]
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = (-coeff * gc) % p
+                        heapq.heappush(heap, (heap_key(t), t))
+                    else:
+                        work[t] = (old - coeff * gc) % p
                 if track:
                     q = quotients[idx]
                     q[shift] = (q.get(shift, 0) + coeff) % p
-                reduced = True
                 break
-        if not reduced:
+        else:
             remainder[mono] = coeff
     return remainder, quotients
 

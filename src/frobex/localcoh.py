@@ -513,7 +513,7 @@ def _hsl_worker(payload: dict) -> dict:
         "i": payload["i"],
         "N": payload["N"],
         "order": order,
-        "witnesses": [w.to_dict() for w in report.witnesses],
+        "witnesses": report.witnesses,
         "undetermined": report.undetermined_levels,
     }
 
@@ -540,8 +540,7 @@ def _hsl_run(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
         for res in results:
             i = res["i"]
             per_index[i] = res["order"]
-            witnesses[i] = [NilpotentWitness(w["level"], w["order"], (), w["poly"])
-                            for w in res["witnesses"]]
+            witnesses[i] = res["witnesses"]
             undetermined[i] = res["undetermined"]
     else:
         for i in range(d + 1):

@@ -1,0 +1,31 @@
+"""Ring-spec validation and the bundled corpus."""
+
+import pytest
+
+from frobex.corpus import RingSpecError, corpus_labels, load_corpus_ring, ring_from_spec
+
+
+def spec(relations, grading=None, variables=("x", "y", "z")):
+    data = {"label": "t", "characteristic": 3, "variables": list(variables),
+            "relations": relations}
+    if grading is not None:
+        data["grading"] = grading
+    return data
+
+
+def test_inhomogeneous_relation_is_rejected():
+    with pytest.raises(RingSpecError, match="not homogeneous"):
+        ring_from_spec(spec(["x^2 + y"]))
+
+
+def test_weighted_homogeneous_relation_is_accepted():
+    # x^3 + y^2 has degree 6 under weights (2, 3, 1) but is not standard-graded
+    R = ring_from_spec(spec(["x^3 + y^2"], grading=[2, 3, 1]))
+    assert R.grading == (2, 3, 1)
+    with pytest.raises(RingSpecError, match="not homogeneous"):
+        ring_from_spec(spec(["x^3 + y^2"]))
+
+
+@pytest.mark.parametrize("label", corpus_labels())
+def test_corpus_rings_load(label):
+    assert load_corpus_ring(label).label == label

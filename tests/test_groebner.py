@@ -1,10 +1,19 @@
 """Groebner engine: bases, normal forms, ideal operations, quotient rings."""
 
+import pickle
 import random
 
 import pytest
 
-from frobex.algebra import MonomialOrder, Polynomial, PolyRing, PrimeField
+from frobex.algebra import (
+    MonomialOrder,
+    Polynomial,
+    PolyRing,
+    PrimeField,
+    mono_div,
+    mono_divides,
+    mono_mul,
+)
 from frobex.groebner import (
     GBConfig,
     IdealHandle,
@@ -12,6 +21,7 @@ from frobex.groebner import (
     NotZeroDimensionalError,
     QuotientRing,
     ResourceCapExceeded,
+    _nf_terms,
     audit_cached_bases,
     buchberger_basis,
     colon,
@@ -127,6 +137,104 @@ def test_audit_cached_bases_clean():
 
 
 # --- normal forms and membership ---
+
+def _nf_terms_by_max_scan(fterms, reducers, p, order, track=False):
+    """The loop _nf_terms ran before its heap, kept as the oracle: every step
+    picks the leading term by a max over the whole work dict."""
+    work = dict(fterms)
+    remainder = {}
+    quotients = [dict() for _ in reducers] if track else None
+    key = order.key
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        reduced = False
+        for idx, (lm, gterms) in enumerate(reducers):
+            if mono_divides(lm, mono):
+                shift = mono_div(mono, lm)
+                for gm, gc in gterms.items():
+                    if gm == lm:
+                        continue
+                    t = mono_mul(gm, shift)
+                    v = (work.get(t, 0) - coeff * gc) % p
+                    if v:
+                        work[t] = v
+                    elif t in work:
+                        del work[t]
+                if track:
+                    q = quotients[idx]
+                    q[shift] = (q.get(shift, 0) + coeff) % p
+                reduced = True
+                break
+        if not reduced:
+            remainder[mono] = coeff
+    return remainder, quotients
+
+
+def _orders_for(nvars):
+    return [MonomialOrder("grevlex"), MonomialOrder("lex"),
+            MonomialOrder("block", (0,)), MonomialOrder("block", (nvars - 1,)),
+            MonomialOrder("block", tuple(range(0, nvars, 2)))]
+
+
+def _random_terms(rng, nvars, p, nterms, max_deg):
+    return {tuple(rng.randrange(max_deg + 1) for _ in range(nvars)):
+            rng.randrange(1, p) for _ in range(nterms)}
+
+
+def _small_basis(rng, nvars, p, order):
+    # random ideals until one has a small basis; lex in four variables can
+    # run long
+    while True:
+        gens = [_random_terms(rng, nvars, p, rng.randrange(2, 4), 2)
+                for _ in range(rng.randrange(2, 4))]
+        try:
+            return buchberger_basis(gens, order, p, GBConfig(max_pairs=100))[0]
+        except ResourceCapExceeded:
+            continue
+
+
+def test_heap_normal_form_matches_max_scan_oracle():
+    # same remainders and quotients, term for term and in the same insertion
+    # order, against reducers taken from real reduced bases
+    rng = random.Random(1801)
+    compared = 0
+    for p in (2, 3, 7):
+        for nvars in (2, 3, 4):
+            for order in _orders_for(nvars):
+                for _ in range(3):
+                    basis = _small_basis(rng, nvars, p, order)
+                    reducers = [(max(t, key=order.key), t) for t in basis]
+                    for _ in range(3):
+                        f = _random_terms(rng, nvars, p, rng.randrange(1, 9), 4)
+                        for track in (False, True):
+                            rem, quots = _nf_terms(f, reducers, p, order, track)
+                            want_rem, want_quots = _nf_terms_by_max_scan(
+                                f, reducers, p, order, track)
+                            assert list(rem.items()) == list(want_rem.items())
+                            if track:
+                                assert ([list(q.items()) for q in quots]
+                                        == [list(q.items()) for q in want_quots])
+                            else:
+                                assert quots is None
+                            compared += 1
+    assert compared == 3 * 3 * 5 * 3 * 3 * 2
+
+
+@pytest.mark.parametrize("order", _orders_for(4) + [MonomialOrder("block", (1, 2))],
+                         ids=lambda o: f"{o.kind}{list(o.block) if o.block else ''}")
+def test_heap_key_minimum_is_order_key_maximum(order):
+    rng = random.Random(42)
+    for _ in range(200):
+        monos = {tuple(rng.randrange(5) for _ in range(4))
+                 for _ in range(rng.randrange(1, 15))}
+        assert min(monos, key=order.heap_key) == max(monos, key=order.key)
+        assert (sorted(monos, key=order.heap_key)
+                == sorted(monos, key=order.key, reverse=True))
+    # the compiled keys travel with the order
+    back = pickle.loads(pickle.dumps(order))
+    assert back == order and back.heap_key((1, 0, 2, 3)) == order.heap_key((1, 0, 2, 3))
+
 
 def test_normal_form_properties():
     P = poly_ring(5, "x", "y", "z")

@@ -10,6 +10,7 @@ from frobex.frobenius import fte_scan
 from frobex.groebner import ideal
 from frobex.localcoh import (
     TorsionSpanError,
+    _hsl_run,
     _stabilized_tail,
     graded_koszul_cohomology,
     hsl_estimate,
@@ -194,6 +195,16 @@ def test_hsl_parallel_matches_serial():
     a = hsl_estimate(R, seq, N=4, e_max=1, jobs=1)
     b = hsl_estimate(R, seq, N=4, e_max=1, jobs=2)
     assert a.to_dict() == b.to_dict()
+
+
+def test_hsl_run_parallel_equals_serial_with_coords():
+    # the pool path must hand back the same witnesses, coordinates included
+    R = load_corpus_ring("depth-zero-f2")
+    seq = verified(R, ["y"])
+    serial = _hsl_run(R, seq, 4, 1, 1, None)
+    pooled = _hsl_run(R, seq, 4, 1, 2, None)
+    assert pooled == serial
+    assert any(w.coords for ws in pooled.witnesses.values() for w in ws)
 
 
 def test_hsl_verifies_or_rejects_sequence():
