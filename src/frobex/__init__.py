@@ -61,14 +61,12 @@ from .groebner import (
     dimension,
     eliminate,
     ideal,
-    ideal_equal,
     intersect,
     quotient_from_data,
     quotient_to_data,
     ring_fingerprint,
     saturation,
     std_monomials,
-    vector_space_length,
 )
 from .localcoh import (
     HslReport,
@@ -78,7 +76,6 @@ from .localcoh import (
     NsReport,
     Prop34Report,
     TorsionQuotientSnapshot,
-    graded_koszul_cohomology,
     hsl_estimate,
     koszul_cohomology_table,
     limit_system,
@@ -106,12 +103,11 @@ __all__ = [
     "DEFAULT_GB_CONFIG", "GBConfig", "GBStats", "IdealHandle",
     "ImproperIdealError", "NotZeroDimensionalError", "QuotientRing",
     "ResourceCapExceeded", "audit_cached_bases", "colon", "dimension",
-    "eliminate", "ideal", "ideal_equal", "intersect", "quotient_from_data",
+    "eliminate", "ideal", "intersect", "quotient_from_data",
     "quotient_to_data", "ring_fingerprint", "saturation", "std_monomials",
-    "vector_space_length",
     "HslReport", "InequalityReport", "LimitSystem", "NilpotentReport",
     "NsReport", "Prop34Report", "TorsionQuotientSnapshot",
-    "graded_koszul_cohomology", "hsl_estimate", "koszul_cohomology_table",
+    "hsl_estimate", "koszul_cohomology_table",
     "limit_system", "nilpotent_part", "ns_consistency_check", "prop34_check",
     "torsion_quotient", "verify_inequality",
     "derive_seed",

@@ -27,6 +27,7 @@ against HSL numbers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -347,16 +348,18 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int,
                 config: GBConfig | None) -> ScanSample:
     kind = task["kind"]
     descriptor = task["descriptor"]
+    gens: list[str] = []
     try:
         if kind == "random-sop":
             fseq = random_filter_regular_sop(R, task["seed"], config=config)
-            gens = list(fseq.elements)
+            polys = list(fseq.elements)
         else:
             handle = power_family_ideal(R, task["base"], descriptor["t"],
                                         descriptor["n"])
-            gens = list(handle.own_gens)
-        sample = ScanSample(kind, descriptor, [str(g) for g in gens])
-        I = ideal(R, gens)
+            polys = list(handle.own_gens)
+        gens = [str(g) for g in polys]
+        sample = ScanSample(kind, descriptor, gens)
+        I = ideal(R, polys)
         closure = frobenius_closure(I, e_max, window, config)
         fte = fte_of_ideal(I, closure.closure, e_max, config)
         sample.fte = fte
@@ -367,19 +370,31 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int,
         if not closure.stable:
             sample.error = "closure chain did not stabilize within e_max"
         return sample
-    except (ResourceCapExceeded, AlgebraError) as exc:
-        sample = ScanSample(kind, descriptor, task.get("gens", []))
+    except AlgebraError as exc:
+        sample = ScanSample(kind, descriptor, gens)
         sample.error = f"{type(exc).__name__}: {exc}"
         return sample
 
 
-def _scan_worker(payload: dict) -> dict:
-    """Top-level worker so process pools can pickle it."""
-    R = quotient_from_data(payload["ring"])
-    config = GBConfig(**payload["config"]) if payload.get("config") else None
-    sample = _run_sample(R, payload["task"], payload["e_max"],
-                         payload["window"], config)
-    return sample.to_dict()
+def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
+    """[fn(R, task) for task in tasks], on a process pool of up to `jobs`
+    workers when jobs > 1 and there is more than one task.
+
+    fn, the tasks and the results cross the pool pickled, so fn is a
+    module-level function or a functools.partial of one.  A pooled task
+    gets R rebuilt from quotient_to_data(R), so fn must not depend on
+    anything cached in R.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        run = functools.partial(_on_ring_data, fn, quotient_to_data(R))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(run, tasks))
+    return [fn(R, task) for task in tasks]
+
+
+def _on_ring_data(fn, ring_data: dict, task):
+    """Pool entry point of map_tasks: fn on the ring rebuilt from its data."""
+    return fn(quotient_from_data(ring_data), task)
 
 
 def parameter_base(R: QuotientRing, seed: int,
@@ -434,21 +449,9 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
                 "descriptor": {"t": t, "n": n},
                 "base": base_strs,
             })
-    if jobs > 1 and len(tasks) > 1:
-        ring_data = quotient_to_data(R)
-        payloads = [{
-            "ring": ring_data,
-            "task": task,
-            "e_max": e_max,
-            "window": window,
-            "config": {"max_pairs": config.max_pairs, "max_degree": config.max_degree}
-                      if config else None,
-        } for task in tasks]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dicts = list(pool.map(_scan_worker, payloads))
-        samples = [ScanSample(**d) for d in dicts]
-    else:
-        samples = [_run_sample(R, task, e_max, window, config) for task in tasks]
+    samples = map_tasks(functools.partial(_run_sample, e_max=e_max,
+                                          window=window, config=config),
+                        R, tasks, jobs)
     good = [s.fte for s in samples if s.fte is not None and s.error is None]
     return FteScanReport(
         fingerprint=ring_fingerprint(R),

@@ -404,10 +404,6 @@ class IdealHandle:
             raise RingMismatchError("ideals over different ambient rings")
         return self.groebner_basis(config) == other.groebner_basis(config)
 
-    def with_ring(self, ring) -> "IdealHandle":
-        """Same own generators, reattached to another (compatible) ring."""
-        return IdealHandle(ring, self.own_gens, self._config)
-
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.own_gens) or "0"
         return f"Ideal({inside})"
@@ -421,13 +417,12 @@ class QuotientRing:
     """
 
     def __init__(self, ambient: PolyRing, relations=(), label: str = "",
-                 local: bool = True, config: GBConfig | None = None):
+                 config: GBConfig | None = None):
         self.ambient = ambient
         self.relations = IdealHandle(ambient, relations, config)
         if not self.relations.is_proper(config):
             raise ImproperIdealError("relations generate the unit ideal")
         self.label = label
-        self.local = local
         self.dim = dimension(self.relations, config)
 
     @property
@@ -478,24 +473,6 @@ def ideal(ring, *gens, config: GBConfig | None = None) -> IdealHandle:
     if len(gens) == 1 and isinstance(gens[0], (list, tuple)):
         gens = tuple(gens[0])
     return IdealHandle(ring, gens, config)
-
-
-def normal_form(f, I: IdealHandle, config: GBConfig | None = None) -> Polynomial:
-    return I.normal_form(f, config)
-
-
-def is_member(f, I: IdealHandle, config: GBConfig | None = None) -> bool:
-    return I.contains(f, config)
-
-
-def ideal_equal(I: IdealHandle, K: IdealHandle, config: GBConfig | None = None) -> bool:
-    return I.equals(K, config)
-
-
-def ideal_sum(I: IdealHandle, K: IdealHandle) -> IdealHandle:
-    if I.ambient != K.ambient:
-        raise RingMismatchError("ideals over different ambient rings")
-    return IdealHandle(I.ring, I.own_gens + K.own_gens)
 
 
 def ring_fingerprint(R: QuotientRing) -> str:
@@ -704,11 +681,6 @@ def std_monomials_of_weighted_degree(I: IdealHandle, degree: int,
     out = [m for m in cands if not any(mono_divides(lm, m) for lm in lms)]
     out.sort(key=key)
     return out
-
-
-def vector_space_length(I: IdealHandle, config: GBConfig | None = None) -> int:
-    """dim_k ambient/I for a zero-dimensional ideal."""
-    return len(std_monomials(I, config))
 
 
 def audit_cached_bases() -> list[str]:

@@ -21,8 +21,8 @@ the package cross-checks for stability by re-running at a deeper truncation.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,15 +38,13 @@ from .algebra import (
     monomials_of_weighted_degree,
 )
 from .filterreg import FilterSequence, is_filter_regular_sequence, make_sequence
-from .frobenius import frobenius_closure, power_family_ideal
+from .frobenius import frobenius_closure, map_tasks, power_family_ideal
 from .groebner import (
     GBConfig,
     IdealHandle,
     QuotientRing,
     dimension,
     ideal,
-    quotient_from_data,
-    quotient_to_data,
     ring_fingerprint,
     saturation,
     std_monomials,
@@ -121,29 +119,12 @@ class TorsionQuotientSnapshot:
             raise TorsionSpanError(f"{f} is not in the torsion span")
         return coords
 
-    def contains_class(self, f: Polynomial) -> bool:
-        try:
-            self.coordinates(f)
-            return True
-        except TorsionSpanError:
-            return False
-
     def from_coordinates(self, coords) -> Polynomial:
         out = self.ring.ambient.zero()
         for c, b in zip(coords, self.basis):
             if c % self.ring.p:
                 out = out + int(c) * b
         return out
-
-    def degree_table(self) -> dict[int, int] | None:
-        """Graded dimension counts when every basis element is homogeneous."""
-        table: dict[int, int] = {}
-        for b in self.basis:
-            if not b.is_homogeneous():
-                return None
-            d = b.weighted_degree()
-            table[d] = table.get(d, 0) + 1
-        return dict(sorted(table.items()))
 
 
 def _empty_snapshot(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot:
@@ -495,60 +476,26 @@ class HslReport:
         }
 
 
-def _hsl_single(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
-                e_max: int, config: GBConfig | None) -> tuple[int, NilpotentReport]:
-    system = limit_system(R, fseq, i, N, config)
-    report = nilpotent_part(system, e_max)
-    return report.max_order, report
-
-
-def _hsl_worker(payload: dict) -> dict:
-    R = quotient_from_data(payload["ring"])
-    fseq = make_sequence(R, payload["sequence"])
-    fseq.verified = (True,) * len(fseq.elements)
-    config = GBConfig(**payload["config"]) if payload.get("config") else None
-    order, report = _hsl_single(R, fseq, payload["i"], payload["N"],
-                                payload["e_max"], config)
-    return {
-        "i": payload["i"],
-        "N": payload["N"],
-        "order": order,
-        "witnesses": report.witnesses,
-        "undetermined": report.undetermined_levels,
-    }
+def _hsl_tower(R: QuotientRing, i: int, sequence: list[str],
+               verified: tuple[bool, ...], N: int, e_max: int,
+               config: GBConfig | None) -> NilpotentReport:
+    """Nilpotency report of the i-th limit tower of the sequence given by
+    its element strings and verified flags (a task of map_tasks)."""
+    fseq = make_sequence(R, sequence)
+    fseq.verified = verified
+    return nilpotent_part(limit_system(R, fseq, i, N, config), e_max)
 
 
 def _hsl_run(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
              jobs: int, config: GBConfig | None) -> HslRun:
-    d = R.dim
-    per_index: dict = {}
-    witnesses: dict = {}
-    undetermined: dict = {}
-    if jobs > 1 and d > 0:
-        ring_data = quotient_to_data(R)
-        payloads = [{
-            "ring": ring_data,
-            "sequence": fseq.element_strings(),
-            "i": i,
-            "N": N,
-            "e_max": e_max,
-            "config": {"max_pairs": config.max_pairs, "max_degree": config.max_degree}
-                      if config else None,
-        } for i in range(d + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_hsl_worker, payloads))
-        for res in results:
-            i = res["i"]
-            per_index[i] = res["order"]
-            witnesses[i] = res["witnesses"]
-            undetermined[i] = res["undetermined"]
-    else:
-        for i in range(d + 1):
-            order, report = _hsl_single(R, fseq, i, N, e_max, config)
-            per_index[i] = order
-            witnesses[i] = report.witnesses
-            undetermined[i] = report.undetermined_levels
-    return HslRun(per_index, witnesses, undetermined, N, e_max)
+    tower = functools.partial(_hsl_tower, sequence=fseq.element_strings(),
+                              verified=fseq.verified, N=N, e_max=e_max,
+                              config=config)
+    reports = map_tasks(tower, R, list(range(R.dim + 1)), jobs)
+    return HslRun({i: r.max_order for i, r in enumerate(reports)},
+                  {i: r.witnesses for i, r in enumerate(reports)},
+                  {i: r.undetermined_levels for i, r in enumerate(reports)},
+                  N, e_max)
 
 
 def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
@@ -684,16 +631,6 @@ def koszul_cohomology_table(R: QuotientRing, powers, degree_lo: int,
             r_in = ranks[j - 1] if j > 0 else 0
             table[j][D] = total - r_out - r_in
     return table
-
-
-def graded_koszul_cohomology(R: QuotientRing, powers, i: int, degree_lo: int,
-                             degree_hi: int,
-                             config: GBConfig | None = None) -> dict:
-    """Per-degree dimensions of H^i(powers; R) in the window."""
-    table = koszul_cohomology_table(R, powers, degree_lo, degree_hi, config)
-    if i not in table:
-        raise AlgebraError(f"cohomological index {i} out of range")
-    return table[i]
 
 
 # ---------------------------------------------------------------------------

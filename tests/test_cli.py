@@ -234,6 +234,14 @@ def test_verify_inequality_regular(capsys):
     assert doc["hsl"]["overall"] == 0
 
 
+def test_verify_inequality_same_document_for_every_jobs(capsys):
+    runs = [run_json(capsys, "verify-inequality", "--ring", "depth-zero-f2",
+                     "--samples", "1", "--trunc", "4", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert runs[0][0] == runs[1][0] == 0
+    assert without_timestamp(runs[0][1]) == without_timestamp(runs[1][1])
+
+
 # --- exit codes and error documents ---
 
 def test_unknown_command_is_usage(capsys):

@@ -350,6 +350,19 @@ def test_fte_scan_records_sample_failures():
     assert all(s.error for s in report.samples)
 
 
+def test_failed_scan_samples_keep_their_generators():
+    # the degree cap trips in the closure chain, after each ideal is built
+    R = load_corpus_ring("regular-f2-xy")
+    config = GBConfig(max_degree=3)
+    serial = fte_scan(R, n_random=0, power_family_max=2, config=config)
+    assert [s.gens for s in serial.samples] == [["x", "y"], ["x^2", "y"],
+                                                ["x^2", "y^2"]]
+    assert all(s.error.startswith("ResourceCapExceeded")
+               for s in serial.samples)
+    pooled = fte_scan(R, n_random=0, power_family_max=2, jobs=2, config=config)
+    assert pooled.to_dict() == serial.to_dict()
+
+
 def test_fte_scan_rejects_dimension_zero():
     R = QuotientRing(poly_ring(2, "x"), ["x^2"])
     with pytest.raises(AlgebraError):

@@ -30,7 +30,6 @@ from frobex.groebner import (
     exact_divide,
     fresh_names,
     ideal,
-    ideal_sum,
     intersect,
     quotient_from_data,
     quotient_to_data,
@@ -39,7 +38,6 @@ from frobex.groebner import (
     spairs_reduce_to_zero,
     std_monomials,
     std_monomials_of_weighted_degree,
-    vector_space_length,
 )
 from frobex.seeding import rng_for
 
@@ -280,11 +278,6 @@ def test_is_proper_and_equals():
 
 # --- ideal operations ---
 
-def test_ideal_sum():
-    P = poly_ring(2, "x", "y")
-    assert ideal_sum(ideal(P, "x"), ideal(P, "y")).equals(ideal(P, "x", "y"))
-
-
 def test_intersect_principal():
     P = poly_ring(2, "x", "y")
     assert intersect(ideal(P, "x"), ideal(P, "y")).equals(ideal(P, "x*y"))
@@ -363,7 +356,7 @@ def test_std_monomials():
     P = poly_ring(2, "x", "y")
     got = std_monomials(ideal(P, "x^2", "y^3"))
     assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
-    assert vector_space_length(ideal(P, "x^2", "x*y", "y^2")) == 3
+    assert len(std_monomials(ideal(P, "x^2", "x*y", "y^2"))) == 3
     assert std_monomials(ideal(P, "x", "x + 1")) == []
     with pytest.raises(NotZeroDimensionalError):
         std_monomials(ideal(P, "x^2"))
@@ -412,11 +405,3 @@ def test_quotient_data_grading_survives():
 def test_fresh_names_avoid_collisions():
     assert fresh_names(("t0", "x"), "t", 2) == ["t1", "t2"]
     assert fresh_names(("x", "y"), "w", 2) == ["w0", "w1"]
-
-
-def test_with_ring_reattaches_generators():
-    P = poly_ring(2, "x", "y")
-    R = QuotientRing(P, ["x^2"])
-    J = ideal(P, "y").with_ring(R)
-    assert J.quotient is R
-    assert J.contains("x^2")

@@ -1,8 +1,13 @@
 """Torsion towers, Frobenius nilpotency, HSL numbers, consistency checks."""
 
+import sys
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import frobex.frobenius as frobenius_module
 from frobex.algebra import AlgebraError
 from frobex.corpus import load_corpus_ring
 from frobex.filterreg import is_filter_regular_sequence, make_sequence
@@ -12,7 +17,6 @@ from frobex.localcoh import (
     TorsionSpanError,
     _hsl_run,
     _stabilized_tail,
-    graded_koszul_cohomology,
     hsl_estimate,
     koszul_cohomology_table,
     limit_system,
@@ -39,17 +43,17 @@ def test_snapshot_m_primary_uses_monomial_basis():
     assert snap.monomial_basis
     assert snap.length == 4
     assert snap.kill_exponent == 3
-    assert snap.degree_table() == {0: 1, 1: 2, 2: 1}
+    assert Counter(b.weighted_degree() for b in snap.basis) == {0: 1, 1: 2, 2: 1}
     v = snap.coordinates(R.parse("x + y"))
     assert snap.from_coordinates(v) == R.parse("x + y")
-    assert snap.contains_class(R.parse("x*y"))
+    snap.coordinates(R.parse("x*y"))
 
 
 def test_snapshot_no_torsion_is_empty():
     R = load_corpus_ring("regular-f2-xy")
     snap = torsion_quotient(R, ideal(R, "x"))
     assert snap.length == 0
-    assert snap.contains_class(R.parse("x"))  # the zero class
+    assert not snap.coordinates(R.parse("x")).any()  # the zero class
     with pytest.raises(TorsionSpanError):
         snap.coordinates(R.parse("y"))
 
@@ -61,7 +65,7 @@ def test_snapshot_depth_zero_torsion():
     assert not snap.monomial_basis
     assert snap.length == 1
     assert [str(b) for b in snap.basis] == ["x"]
-    assert snap.degree_table() == {1: 1}
+    assert Counter(b.weighted_degree() for b in snap.basis) == {1: 1}
     assert snap.coordinates(R.parse("x")).tolist() == [1]
     with pytest.raises(TorsionSpanError):
         snap.coordinates(R.parse("y"))
@@ -207,6 +211,27 @@ def test_hsl_run_parallel_equals_serial_with_coords():
     assert any(w.coords for ws in pooled.witnesses.values() for w in ws)
 
 
+def test_every_pool_goes_through_frobenius(monkeypatch):
+    # the benchmark traces pools through this one binding
+    entered = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(frobenius_module, "ProcessPoolExecutor", CountingPool)
+    R = load_corpus_ring("depth-zero-f2")
+    fte_scan(R, n_random=1, power_family_max=1, jobs=2)
+    assert len(entered) == 1
+    hsl_estimate(R, verified(R, ["y"]), N=3, e_max=1, jobs=2)
+    assert len(entered) == 3  # the run and its probe
+    for name, module in sys.modules.items():
+        if name.startswith("frobex") and name != "frobex.frobenius":
+            assert not any(value is ProcessPoolExecutor
+                           for value in vars(module).values()), name
+
+
 def test_hsl_verifies_or_rejects_sequence():
     R = load_corpus_ring("regular-f2-xy")
     raw = make_sequence(R, ["x", "y"])
@@ -245,9 +270,9 @@ def test_koszul_two_planes_detects_h1():
 
 def test_koszul_depth_zero_h0():
     R = load_corpus_ring("depth-zero-f2")
-    assert sum(graded_koszul_cohomology(R, ["y"], 0, 0, 6).values()) == 1
-    assert sum(graded_koszul_cohomology(R, ["y"], 1, 0, 6).values()) == 2
-    assert sum(graded_koszul_cohomology(R, ["y^2"], 1, 0, 6).values()) == 3
+    assert sum(koszul_cohomology_table(R, ["y"], 0, 6)[0].values()) == 1
+    assert sum(koszul_cohomology_table(R, ["y"], 0, 6)[1].values()) == 2
+    assert sum(koszul_cohomology_table(R, ["y^2"], 0, 6)[1].values()) == 3
 
 
 def test_koszul_fermat_totals():
