@@ -186,7 +186,7 @@ def cmd_sat(args) -> int:
     gens = [str(g) for g in S.groebner_basis(config)]
     payload = {"ring_label": R.label, "generators": gens, "exponent": steps}
     _emit(args, "sat", payload,
-          ["saturation:"] + [f"  {g}" for g in gens] + [f"stabilized after {steps} colon steps"])
+          ["saturation:"] + [f"  {g}" for g in gens] + [f"stabilization exponent s = {steps}"])
     return EXIT_OK
 
 

@@ -63,7 +63,8 @@ from .seeding import derive_seed
 
 
 class InconsistencyError(AlgebraError):
-    """An internal invariant failed (non-ascending chain, missing exponent)."""
+    """An internal invariant failed (non-ascending chain, missing exponent,
+    a torsion kill exponent out of bounds)."""
 
 
 def frobenius_power(I: IdealHandle, e: int,

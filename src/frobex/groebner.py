@@ -3,8 +3,10 @@
 The engine uses sugar-strategy pair selection with the coprimality and chain
 criteria, full normal-form reduction, and produces the reduced (monic,
 auto-reduced, sorted) Groebner basis, which is the canonical form behind
-ideal equality tests everywhere else.  Colon, saturation, intersection and
-elimination are built on tag-variable eliminations.  Resource caps turn
+ideal equality tests everywhere else.  Colon, intersection and elimination
+are built on tag-variable eliminations.  Saturation by the maximal ideal of
+a standard-graded homogeneous ideal takes one reverse-lex basis per variable
+(Bayer-Stillman); other saturations iterate colons.  Resource caps turn
 runaway computations into explicit errors instead of hangs.
 
 Ideals are IdealHandle objects: generator lists over an ambient polynomial
@@ -39,7 +41,8 @@ from .algebra import (
 
 
 class ResourceCapExceeded(AlgebraError):
-    """A Groebner run hit the pair budget or the degree cap."""
+    """A Groebner run hit the pair budget or the degree cap, or a
+    saturation did not stabilize within its step limit."""
 
     def __init__(self, reason: str, stats: "GBStats"):
         super().__init__(reason)
@@ -616,14 +619,108 @@ def saturation(I: IdealHandle, K: IdealHandle,
                config: GBConfig | None = None,
                max_steps: int = 200) -> tuple[IdealHandle, int]:
     """Stable colon (I : K^infinity) along with the stabilization exponent s,
-    the least s with (I : K^s) = (I : K^(s+1))."""
+    the least s with (I : K^s) = (I : K^(s+1)).
+
+    When K is the maximal ideal (its reduced basis is the variables), the
+    grading is standard and I is homogeneous (quotient relations included),
+    the saturation is the intersection of the (I : x_i^infinity), each read
+    off one reverse-lex basis; see _saturation_by_variables.  Everything
+    else goes through the iterated colons of _saturation_by_colons.  Either
+    path raises ResourceCapExceeded when s would reach max_steps.
+    """
+    ring = I.ambient
+    if (K.ambient == ring and all(w == 1 for w in ring.weights)
+            and all(g.is_homogeneous() for g in I.generators)
+            and _is_maximal_ideal(K, config)):
+        return _saturation_by_variables(I, config, max_steps)
+    return _saturation_by_colons(I, K, config, max_steps)
+
+
+def _is_maximal_ideal(K: IdealHandle, config: GBConfig | None) -> bool:
+    """Whether K's reduced basis is the variables of its ambient ring."""
+    gb = K.groebner_basis(config)
+    return (len(gb) == K.ambient.nvars > 0
+            and all(len(g.terms) == 1 and mono_degree(g.leading_monomial()) == 1
+                    for g in gb))
+
+
+def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
+                             max_steps: int) -> tuple[IdealHandle, int]:
+    """(I : m^infinity) and its exponent for homogeneous I under the
+    standard grading (Bayer-Stillman; Eisenbud, Prop. 15.12).
+
+    With x_i the last variable of a grevlex order, dividing every element of
+    the reduced basis of I by its largest power of x_i gives a basis of
+    (I : x_i^infinity), and (I : m^infinity) is the intersection of these
+    over i; a piece that contains the running intersection, or lies inside
+    it, needs no tag elimination.  When no basis element has an x_i factor,
+    (I : x_i^infinity) = I, hence (I : m^infinity) = I and s = 0.  Otherwise
+    s is the largest, over the saturation's reduced basis, of the least k
+    with m^k * g inside I.  The variables are taken from the last one down,
+    so that a grevlex ring starts from the basis of I it has cached.
+    """
+    ring = I.ambient
+    n, p = ring.nvars, ring.p
+    cfg = config or I._config or DEFAULT_GB_CONFIG
+    grevlex = MonomialOrder("grevlex")
+    pieces = []
+    for i in reversed(range(n)):
+        perm = tuple(j for j in range(n) if j != i) + (i,)
+        if i == n - 1 and ring.order == grevlex:
+            basis = [g.terms for g in I.groebner_basis(config)]
+        else:
+            moved = [{tuple(m[j] for j in perm): c for m, c in g.terms.items()}
+                     for g in I.generators]
+            basis, _ = buchberger_basis(moved, grevlex, p, cfg)
+        powers = [min(m[-1] for m in terms) for terms in basis]
+        if not any(powers):
+            return I, 0
+        back = [perm.index(j) for j in range(n)]
+        gens = []
+        for terms, a in zip(basis, powers):
+            stripped = {m[:-1] + (m[-1] - a,): c for m, c in terms.items()}
+            gens.append(Polynomial(ring, {tuple(m[k] for k in back): c
+                                          for m, c in stripped.items()}))
+        pieces.append(IdealHandle(ring, gens, config))
+    sat = pieces[0]
+    for piece in pieces[1:]:
+        if piece.contains_ideal(sat, config):
+            continue
+        if sat.contains_ideal(piece, config):
+            sat = piece
+        else:
+            sat = intersect(sat, piece, config)
+    sat = IdealHandle(I.ring, sat.own_gens, config)
+    s = max(_kill_exponent(I, g, config, max_steps)
+            for g in sat.groebner_basis(config))
+    return sat, s
+
+
+def _kill_exponent(I: IdealHandle, g: Polynomial, config: GBConfig | None,
+                   max_steps: int) -> int:
+    """Least k < max_steps with m^k * g inside I."""
+    ring = I.ambient
+    for k in range(max_steps):
+        monos = monomials_of_weighted_degree(ring.nvars, k, (1,) * ring.nvars)
+        if all(I.contains(ring.monomial(a) * g, config) for a in monos):
+            return k
+    raise ResourceCapExceeded(
+        f"saturation did not stabilize within {max_steps} steps", GBStats())
+
+
+def _saturation_by_colons(I: IdealHandle, K: IdealHandle,
+                          config: GBConfig | None = None,
+                          max_steps: int = 200) -> tuple[IdealHandle, int]:
+    """(I : K^infinity) by iterated colons until two agree; the general path
+    of saturation and the oracle its fast path is tested against."""
     current = I
     for s in range(max_steps):
         nxt = colon(current, K, config)
         if nxt.equals(current, config):
             return current, s
         current = nxt
-    raise AlgebraError(f"saturation did not stabilize within {max_steps} steps")
+    raise ResourceCapExceeded(
+        f"saturation did not stabilize within {max_steps} steps", GBStats())
 
 
 def dimension(I: IdealHandle, config: GBConfig | None = None) -> int:

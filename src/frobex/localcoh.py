@@ -38,7 +38,12 @@ from .algebra import (
     monomials_of_weighted_degree,
 )
 from .filterreg import FilterSequence, is_filter_regular_sequence, make_sequence
-from .frobenius import frobenius_closure, map_tasks, power_family_ideal
+from .frobenius import (
+    InconsistencyError,
+    frobenius_closure,
+    map_tasks,
+    power_family_ideal,
+)
 from .groebner import (
     GBConfig,
     IdealHandle,
@@ -143,7 +148,7 @@ def _min_kill_exponent(R: QuotientRing, g: Polynomial, Q: IdealHandle,
         monos = _monomials_of_plain_degree(n, k)
         if all(Q.contains(R.ambient.monomial(m) * g, config) for m in monos):
             return k
-    raise AlgebraError("saturation exponent bound violated")
+    raise InconsistencyError("saturation exponent bound violated")
 
 
 def torsion_quotient(R: QuotientRing, Q: IdealHandle,
@@ -163,7 +168,7 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle,
                       for m in _monomials_of_plain_degree(n, kill)):
             kill += 1
             if kill > top + 65:
-                raise AlgebraError("m-primary kill exponent did not settle")
+                raise InconsistencyError("m-primary kill exponent did not settle")
         return TorsionQuotientSnapshot(R, Q, basis, cols, None, None, kill, True)
     m = R.maximal_ideal()
     saturated, s = saturation(Q, m, config)

@@ -1,10 +1,13 @@
 """Command line interface: exit codes, JSON documents, determinism."""
 
+import functools
 import json
 
 import pytest
 
+import frobex.cli as cli_module
 from frobex.cli import main
+from frobex.groebner import saturation
 
 
 def run(capsys, *argv):
@@ -100,6 +103,23 @@ def test_colon_and_sat(capsys):
     assert code == 0
     assert doc["generators"] == ["x"]
     assert doc["exponent"] == 1
+
+
+def test_sat_prints_the_stabilization_exponent(capsys):
+    code, out, _ = run(capsys, "sat", "--ring", "regular-f2-xy",
+                       "--ideal", "x^3, x^2*y, x*y^2")
+    assert code == 0
+    assert out.splitlines() == ["saturation:", "  x", "stabilization exponent s = 2"]
+
+
+def test_sat_step_cap_exits_3(monkeypatch, capsys):
+    # (x^2*y : x^infinity) needs s = 2, so two colon steps are too few
+    monkeypatch.setattr(cli_module, "saturation",
+                        functools.partial(saturation, max_steps=2))
+    code, doc, _ = run_json(capsys, "sat", "--ring", "regular-f2-xy",
+                            "--ideal", "x^2*y", "--by", "x")
+    assert code == 3
+    assert doc["error"]["type"] == "ResourceCapExceeded"
 
 
 def test_filter_check_exit_codes(capsys):

@@ -5,6 +5,10 @@ import random
 
 import pytest
 
+import frobex.cli as cli_module
+import frobex.filterreg as filterreg_module
+import frobex.groebner as groebner_module
+import frobex.localcoh as localcoh_module
 from frobex.algebra import (
     MonomialOrder,
     Polynomial,
@@ -13,7 +17,9 @@ from frobex.algebra import (
     mono_div,
     mono_divides,
     mono_mul,
+    monomials_of_weighted_degree,
 )
+from frobex.corpus import corpus_labels, load_corpus_ring
 from frobex.groebner import (
     GBConfig,
     IdealHandle,
@@ -22,6 +28,7 @@ from frobex.groebner import (
     QuotientRing,
     ResourceCapExceeded,
     _nf_terms,
+    _saturation_by_colons,
     audit_cached_bases,
     buchberger_basis,
     colon,
@@ -312,6 +319,139 @@ def test_saturation_strips_embedded_component():
     assert s == 1
     sat2, s2 = saturation(ideal(P, "x"), m)
     assert sat2.equals(ideal(P, "x")) and s2 == 0
+
+
+@pytest.fixture
+def colon_saturations(monkeypatch):
+    """Record every saturation that falls back to iterated colons."""
+    calls = []
+
+    def spy(I, K, config=None, max_steps=200):
+        calls.append((I, K))
+        return _saturation_by_colons(I, K, config, max_steps)
+
+    monkeypatch.setattr(groebner_module, "_saturation_by_colons", spy)
+    return calls
+
+
+def assert_saturation_matches_oracle(I, K, config=None):
+    """saturation and the colon loop agree on the reduced basis and on s;
+    returns s."""
+    got, s = saturation(I, K, config)
+    want, t = _saturation_by_colons(I, K, config)
+    assert got.groebner_basis(config) == want.groebner_basis(config), I
+    assert s == t, I
+    return s
+
+
+def random_form(rng, P, degree):
+    monos = monomials_of_weighted_degree(P.nvars, degree, P.weights)
+    return P.poly({m: rng.randrange(1, P.p)
+                   for m in rng.sample(monos, min(3, len(monos)))})
+
+
+def random_torsion_ideal(rng, R):
+    """Random forms plus h * m^k for a random form h, so that the
+    saturation usually strips an embedded part."""
+    P = R.ambient if isinstance(R, QuotientRing) else R
+    gens = [random_form(rng, P, rng.randrange(1, 3))
+            for _ in range(rng.randrange(1, 3))]
+    h = random_form(rng, P, rng.randrange(1, 3))
+    gens += [h * P.monomial(a) for a in
+             monomials_of_weighted_degree(P.nvars, rng.randrange(1, 3), P.weights)]
+    return ideal(R, gens)
+
+
+def test_saturation_by_variables_matches_colons_on_random_ideals(colon_saturations):
+    rng = random.Random(1801)
+    rings = [poly_ring(p, *names) for p in (2, 3, 7)
+             for names in (("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w"))]
+    rings += [load_corpus_ring(label) for label in corpus_labels()]
+    assert {R.p for R in rings} == {2, 3, 7}
+    positive = 0
+    for R in rings:
+        m = R.maximal_ideal() if isinstance(R, QuotientRing) else ideal(R, R.gens())
+        for _ in range(3):
+            I = random_torsion_ideal(rng, R)
+            positive += assert_saturation_matches_oracle(I, m) > 0
+            assert not colon_saturations, f"fell back to colons on {I!r}"
+    assert positive >= 30
+
+
+def test_saturation_matches_colons_on_corpus_run(monkeypatch, colon_saturations):
+    # every distinct saturation of one verify-inequality run per small
+    # corpus ring at seed 42
+    recorded = {}
+
+    def spy(I, K, config=None, max_steps=200):
+        key = (I.quotient.label, tuple(I.generators), tuple(K.generators))
+        recorded.setdefault(key, (I, K, config))
+        return saturation(I, K, config, max_steps)
+
+    monkeypatch.setattr(localcoh_module, "saturation", spy)
+    monkeypatch.setattr(filterreg_module, "saturation", spy)
+    labels = [label for label in corpus_labels() if label != "fermat-cubic-p7"]
+    for label in labels:
+        assert cli_module.main(["verify-inequality", "--ring", label, "--json",
+                                "--seed", "42", "--jobs", "1"]) == 0
+    assert not colon_saturations, "a corpus saturation fell back to colons"
+    assert len({key[0] for key in recorded}) == len(labels)
+    exponents = [assert_saturation_matches_oracle(I, K, config)
+                 for I, K, config in recorded.values()]
+    assert len(exponents) > 50 and max(exponents) > 0
+
+
+def weighted_saturation_input():
+    P = poly_ring(2, "x", "y", grading=(1, 2))
+    return ideal(P, "x^4 + x^2*y", "x*y^2"), ideal(P, "x", "y")
+
+
+@pytest.mark.parametrize("make_input", [
+    lambda: (ideal(poly_ring(2, "x", "y"), "x^2*y", "x*y^2"),
+             ideal(poly_ring(2, "x", "y"), "x")),
+    weighted_saturation_input,
+    lambda: (ideal(poly_ring(3, "x", "y"), "x^3 + y", "x*y"),
+             ideal(poly_ring(3, "x", "y"), "x", "y")),
+], ids=["K-not-maximal", "weighted", "inhomogeneous"])
+def test_saturation_fallbacks_take_colons(make_input, colon_saturations):
+    I, K = make_input()
+    assert_saturation_matches_oracle(I, K)
+    assert colon_saturations == [(I, K)]
+
+
+def test_saturated_ideal_exits_without_intersect(monkeypatch, colon_saturations):
+    intersections = []
+
+    def spy(*args, **kwargs):
+        intersections.append(args)
+        return intersect(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "intersect", spy)
+    P = poly_ring(3, "x", "y", "z")
+    m = ideal(P, "x", "y", "z")
+    # both y*z and y^2 have factors of z and y; none has a factor of x
+    I = ideal(P, "y*z", "y^2")
+    got, s = saturation(I, m)
+    assert got is I and s == 0
+    assert not intersections and not colon_saturations
+    assert _saturation_by_colons(I, m)[1] == 0
+
+
+def test_saturation_step_cap_is_a_resource_error():
+    P = poly_ring(2, "x", "y")
+    # (x^2*y : x) = (x*y), (x*y : x) = (y): s = 2 needs a third step
+    I = ideal(P, "x^2*y")
+    with pytest.raises(ResourceCapExceeded):
+        saturation(I, ideal(P, "x"), max_steps=2)
+    assert saturation(I, ideal(P, "x"), max_steps=3)[1] == 2
+    # the same bound on the fast path: x*m^2 saturates to (x) with s = 2
+    m = ideal(P, "x", "y")
+    J = ideal(P, "x^3", "x^2*y", "x*y^2")
+    with pytest.raises(ResourceCapExceeded):
+        saturation(J, m, max_steps=2)
+    with pytest.raises(ResourceCapExceeded):
+        _saturation_by_colons(J, m, max_steps=2)
+    assert assert_saturation_matches_oracle(J, m) == 2
 
 
 def test_eliminate():

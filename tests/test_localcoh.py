@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import frobex.frobenius as frobenius_module
+import frobex.localcoh as localcoh_module
 from frobex.algebra import AlgebraError
 from frobex.corpus import load_corpus_ring
 from frobex.filterreg import is_filter_regular_sequence, make_sequence
-from frobex.frobenius import fte_scan
-from frobex.groebner import ideal
+from frobex.frobenius import InconsistencyError, fte_scan
+from frobex.groebner import ideal, saturation
 from frobex.localcoh import (
     TorsionSpanError,
     _hsl_run,
@@ -75,6 +76,19 @@ def test_snapshot_unit_ideal_is_empty():
     R = load_corpus_ring("regular-f2-xy")
     snap = torsion_quotient(R, ideal(R, "x", "x + 1"))
     assert snap.length == 0
+
+
+def test_understated_saturation_exponent_is_an_inconsistency(monkeypatch):
+    # the kill-exponent search is bounded by saturation's s; an s that is
+    # too small is an internal bug, not a failed check
+    def understated(I, K, config=None):
+        sat, s = saturation(I, K, config)
+        return sat, s - 1
+
+    monkeypatch.setattr(localcoh_module, "saturation", understated)
+    R = load_corpus_ring("regular-f2-xy")
+    with pytest.raises(InconsistencyError, match="saturation exponent bound"):
+        torsion_quotient(R, ideal(R, "x^2", "x*y"))
 
 
 # --- limit systems ---
