@@ -458,9 +458,6 @@ class Polynomial:
         degs = {mono_weighted_degree(m, w) for m in self.terms}
         return len(degs) == 1
 
-    def constant_term(self) -> int:
-        return self.terms.get(self.ring.zero_mono(), 0)
-
     def __str__(self):
         return format_poly(self)
 

@@ -443,18 +443,12 @@ class QuotientRing:
     def maximal_ideal(self) -> IdealHandle:
         return IdealHandle(self, self.ambient.gens())
 
-    def zero_ideal(self) -> IdealHandle:
-        return IdealHandle(self, ())
-
     def parse(self, text: str) -> Polynomial:
         return parse_poly(self.ambient, text)
 
     def nf(self, f) -> Polynomial:
         """Canonical representative of f modulo the relations."""
         return self.relations.normal_form(f)
-
-    def is_regular(self) -> bool:
-        return self.relations.is_zero_ideal()
 
     def __eq__(self, other):
         if not isinstance(other, QuotientRing):

@@ -15,8 +15,10 @@ chains, filtered by survival under the transition maps so that truncation
 artifacts (classes that die in the limit) are never reported as witnesses.
 
 The HSL number of the ring is the maximum, over cohomological degrees, of
-the nilpotency orders seen this way; it is an experimental lower bound that
-the package cross-checks for stability by re-running at a deeper truncation.
+the nilpotency orders seen this way; it is an experimental lower bound.  Each
+tower is built once, PROBE_STEP levels deeper than asked: the base report
+reads its first N levels, and a stability probe reads the whole tower with
+one more Frobenius step.
 """
 
 from __future__ import annotations
@@ -73,10 +75,10 @@ class TorsionQuotientSnapshot:
     Basis elements are normal-form representatives; their coordinate rows
     over ``columns`` (monomials sorted by degree then monomial order) are in
     reduced row echelon form, so coordinates of arbitrary elements resolve
-    by pivot elimination.  When Q is m-primary the whole quotient R/Q is
-    m-torsion and the basis is exactly the standard monomial basis
-    (monomial_basis flag); kill_exponent is an exponent k with
-    m^k * basis inside Q.
+    by pivot elimination.  When Q is homogeneous and m-primary under the
+    standard grading the whole quotient R/Q is m-torsion and the basis is
+    exactly the standard monomial basis (monomial_basis flag); kill_exponent
+    is the least k with m^k * basis inside Q.
     """
 
     ring: QuotientRing
@@ -136,56 +138,45 @@ def _empty_snapshot(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot:
     return TorsionQuotientSnapshot(R, Q, (), (), None, None, 0, False)
 
 
-def _monomials_of_plain_degree(nvars: int, degree: int) -> list[Mono]:
-    return monomials_of_weighted_degree(nvars, degree, (1,) * nvars)
-
-
-def _min_kill_exponent(R: QuotientRing, g: Polynomial, Q: IdealHandle,
-                       bound: int, config: GBConfig | None) -> int:
-    """Least k <= bound with m^k * g inside Q."""
-    n = R.ambient.nvars
-    for k in range(bound + 1):
-        monos = _monomials_of_plain_degree(n, k)
-        if all(Q.contains(R.ambient.monomial(m) * g, config) for m in monos):
-            return k
-    raise InconsistencyError("saturation exponent bound violated")
-
-
 def torsion_quotient(R: QuotientRing, Q: IdealHandle,
                      config: GBConfig | None = None) -> TorsionQuotientSnapshot:
-    """Snapshot of (Q : m^infinity)/Q; Q is a handle over R."""
+    """Snapshot of (Q : m^infinity)/Q; Q is a handle over R.
+
+    A homogeneous Q of dimension 0 under the standard grading needs no
+    membership test: its standard monomials are a graded basis of R/Q, none
+    above degree top, so m^(top+1) lies inside Q and m^top does not.  Every
+    other Q is saturated, and for each g of the saturation's basis the
+    classes of mono * g with deg(mono) = 0, 1, ... span the quotient up to
+    the first degree where all of them vanish, which is g's kill exponent.
+    """
     if not Q.is_proper(config):
         return _empty_snapshot(R, Q)
-    dim = dimension(Q, config)
-    order_key = R.ambient.order.key
-    if dim == 0:
+    n = R.ambient.nvars
+    if (all(w == 1 for w in R.ambient.weights)
+            and all(g.is_homogeneous() for g in Q.generators)
+            and dimension(Q, config) == 0):
         cols = tuple(std_monomials(Q, config))
         basis = tuple(R.ambient.monomial(m) for m in cols)
-        top = max((mono_degree(m) for m in cols), default=-1)
-        kill = top + 1
-        n = R.ambient.nvars
-        while not all(Q.contains(R.ambient.monomial(m), config)
-                      for m in _monomials_of_plain_degree(n, kill)):
-            kill += 1
-            if kill > top + 65:
-                raise InconsistencyError("m-primary kill exponent did not settle")
+        kill = max(mono_degree(m) for m in cols) + 1
         return TorsionQuotientSnapshot(R, Q, basis, cols, None, None, kill, True)
-    m = R.maximal_ideal()
-    saturated, s = saturation(Q, m, config)
+    saturated, s = saturation(Q, R.maximal_ideal(), config)
     if saturated.equals(Q, config):
         return _empty_snapshot(R, Q)
     p = R.p
+    order_key = R.ambient.order.key
     rows: list[dict] = []
     kill = 0
-    nvars = R.ambient.nvars
     for g in saturated.groebner_basis(config):
-        k_g = _min_kill_exponent(R, g, Q, s, config)
-        kill = max(kill, k_g)
-        for k in range(k_g):
-            for mono in _monomials_of_plain_degree(nvars, k):
-                w = Q.normal_form(R.ambient.monomial(mono) * g, config)
-                if w.terms:
-                    rows.append(w.terms)
+        for k in itertools.count():
+            if k > s:
+                raise InconsistencyError("saturation exponent bound violated")
+            forms = [Q.normal_form(R.ambient.monomial(a) * g, config).terms
+                     for a in monomials_of_weighted_degree(n, k, (1,) * n)]
+            nonzero = [t for t in forms if t]
+            if not nonzero:
+                break
+            rows.extend(nonzero)
+        kill = max(kill, k)
     if not rows:
         return _empty_snapshot(R, Q)
     support = sorted({m for t in rows for m in t},
@@ -231,6 +222,14 @@ class LimitSystem:
 
     def lengths(self) -> list[int]:
         return [s.length for s in self.snapshots]
+
+    def truncated(self, N: int) -> LimitSystem:
+        """Levels 1..N of this tower: the system limit_system builds at N."""
+        if not 1 <= N <= self.levels:
+            raise AlgebraError(f"truncation {N} outside 1..{self.levels}")
+        frobenius = {n: m for n, m in self.frobenius.items() if self.p * n <= N}
+        return LimitSystem(self.ring, self.prefix, self.index, N,
+                           self.snapshots[:N], self.transitions[:N - 1], frobenius)
 
     def capacity(self, n: int) -> int:
         """Largest e with n * p^e <= N."""
@@ -429,13 +428,7 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
 # HSL estimation
 
 
-@dataclass
-class HslRun:
-    per_index: dict
-    witnesses: dict
-    undetermined: dict
-    N: int
-    e_max: int
+PROBE_STEP = 2
 
 
 @dataclass
@@ -444,8 +437,8 @@ class HslReport:
 
     per_index[i] is the maximal witnessed Frobenius-nilpotency order on the
     i-th limit tower at truncation N; overall is the max over i.  stable
-    means a re-run at truncation N + probe_step with e_max + 1 reported the
-    same values everywhere.
+    means the same tower read at truncation N + PROBE_STEP with chain depth
+    e_max + 1 reported the same values everywhere.
     """
 
     fingerprint: str
@@ -483,34 +476,27 @@ class HslReport:
 
 def _hsl_tower(R: QuotientRing, i: int, sequence: list[str],
                verified: tuple[bool, ...], N: int, e_max: int,
-               config: GBConfig | None) -> NilpotentReport:
-    """Nilpotency report of the i-th limit tower of the sequence given by
-    its element strings and verified flags (a task of map_tasks)."""
+               config: GBConfig | None) -> tuple[NilpotentReport, NilpotentReport]:
+    """Base and probe nilpotency reports of the i-th limit tower of the
+    sequence given by its element strings and verified flags (a task of
+    map_tasks).  The tower is built once, at the probe's truncation; the
+    base report reads its first N levels."""
     fseq = make_sequence(R, sequence)
     fseq.verified = verified
-    return nilpotent_part(limit_system(R, fseq, i, N, config), e_max)
-
-
-def _hsl_run(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
-             jobs: int, config: GBConfig | None) -> HslRun:
-    tower = functools.partial(_hsl_tower, sequence=fseq.element_strings(),
-                              verified=fseq.verified, N=N, e_max=e_max,
-                              config=config)
-    reports = map_tasks(tower, R, list(range(R.dim + 1)), jobs)
-    return HslRun({i: r.max_order for i, r in enumerate(reports)},
-                  {i: r.witnesses for i, r in enumerate(reports)},
-                  {i: r.undetermined_levels for i, r in enumerate(reports)},
-                  N, e_max)
+    system = limit_system(R, fseq, i, N + PROBE_STEP, config)
+    return (nilpotent_part(system.truncated(N), e_max),
+            nilpotent_part(system, e_max + 1))
 
 
 def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
-                 e_max: int = 8, probe_step: int = 2, jobs: int = 1,
+                 e_max: int = 8, jobs: int = 1,
                  config: GBConfig | None = None) -> HslReport:
     """Witnessed HSL numbers for every cohomological degree 0..dim(R).
 
     The sequence must be a verified filter regular system of parameters.
-    The probe re-run uses truncation N + probe_step and chain depth
-    e_max + 1; agreement sets the stability flag.
+    Each tower is built once, to truncation N + PROBE_STEP: the base report
+    reads levels 1..N with chain depth e_max, the probe reads every level
+    with depth e_max + 1, and agreement sets the stability flag.
     """
     d = R.dim
     if len(fseq) != d:
@@ -519,24 +505,26 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
         ok, bad = is_filter_regular_sequence(fseq, config)
         if not ok:
             raise AlgebraError(f"sequence is not filter regular at index {bad}")
-    base = _hsl_run(R, fseq, N, e_max, jobs, config)
-    probe = _hsl_run(R, fseq, N + probe_step, e_max + 1, jobs, config)
-    per_index_stable = {i: base.per_index[i] == probe.per_index[i]
-                        for i in range(d + 1)}
-    overall = max(base.per_index.values()) if base.per_index else 0
+    tower = functools.partial(_hsl_tower, sequence=fseq.element_strings(),
+                              verified=fseq.verified, N=N, e_max=e_max,
+                              config=config)
+    bases, probes = zip(*map_tasks(tower, R, list(range(d + 1)), jobs))
+    per_index = {i: r.max_order for i, r in enumerate(bases)}
+    per_index_stable = {i: r.max_order == per_index[i]
+                        for i, r in enumerate(probes)}
     return HslReport(
         fingerprint=ring_fingerprint(R),
         ring_label=R.label,
         sequence=fseq.element_strings(),
-        per_index=base.per_index,
-        overall=overall,
+        per_index=per_index,
+        overall=max(per_index.values()),
         stable=all(per_index_stable.values()),
         per_index_stable=per_index_stable,
-        witnesses=base.witnesses,
-        undetermined=base.undetermined,
+        witnesses={i: r.witnesses for i, r in enumerate(bases)},
+        undetermined={i: r.undetermined_levels for i, r in enumerate(bases)},
         N=N,
         e_max=e_max,
-        probe_N=N + probe_step,
+        probe_N=N + PROBE_STEP,
         probe_e_max=e_max + 1,
     )
 
@@ -683,20 +671,20 @@ def _stabilized_tail(values: list[int], window: int) -> int | None:
     return None
 
 
+NS_PROBES = (1, 2)
+STAB_WINDOW = 2
+
+
 def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
                          fseq_b: FilterSequence, N: int = 6,
-                         probes: tuple = (1, 2), stab_window: int = 2,
-                         config: GBConfig | None = None,
-                         systems_a: dict | None = None,
-                         systems_b: dict | None = None) -> NsReport:
+                         config: GBConfig | None = None) -> NsReport:
     """Check that two independent filter regular systems of parameters give
     the same stabilized torsion-quotient tables, and that both agree with
-    the graded Koszul cohomology oracle at the probe levels.
+    the graded Koszul cohomology oracle at the levels NS_PROBES.
 
     For i = dim(R) the towers are compared entrywise (the quotients are the
-    same R/Q_n up to choice of parameters); for i < dim(R) the stabilized
-    tail values are compared.  systems_a/systems_b allow injecting prebuilt
-    (possibly corrupted) towers for negative-control testing.
+    same R/Q_n up to choice of parameters); for i < dim(R) the tails of the
+    last STAB_WINDOW lengths are compared once they are constant.
     """
     d = R.dim
     tables: dict = {}
@@ -712,17 +700,9 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
         if first is None:
             first = msg
 
-    built: dict = {}
     for i in range(d + 1):
-        if systems_a is not None and i in systems_a:
-            sa = systems_a[i]
-        else:
-            sa = limit_system(R, fseq_a, i, N, config, audit=False)
-        if systems_b is not None and i in systems_b:
-            sb = systems_b[i]
-        else:
-            sb = limit_system(R, fseq_b, i, N, config, audit=False)
-        built[i] = (sa, sb)
+        sa = limit_system(R, fseq_a, i, N, config, audit=False)
+        sb = limit_system(R, fseq_b, i, N, config, audit=False)
         for tag, system in (("a", sa), ("b", sb)):
             witness = system.audit_commutation()
             if witness is not None:
@@ -735,8 +715,8 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
                 lvl = next(k for k in range(len(ta)) if ta[k] != tb[k])
                 fail(f"top tower differs at level {lvl + 1}: {ta[lvl]} vs {tb[lvl]}")
         else:
-            va = _stabilized_tail(ta, stab_window)
-            vb = _stabilized_tail(tb, stab_window)
+            va = _stabilized_tail(ta, STAB_WINDOW)
+            vb = _stabilized_tail(tb, STAB_WINDOW)
             if va is None or vb is None:
                 stabilized[i] = None
                 if status == "pass":
@@ -750,7 +730,7 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
     graded_ok = all(g.is_homogeneous() for g in R.relations.own_gens) and \
         all(f.is_homogeneous() for f in fseq_a.elements)
     if graded_ok and d >= 1:
-        for n in probes:
+        for n in NS_PROBES:
             if n > N:
                 continue
             powers = [f**n for f in fseq_a.elements]
@@ -784,7 +764,7 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
         fingerprint=ring_fingerprint(R),
         ring_label=R.label,
         N=N,
-        probes=tuple(probes),
+        probes=NS_PROBES,
         tables=tables,
         stabilized=stabilized,
         oracle=oracle,

@@ -220,6 +220,21 @@ def test_hsl_json_shape(capsys):
     assert params["sequence"] == ["y"]
 
 
+def test_hsl_inhomogeneous_sequence_with_a_point_off_the_origin(capsys):
+    # (x + x^2, y)^n is zero-dimensional with a component at (1, 0)
+    code, out, _ = run(capsys, "hsl", "--ring", "regular-f2-xy", "--sequence",
+                       "x + x^2, y", "--trunc", "4", "--emax", "2")
+    assert code == 0
+    assert "HSL = 0 (stable)" in out
+
+
+def test_hsl_inhomogeneous_sequence_on_depth_zero_ring(capsys):
+    code, doc, _ = run_json(capsys, "hsl", "--ring", "depth-zero-f2",
+                            "--sequence", "y + y^2")
+    assert code == 0
+    assert doc["per_i"] == {"0": 1, "1": 0}
+
+
 def test_hsl_rejects_bad_sequence(capsys):
     code, doc, _ = run_json(capsys, "hsl", "--ring", "depth-zero-f2",
                             "--sequence", "x", "--trunc", "3", "--emax", "1")

@@ -1,5 +1,6 @@
 """Torsion towers, Frobenius nilpotency, HSL numbers, consistency checks."""
 
+import random
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -9,14 +10,22 @@ import pytest
 
 import frobex.frobenius as frobenius_module
 import frobex.localcoh as localcoh_module
-from frobex.algebra import AlgebraError
+from frobex.algebra import (
+    AlgebraError,
+    MonomialOrder,
+    PolyRing,
+    PrimeField,
+    mono_degree,
+    monomials_of_weighted_degree,
+)
 from frobex.corpus import load_corpus_ring
 from frobex.filterreg import is_filter_regular_sequence, make_sequence
-from frobex.frobenius import InconsistencyError, fte_scan
-from frobex.groebner import ideal, saturation
+from frobex.frobenius import InconsistencyError, fte_scan, parameter_base
+from frobex.groebner import QuotientRing, ideal, saturation, std_monomials
 from frobex.localcoh import (
+    PROBE_STEP,
     TorsionSpanError,
-    _hsl_run,
+    _hsl_tower,
     _stabilized_tail,
     hsl_estimate,
     koszul_cohomology_table,
@@ -78,6 +87,74 @@ def test_snapshot_unit_ideal_is_empty():
     assert snap.length == 0
 
 
+def test_snapshot_inhomogeneous_zero_dimensional_away_from_origin():
+    # (x + x^2, y) has the points (0, 0) and (1, 0); the one at the origin
+    # is saturated away, leaving the class of x + 1, killed by m
+    R = load_corpus_ring("regular-f2-xy")
+    snap = torsion_quotient(R, ideal(R, "x + x^2", "y"))
+    assert snap.length == 1
+    assert [str(b) for b in snap.basis] == ["x+1"]
+    assert snap.kill_exponent == 1
+
+
+def membership_loop_snapshot(R, Q):
+    """The m-primary snapshot by standard monomials and a kill exponent found
+    by testing every monomial of degree top + 1, top + 2, ... for membership:
+    the oracle for the graded shortcut and for the saturation path."""
+    n = R.ambient.nvars
+    cols = tuple(std_monomials(Q))
+    top = max(mono_degree(m) for m in cols)
+    kill = next(k for k in range(top + 1, top + 65)
+                if all(Q.contains(R.ambient.monomial(m))
+                       for m in monomials_of_weighted_degree(n, k, (1,) * n)))
+    return kill, tuple(R.ambient.monomial(m) for m in cols), cols
+
+
+def random_form(rng, P, degree):
+    monos = monomials_of_weighted_degree(P.nvars, degree, P.weights)
+    return P.poly({m: rng.randrange(1, P.p)
+                   for m in rng.sample(monos, min(3, len(monos)))})
+
+
+def random_mprimary_ideal(rng, R):
+    """Random forms plus a pure power of every variable."""
+    P = R.ambient
+    gens = [random_form(rng, P, rng.randrange(1, 4))
+            for _ in range(rng.randrange(1, 3))]
+    gens += [P.monomial(tuple(rng.randrange(1, 5) if k == i else 0
+                              for k in range(P.nvars)))
+             for i in range(P.nvars)]
+    return ideal(R, gens)
+
+
+def assert_snapshot_matches_membership_loop(R, Q):
+    snap = torsion_quotient(R, Q)
+    kill, basis, cols = membership_loop_snapshot(R, Q)
+    assert (snap.kill_exponent, snap.basis, snap.columns) == (kill, basis, cols), Q
+
+
+def test_homogeneous_m_primary_snapshot_matches_membership_loop():
+    rng = random.Random(1801)
+    for label in ("regular-f2-xy", "regular-f3-xyz", "fermat-cubic-p2",
+                  "two-planes-f2"):
+        R = load_corpus_ring(label)
+        for _ in range(4):
+            Q = random_mprimary_ideal(rng, R)
+            assert torsion_quotient(R, Q).monomial_basis
+            assert_snapshot_matches_membership_loop(R, Q)
+
+
+def test_weighted_m_primary_snapshot_matches_membership_loop():
+    # a weighted Q is saturated to the unit ideal; its rows are the normal
+    # forms of every monomial below the kill exponent, an identity matrix
+    P = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (3, 2))
+    R = QuotientRing(P, ["x^2 + y^3"], label="cusp")
+    for gens in (["y^2"], ["x", "y^3"], ["x*y", "y^3"], ["x^3", "y^4"]):
+        Q = ideal(R, *gens)
+        assert not torsion_quotient(R, Q).monomial_basis
+        assert_snapshot_matches_membership_loop(R, Q)
+
+
 def test_understated_saturation_exponent_is_an_inconsistency(monkeypatch):
     # the kill-exponent search is bounded by saturation's s; an s that is
     # too small is an internal bug, not a failed check
@@ -134,6 +211,22 @@ def test_limit_system_argument_validation():
     raw = make_sequence(R, ["x", "y"])  # not verified
     with pytest.raises(AlgebraError):
         limit_system(R, raw, 2, 4)
+
+
+def test_truncated_tower_is_the_tower_built_there():
+    R = load_corpus_ring("fermat-cubic-p2")
+    seq = verified(R, ["y", "z"])
+    view = limit_system(R, seq, 2, 6).truncated(4)
+    built = limit_system(R, seq, 2, 4)
+    assert view.levels == 4 and view.lengths() == built.lengths()
+    assert len(view.transitions) == len(built.transitions) == 3
+    assert all(np.array_equal(a, b)
+               for a, b in zip(view.transitions, built.transitions))
+    assert view.frobenius.keys() == built.frobenius.keys() == {1, 2}
+    assert all(np.array_equal(view.frobenius[n], built.frobenius[n])
+               for n in built.frobenius)
+    with pytest.raises(AlgebraError):
+        built.truncated(5)
 
 
 def test_nilpotent_part_depth_zero_socle():
@@ -219,10 +312,27 @@ def test_hsl_run_parallel_equals_serial_with_coords():
     # the pool path must hand back the same witnesses, coordinates included
     R = load_corpus_ring("depth-zero-f2")
     seq = verified(R, ["y"])
-    serial = _hsl_run(R, seq, 4, 1, 1, None)
-    pooled = _hsl_run(R, seq, 4, 1, 2, None)
-    assert pooled == serial
+    serial = hsl_estimate(R, seq, N=4, e_max=1, jobs=1)
+    pooled = hsl_estimate(R, seq, N=4, e_max=1, jobs=2)
+    assert pooled.witnesses == serial.witnesses
     assert any(w.coords for ws in pooled.witnesses.values() for w in ws)
+
+
+@pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
+                                   "regular-f2-xy", "regular-f3-xyz",
+                                   "two-planes-f2"])
+def test_one_tower_reports_equal_separate_towers(label):
+    # the base report reads the probe's tower truncated to N; both must
+    # equal the reports of towers built at N and at N + PROBE_STEP
+    R = load_corpus_ring(label)
+    seq = parameter_base(R, seed=42)
+    N, e_max = 4, 2
+    for i in range(R.dim + 1):
+        base, probe = _hsl_tower(R, i, seq.element_strings(), seq.verified,
+                                 N, e_max, None)
+        assert base == nilpotent_part(limit_system(R, seq, i, N), e_max)
+        assert probe == nilpotent_part(limit_system(R, seq, i, N + PROBE_STEP),
+                                       e_max + 1)
 
 
 def test_every_pool_goes_through_frobenius(monkeypatch):
@@ -239,7 +349,7 @@ def test_every_pool_goes_through_frobenius(monkeypatch):
     fte_scan(R, n_random=1, power_family_max=1, jobs=2)
     assert len(entered) == 1
     hsl_estimate(R, verified(R, ["y"]), N=3, e_max=1, jobs=2)
-    assert len(entered) == 3  # the run and its probe
+    assert len(entered) == 2  # one pool for all towers, probes included
     for name, module in sys.modules.items():
         if name.startswith("frobex") and name != "frobex.frobenius":
             assert not any(value is ProcessPoolExecutor
@@ -251,6 +361,8 @@ def test_hsl_verifies_or_rejects_sequence():
     raw = make_sequence(R, ["x", "y"])
     rep = hsl_estimate(R, raw, N=3, e_max=1)  # verification happens in place
     assert rep.overall == 0
+    with pytest.raises(AlgebraError):
+        hsl_estimate(R, raw, N=0, e_max=1)
     with pytest.raises(AlgebraError):
         hsl_estimate(R, make_sequence(R, ["x"]), N=3, e_max=1)
     D = load_corpus_ring("depth-zero-f2")
@@ -347,13 +459,19 @@ def test_ns_check_truncation_too_short_is_inconclusive():
     assert any("not stabilized" in note for note in rep.notes)
 
 
-def test_ns_check_corrupted_tower_fails_audit():
+def test_ns_check_corrupted_tower_fails_audit(monkeypatch):
     R = load_corpus_ring("regular-f2-xy")
     seq = verified(R, ["x", "y"])
     bad = limit_system(R, seq, 2, 4, audit=False)
     bad.frobenius[1] = (bad.frobenius[1] + 1) % 2
-    rep = ns_consistency_check(R, seq, verified(R, ["y", "x"]), N=4,
-                               systems_a={2: bad})
+
+    def corrupted(R, fseq, i, N, config=None, audit=True):
+        if fseq is seq and i == 2:
+            return bad
+        return limit_system(R, fseq, i, N, config, audit)
+
+    monkeypatch.setattr(localcoh_module, "limit_system", corrupted)
+    rep = ns_consistency_check(R, seq, verified(R, ["y", "x"]), N=4)
     assert rep.status == "fail"
     assert "commutation audit failed" in rep.first_disagreement
 
