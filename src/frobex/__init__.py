@@ -56,10 +56,8 @@ from .groebner import (
     NotZeroDimensionalError,
     QuotientRing,
     ResourceCapExceeded,
-    audit_cached_bases,
     colon,
     dimension,
-    eliminate,
     ideal,
     intersect,
     quotient_from_data,
@@ -102,9 +100,9 @@ __all__ = [
     "power_family_ideal", "qpower_preimage",
     "DEFAULT_GB_CONFIG", "GBConfig", "GBStats", "IdealHandle",
     "ImproperIdealError", "NotZeroDimensionalError", "QuotientRing",
-    "ResourceCapExceeded", "audit_cached_bases", "colon", "dimension",
-    "eliminate", "ideal", "intersect", "quotient_from_data",
-    "quotient_to_data", "ring_fingerprint", "saturation", "std_monomials",
+    "ResourceCapExceeded", "colon", "dimension", "ideal", "intersect",
+    "quotient_from_data", "quotient_to_data", "ring_fingerprint",
+    "saturation", "std_monomials",
     "HslReport", "InequalityReport", "LimitSystem", "NilpotentReport",
     "NsReport", "Prop34Report", "TorsionQuotientSnapshot",
     "hsl_estimate", "koszul_cohomology_table",

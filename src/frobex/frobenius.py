@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .algebra import (
@@ -67,8 +67,7 @@ class InconsistencyError(AlgebraError):
     a torsion kill exponent out of bounds)."""
 
 
-def frobenius_power(I: IdealHandle, e: int,
-                    config: GBConfig | None = None) -> IdealHandle:
+def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:
     """The bracket power I^[p^e]: generators raised term by term.
 
     Quotient relations are carried by the handle, not raised: for I inside
@@ -77,7 +76,7 @@ def frobenius_power(I: IdealHandle, e: int,
     if e < 0:
         raise AlgebraError("Frobenius exponent must be >= 0")
     raised = [frobenius_raise(g, e) for g in I.own_gens]
-    return IdealHandle(I.ring, raised, config)
+    return IdealHandle(I.ring, raised)
 
 
 def qpower_preimage(K: IdealHandle, e: int,
@@ -95,7 +94,7 @@ def qpower_preimage(K: IdealHandle, e: int,
     if e > 0:
         gens = _graded_preimage(K, e, config)
         if gens is not None:
-            return IdealHandle(K.ring, gens, config)
+            return IdealHandle(K.ring, gens)
     return _preimage_by_elimination(K, e, config)
 
 
@@ -159,7 +158,7 @@ def _preimage_by_elimination(K: IdealHandle, e: int,
     if e < 0:
         raise AlgebraError("Frobenius exponent must be >= 0")
     if e == 0:
-        return IdealHandle(K.ring, K.own_gens, config)
+        return IdealHandle(K.ring, K.own_gens)
     ring = K.ambient
     p = ring.p
     q = p**e
@@ -187,13 +186,13 @@ def _preimage_by_elimination(K: IdealHandle, e: int,
         xi_q = tuple(q if k == i else 0 for k in range(n)) + zero
         wi = zero + tuple(1 if k == i else 0 for k in range(n))
         gens.append(ext.poly({wi: 1, xi_q: p - 1}))
-    work = IdealHandle(ext, gens, config)
+    work = IdealHandle(ext, gens)
     gb = work.groebner_basis(config)
     out = []
     for g in gb:
         if all(all(m[i] == 0 for i in range(n)) for m in g.terms):
             out.append(Polynomial(ring, {m[n:]: c for m, c in g.terms.items()}))
-    return IdealHandle(K.ring, out, config)
+    return IdealHandle(K.ring, out)
 
 
 @dataclass
@@ -235,14 +234,14 @@ def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2,
         raise AlgebraError("e_max must be >= 1")
     if window < 1:
         raise AlgebraError("window must be >= 1")
-    start = IdealHandle(I.ring, I.own_gens, config)
+    start = IdealHandle(I.ring, I.own_gens)
     previous = start
     lengths = [len(previous.groebner_basis(config))]
     consecutive = 0
     stabilized_at: int | None = None
     levels = 0
     for e in range(1, e_max + 1):
-        bracket = frobenius_power(I, e, config)
+        bracket = frobenius_power(I, e)
         current = qpower_preimage(bracket, e, config)
         levels = e
         if not current.contains_ideal(previous, config):
@@ -270,7 +269,7 @@ def fte_of_ideal(I: IdealHandle, closure: IdealHandle, e_max: int = 8,
     raised closure generators.  The bracket of the larger ideal always
     contains the bracket of the smaller, so one inclusion suffices."""
     for e in range(e_max + 1):
-        bracket = frobenius_power(I, e, config)
+        bracket = frobenius_power(I, e)
         if all(bracket.contains(frobenius_raise(g, e), config)
                for g in closure.own_gens):
             return e

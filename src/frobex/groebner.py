@@ -3,15 +3,16 @@
 The engine uses sugar-strategy pair selection with the coprimality and chain
 criteria, full normal-form reduction, and produces the reduced (monic,
 auto-reduced, sorted) Groebner basis, which is the canonical form behind
-ideal equality tests everywhere else.  Colon, intersection and elimination
-are built on tag-variable eliminations.  Saturation by the maximal ideal of
+ideal equality tests everywhere else.  Colon and intersection are built on
+tag-variable eliminations.  Saturation by the maximal ideal of
 a standard-graded homogeneous ideal takes one reverse-lex basis per variable
 (Bayer-Stillman); other saturations iterate colons.  Resource caps turn
 runaway computations into explicit errors instead of hangs.
 
 Ideals are IdealHandle objects: generator lists over an ambient polynomial
 ring, optionally attached to a QuotientRing whose defining relations are
-appended to every Groebner computation.
+appended to every Groebner computation.  A handle keeps its generators and
+its cached basis only; every Groebner run takes its caps from the call.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     AlgebraError,
@@ -34,7 +34,6 @@ from .algebra import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    mono_weighted_degree,
     monomials_of_weighted_degree,
     parse_poly,
 )
@@ -77,16 +76,14 @@ class GBStats:
     wall_seconds: float = 0.0
     basis_size: int = 0
 
-    def to_dict(self, include_time: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The work counts, which do not depend on the machine."""
+        return {
             "pairs_processed": self.pairs_processed,
             "zero_reductions": self.zero_reductions,
             "max_degree_seen": self.max_degree_seen,
             "basis_size": self.basis_size,
         }
-        if include_time:
-            out["wall_seconds"] = self.wall_seconds
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +306,6 @@ def spairs_reduce_to_zero(gb_terms: list[dict], p: int,
 # ---------------------------------------------------------------------------
 # ideal handles and quotient rings
 
-_GB_REGISTRY: "weakref.WeakSet[IdealHandle]" = weakref.WeakSet()
-
 
 class IdealHandle:
     """An ideal given by generators over an ambient polynomial ring.
@@ -319,10 +314,10 @@ class IdealHandle:
     ideal (own generators) + J in the ambient S; the quotient's relations are
     appended automatically in every Groebner computation, so membership and
     equality are those of the quotient ring.  The reduced basis is computed
-    once and cached.
+    once and cached, with the caps of the call that first asks for it.
     """
 
-    def __init__(self, ring, gens=(), config: GBConfig | None = None):
+    def __init__(self, ring, gens=()):
         if isinstance(ring, QuotientRing):
             self._quotient: QuotientRing | None = ring
             self._ambient = ring.ambient
@@ -342,7 +337,6 @@ class IdealHandle:
             if g:
                 own.append(g)
         self.own_gens: tuple[Polynomial, ...] = tuple(own)
-        self._config = config
         self._gb: tuple[Polynomial, ...] | None = None
         self._stats: GBStats | None = None
 
@@ -367,12 +361,11 @@ class IdealHandle:
 
     def groebner_basis(self, config: GBConfig | None = None) -> tuple[Polynomial, ...]:
         if self._gb is None:
-            cfg = config or self._config or DEFAULT_GB_CONFIG
             terms, stats = buchberger_basis(self.generators, self._ambient.order,
-                                            self._ambient.p, cfg)
+                                            self._ambient.p,
+                                            config or DEFAULT_GB_CONFIG)
             self._gb = tuple(Polynomial(self._ambient, t) for t in terms)
             self._stats = stats
-            _GB_REGISTRY.add(self)
         return self._gb
 
     @property
@@ -399,9 +392,6 @@ class IdealHandle:
         gb = self.groebner_basis(config)
         return not any(mono_degree(g.leading_monomial()) == 0 for g in gb)
 
-    def is_zero_ideal(self, config: GBConfig | None = None) -> bool:
-        return not self.groebner_basis(config)
-
     def equals(self, other: "IdealHandle", config: GBConfig | None = None) -> bool:
         if self._ambient != other._ambient:
             raise RingMismatchError("ideals over different ambient rings")
@@ -416,13 +406,14 @@ class QuotientRing:
     """R = S/J for a polynomial ring S and proper ideal J (possibly zero).
 
     The maximal ideal is always the image of (all variables); rings here are
-    graded-local by convention.  Krull dimension is computed at construction.
+    graded-local by convention.  Krull dimension is computed at construction,
+    with the caps of ``config``, which the ring does not keep.
     """
 
     def __init__(self, ambient: PolyRing, relations=(), label: str = "",
                  config: GBConfig | None = None):
         self.ambient = ambient
-        self.relations = IdealHandle(ambient, relations, config)
+        self.relations = IdealHandle(ambient, relations)
         if not self.relations.is_proper(config):
             raise ImproperIdealError("relations generate the unit ideal")
         self.label = label
@@ -446,10 +437,6 @@ class QuotientRing:
     def parse(self, text: str) -> Polynomial:
         return parse_poly(self.ambient, text)
 
-    def nf(self, f) -> Polynomial:
-        """Canonical representative of f modulo the relations."""
-        return self.relations.normal_form(f)
-
     def __eq__(self, other):
         if not isinstance(other, QuotientRing):
             return NotImplemented
@@ -465,11 +452,11 @@ class QuotientRing:
         return f"{base}/({rel})" if rel else base
 
 
-def ideal(ring, *gens, config: GBConfig | None = None) -> IdealHandle:
+def ideal(ring, *gens) -> IdealHandle:
     """Convenience constructor; generators may be Polynomial or str."""
     if len(gens) == 1 and isinstance(gens[0], (list, tuple)):
         gens = tuple(gens[0])
-    return IdealHandle(ring, gens, config)
+    return IdealHandle(ring, gens)
 
 
 def ring_fingerprint(R: QuotientRing) -> str:
@@ -498,40 +485,6 @@ def _append_tag(terms: dict, tag_exp: int) -> dict:
     return {m + (tag_exp,): c for m, c in terms.items()}
 
 
-def eliminate(I: IdealHandle, keep, config: GBConfig | None = None) -> IdealHandle:
-    """Intersection of I with the subring on the kept variables.
-
-    Runs a block-order Groebner computation eliminating the other variables;
-    the handle must live over a bare polynomial ring (lift quotient ideals to
-    the ambient ring first).
-    """
-    if I.quotient is not None:
-        raise AlgebraError("eliminate expects an ideal over a bare polynomial ring")
-    ring = I.ambient
-    keep_idx = sorted(ring.variables.index(v) if isinstance(v, str) else int(v)
-                      for v in keep)
-    if len(set(keep_idx)) != len(keep_idx):
-        raise AlgebraError("duplicate kept variables")
-    elim_idx = tuple(i for i in range(ring.nvars) if i not in keep_idx)
-    if not elim_idx:
-        return IdealHandle(ring, I.own_gens, config)
-    blocked = ring.with_order(MonomialOrder("block", elim_idx))
-    work = IdealHandle(blocked, [Polynomial(blocked, g.terms) for g in I.own_gens],
-                       config)
-    gb = work.groebner_basis(config)
-    small_vars = tuple(ring.variables[i] for i in keep_idx)
-    small_grading = None
-    if ring.grading is not None:
-        small_grading = tuple(ring.grading[i] for i in keep_idx)
-    small = PolyRing(ring.field, small_vars, MonomialOrder("grevlex"), small_grading)
-    out = []
-    for g in gb:
-        if all(all(m[i] == 0 for i in elim_idx) for m in g.terms):
-            out.append(Polynomial(small, {tuple(m[i] for i in keep_idx): c
-                                          for m, c in g.terms.items()}))
-    return IdealHandle(small, out, config)
-
-
 def intersect(I: IdealHandle, K: IdealHandle,
               config: GBConfig | None = None) -> IdealHandle:
     """I cap K via the tag construction t*I + (1-t)*K, eliminating t."""
@@ -556,18 +509,17 @@ def intersect(I: IdealHandle, K: IdealHandle,
             elif m in combined:
                 del combined[m]
         gens.append(Polynomial(tagged, combined))
-    work = IdealHandle(tagged, gens, config)
+    work = IdealHandle(tagged, gens)
     gb = work.groebner_basis(config)
     out = []
     for g in gb:
         if all(m[n] == 0 for m in g.terms):
             out.append(Polynomial(ring, {m[:n]: c for m, c in g.terms.items()}))
     home = I.ring if (I.quotient is not None and I.quotient == K.quotient) else ring
-    return IdealHandle(home, out, config)
+    return IdealHandle(home, out)
 
 
-def exact_divide(g: Polynomial, f: Polynomial,
-                 config: GBConfig | None = None) -> Polynomial:
+def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     """The quotient g/f when f divides g exactly; raises otherwise."""
     if g.ring != f.ring:
         raise RingMismatchError("polynomials from different rings")
@@ -594,18 +546,18 @@ def colon(I: IdealHandle, K: IdealHandle,
     divisors = [g for g in K.own_gens if g]
     if not divisors:
         # (I : 0) is the whole ring
-        return IdealHandle(I.ring, [ring.one()], config)
+        return IdealHandle(I.ring, [ring.one()])
     result: IdealHandle | None = None
     for f in divisors:
-        principal = IdealHandle(ring, [f], config)
-        inter = intersect(IdealHandle(ring, I.generators, config), principal, config)
-        quotient_gens = [exact_divide(h, f, config) for h in inter.own_gens]
-        piece = IdealHandle(I.ring, quotient_gens, config)
+        principal = IdealHandle(ring, [f])
+        inter = intersect(IdealHandle(ring, I.generators), principal, config)
+        quotient_gens = [exact_divide(h, f) for h in inter.own_gens]
+        piece = IdealHandle(I.ring, quotient_gens)
         if result is None:
             result = piece
         else:
             result = intersect(result, piece, config)
-            result = IdealHandle(I.ring, result.own_gens, config)
+            result = IdealHandle(I.ring, result.own_gens)
     return result
 
 
@@ -655,7 +607,6 @@ def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
     """
     ring = I.ambient
     n, p = ring.nvars, ring.p
-    cfg = config or I._config or DEFAULT_GB_CONFIG
     grevlex = MonomialOrder("grevlex")
     pieces = []
     for i in reversed(range(n)):
@@ -665,7 +616,8 @@ def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
         else:
             moved = [{tuple(m[j] for j in perm): c for m, c in g.terms.items()}
                      for g in I.generators]
-            basis, _ = buchberger_basis(moved, grevlex, p, cfg)
+            basis, _ = buchberger_basis(moved, grevlex, p,
+                                        config or DEFAULT_GB_CONFIG)
         powers = [min(m[-1] for m in terms) for terms in basis]
         if not any(powers):
             return I, 0
@@ -675,7 +627,7 @@ def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
             stripped = {m[:-1] + (m[-1] - a,): c for m, c in terms.items()}
             gens.append(Polynomial(ring, {tuple(m[k] for k in back): c
                                           for m, c in stripped.items()}))
-        pieces.append(IdealHandle(ring, gens, config))
+        pieces.append(IdealHandle(ring, gens))
     sat = pieces[0]
     for piece in pieces[1:]:
         if piece.contains_ideal(sat, config):
@@ -684,7 +636,7 @@ def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
             sat = piece
         else:
             sat = intersect(sat, piece, config)
-    sat = IdealHandle(I.ring, sat.own_gens, config)
+    sat = IdealHandle(I.ring, sat.own_gens)
     s = max(_kill_exponent(I, g, config, max_steps)
             for g in sat.groebner_basis(config))
     return sat, s
@@ -772,25 +724,6 @@ def std_monomials_of_weighted_degree(I: IdealHandle, degree: int,
     out = [m for m in cands if not any(mono_divides(lm, m) for lm in lms)]
     out.sort(key=key)
     return out
-
-
-def audit_cached_bases() -> list[str]:
-    """Post-hoc S-pair audit over every live handle whose basis was computed.
-
-    Returns human-readable failure descriptions; an empty list means every
-    cached reduced basis satisfies the Buchberger criterion.
-    """
-    failures = []
-    for handle in list(_GB_REGISTRY):
-        gb = handle._gb
-        if not gb:
-            continue
-        terms = [g.terms for g in gb]
-        ok, pair = spairs_reduce_to_zero(terms, handle.ambient.p,
-                                         handle.ambient.order)
-        if not ok:
-            failures.append(f"S-pair {pair} of {handle!r} does not reduce to zero")
-    return failures
 
 
 # ---------------------------------------------------------------------------

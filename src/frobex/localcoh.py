@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .groebner import (
     std_monomials,
     std_monomials_of_weighted_degree,
 )
-from .seeding import derive_seed
 
 
 class TorsionSpanError(AlgebraError):
@@ -283,14 +282,14 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
                  audit: bool = True) -> LimitSystem:
     """Build snapshots, transitions and Frobenius matrices for prefix i.
 
-    The first i elements of fseq must be verified filter regular; levels run
+    For i > 0 fseq must be verified filter regular; levels run
     from 1 to N and Frobenius matrices exist for every n with p*n <= N.
     """
     if not (0 <= i <= len(fseq)):
         raise AlgebraError(f"prefix length {i} out of range")
     if N < 1:
         raise AlgebraError("truncation must be >= 1")
-    if not all(fseq.verified[:i]):
+    if i > 0 and not fseq.verified:
         raise AlgebraError("prefix is not a verified filter regular sequence")
     prefix = fseq.elements[:i]
     p = R.p
@@ -475,10 +474,10 @@ class HslReport:
 
 
 def _hsl_tower(R: QuotientRing, i: int, sequence: list[str],
-               verified: tuple[bool, ...], N: int, e_max: int,
+               verified: bool, N: int, e_max: int,
                config: GBConfig | None) -> tuple[NilpotentReport, NilpotentReport]:
     """Base and probe nilpotency reports of the i-th limit tower of the
-    sequence given by its element strings and verified flags (a task of
+    sequence given by its element strings and verified flag (a task of
     map_tasks).  The tower is built once, at the probe's truncation; the
     base report reads its first N levels."""
     fseq = make_sequence(R, sequence)
@@ -501,7 +500,7 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
     d = R.dim
     if len(fseq) != d:
         raise AlgebraError(f"need a full system of parameters ({d} elements)")
-    if not all(fseq.verified):
+    if not fseq.verified:
         ok, bad = is_filter_regular_sequence(fseq, config)
         if not ok:
             raise AlgebraError(f"sequence is not filter regular at index {bad}")

@@ -5,8 +5,10 @@ one pass/fail line per criterion.
 """
 
 import math
+import sys
 import time
 
+import frobex.groebner as groebner_module
 from frobex.algebra import MonomialOrder, PolyRing, PrimeField, frobenius_raise
 from frobex.corpus import corpus_labels, load_corpus_ring
 from frobex.filterreg import (
@@ -21,7 +23,7 @@ from frobex.frobenius import (
     fte_scan,
     qpower_preimage,
 )
-from frobex.groebner import GBConfig, audit_cached_bases, ideal
+from frobex.groebner import GBConfig, _nf_terms, ideal, spairs_reduce_to_zero
 from frobex.localcoh import (
     hsl_estimate,
     limit_system,
@@ -206,12 +208,30 @@ def test_criterion_7_monomial_preimage_oracle():
         assert got.equals(want), f"p={p}, e={e}, monomials {monos}"
 
 
-def test_criterion_8_invariant_suites():
+def test_criterion_8_invariant_suites(monkeypatch):
     # seeded invariant batteries: termwise Frobenius arithmetic, closure
     # chain ascent/idempotence, tower commutation audits, and a Buchberger
-    # S-pair audit over every Groebner basis this module computed; the whole
+    # S-pair audit of every Groebner basis built while they run; the whole
     # acceptance module must finish within 10 minutes
     rng = rng_for(42, "acceptance", "invariants")
+
+    # buchberger_basis builds every basis (test_groebner checks that no other
+    # module binds it), so auditing what it returns covers them all: every
+    # S-pair and every input polynomial must reduce to zero modulo the basis
+    audited = []  # (order kind, calling function, what failed or None)
+    build = groebner_module.buchberger_basis
+
+    def audited_build(polys, order, p, config=groebner_module.DEFAULT_GB_CONFIG):
+        polys = [getattr(f, "terms", f) for f in polys]
+        basis, stats = build(polys, order, p, config)
+        _, failed = spairs_reduce_to_zero(basis, p, order)
+        reducers = [(max(g, key=order.key), g) for g in basis]
+        if failed is None and any(_nf_terms(f, reducers, p, order)[0] for f in polys):
+            failed = "an input does not reduce to zero"
+        audited.append((order.kind, sys._getframe(1).f_code.co_name, failed))
+        return basis, stats
+
+    monkeypatch.setattr(groebner_module, "buchberger_basis", audited_build)
 
     # termwise Frobenius is additive, composes, and is the q-th power map
     for p in (2, 3, 5):
@@ -250,7 +270,12 @@ def test_criterion_8_invariant_suites():
             system = limit_system(S, seq, i, N, audit=False)
             assert system.audit_commutation() is None, f"{label} i={i}"
 
-    # every cached reduced basis still satisfies the Buchberger criterion
-    assert audit_cached_bases() == []
+    # every basis built above passes both checks, block-order tag
+    # eliminations and the permuted grevlex bases of saturation included
+    failures = [entry for entry in audited if entry[2] is not None]
+    assert not failures, f"{len(failures)} of {len(audited)} bases fail: {failures[:3]}"
+    assert any(kind == "block" for kind, _, _ in audited)
+    assert any(kind == "grevlex" and caller == "_saturation_by_variables"
+               for kind, caller, _ in audited)
 
     assert time.perf_counter() - _T0 < 600, "acceptance module exceeded 10 minutes"

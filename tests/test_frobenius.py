@@ -303,7 +303,7 @@ def test_parameter_base_prefers_coordinates():
     # no coordinate pair works on the two-planes ring, so the search runs
     T = load_corpus_ring("two-planes-f2")
     base = parameter_base(T, seed=42)
-    assert len(base) == 2 and all(base.verified)
+    assert len(base) == 2 and base.verified is True
 
 
 def test_fte_scan_regular_ring():

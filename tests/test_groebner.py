@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -11,7 +12,6 @@ import frobex.groebner as groebner_module
 import frobex.localcoh as localcoh_module
 from frobex.algebra import (
     MonomialOrder,
-    Polynomial,
     PolyRing,
     PrimeField,
     mono_div,
@@ -22,18 +22,15 @@ from frobex.algebra import (
 from frobex.corpus import corpus_labels, load_corpus_ring
 from frobex.groebner import (
     GBConfig,
-    IdealHandle,
     ImproperIdealError,
     NotZeroDimensionalError,
     QuotientRing,
     ResourceCapExceeded,
     _nf_terms,
     _saturation_by_colons,
-    audit_cached_bases,
     buchberger_basis,
     colon,
     dimension,
-    eliminate,
     exact_divide,
     fresh_names,
     ideal,
@@ -94,8 +91,8 @@ def _divides(a, b):
 
 def test_empty_and_zero_generators():
     P = poly_ring(2, "x", "y")
-    assert ideal(P).is_zero_ideal()
-    assert ideal(P, P.zero()).is_zero_ideal()
+    assert ideal(P).groebner_basis() == ()
+    assert ideal(P, P.zero()).groebner_basis() == ()
     gb, stats = buchberger_basis([], P.order, P.p)
     assert gb == [] and stats.basis_size == 0
 
@@ -110,14 +107,13 @@ def test_gb_stats_populated():
     d = stats.to_dict()
     assert set(d) == {"pairs_processed", "zero_reductions", "max_degree_seen",
                       "basis_size"}
-    assert "wall_seconds" in stats.to_dict(include_time=True)
 
 
 def test_pair_budget_cap():
     P = poly_ring(3, "x", "y")
-    I = ideal(P, "x^2 + y", "y^2 + x", config=GBConfig(max_pairs=0))
+    I = ideal(P, "x^2 + y", "y^2 + x")
     with pytest.raises(ResourceCapExceeded) as err:
-        I.groebner_basis()
+        I.groebner_basis(GBConfig(max_pairs=0))
     assert err.value.stats.pairs_processed >= 1
 
 
@@ -135,10 +131,13 @@ def test_spair_audit_flags_incomplete_basis():
     assert not ok and pair == (0, 1)
 
 
-def test_audit_cached_bases_clean():
-    P = poly_ring(2, "x", "y")
-    ideal(P, "x^2 + x*y", "y^3").groebner_basis()
-    assert audit_cached_bases() == []
+def test_every_basis_goes_through_groebner():
+    # criterion 8 audits bases by wrapping this one binding
+    assert cli_module.main  # the CLI imports every frobex module
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frobex") and name != "frobex.groebner":
+            assert not any(value is buchberger_basis
+                           for value in vars(module).values()), name
 
 
 # --- normal forms and membership ---
@@ -454,20 +453,6 @@ def test_saturation_step_cap_is_a_resource_error():
     assert assert_saturation_matches_oracle(J, m) == 2
 
 
-def test_eliminate():
-    P = poly_ring(7, "x", "y", "z")
-    I = ideal(P, "x - y^2", "y - z")
-    got = eliminate(I, ["x", "z"])
-    small = poly_ring(7, "x", "z")
-    assert got.equals(ideal(small, "x - z^2"))
-
-
-def test_eliminate_rejects_quotient_handles():
-    R = QuotientRing(poly_ring(2, "x", "y"), ["x^2"])
-    with pytest.raises(Exception):
-        eliminate(ideal(R, "y"), ["x"])
-
-
 def test_exact_divide():
     P = poly_ring(5, "x", "y")
     f = P.parse("x + 2*y")
@@ -517,8 +502,8 @@ def test_quotient_ring_basics():
     R = QuotientRing(poly_ring(2, "x", "y", "z"), ["x^3 + y^3 + z^3"],
                      label="cubic")
     assert R.p == 2 and R.dim == 2 and R.label == "cubic"
-    assert not R.relations.is_zero_ideal()
-    assert R.nf(R.parse("x^3 + y^3 + z^3")).is_zero()
+    assert R.relations.groebner_basis() != ()
+    assert R.relations.normal_form(R.parse("x^3 + y^3 + z^3")).is_zero()
     assert len(R.maximal_ideal().own_gens) == 3
     with pytest.raises(ImproperIdealError):
         QuotientRing(poly_ring(2, "x", "y"), ["x", "x + 1"])

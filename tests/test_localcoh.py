@@ -211,6 +211,8 @@ def test_limit_system_argument_validation():
     raw = make_sequence(R, ["x", "y"])  # not verified
     with pytest.raises(AlgebraError):
         limit_system(R, raw, 2, 4)
+    # the empty prefix needs no verification: H^0_m of a domain is zero
+    assert limit_system(R, raw, 0, 4).lengths() == [0, 0, 0, 0]
 
 
 def test_truncated_tower_is_the_tower_built_there():
