@@ -10,8 +10,9 @@ A ring spec is a UTF-8 JSON object with fields
     notes            optional free text
 
 Specs parse into QuotientRing instances; the bundled corpus ships as
-package data and covers regular rings, both Fermat cubic cones, a
-non-Cohen-Macaulay gluing of two planes, and a depth-zero ring.
+package data and covers regular rings, both Fermat cubic cones, the Fermat
+quintic cone over F_2 (HSL 2), a non-Cohen-Macaulay gluing of two planes,
+and a depth-zero ring.
 """
 
 from __future__ import annotations

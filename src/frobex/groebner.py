@@ -688,28 +688,34 @@ def dimension(I: IdealHandle, config: GBConfig | None = None) -> int:
 
 def std_monomials(I: IdealHandle, config: GBConfig | None = None) -> list[Mono]:
     """Monomials outside the initial ideal: a vector space basis of
-    ambient/I.  Requires I zero-dimensional (finite staircase)."""
+    ambient/I, sorted by degree, then by the monomial order.  Requires I
+    zero-dimensional (finite staircase).
+
+    The staircase is walked one degree at a time: a monomial is standard
+    exactly when it is no leading monomial and lowering any one of its
+    nonzero exponents gives a standard monomial, so every candidate of the
+    next degree costs a few set lookups and no divisibility scan.
+    """
     gb = I.groebner_basis(config)
     if any(mono_degree(g.leading_monomial()) == 0 for g in gb):
         return []
     n = I.ambient.nvars
-    lms = [g.leading_monomial() for g in gb]
-    bounds = [None] * n
-    for lm in lms:
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lm[i] < bounds[i]:
-                bounds[i] = lm[i]
-    if any(b is None for b in bounds):
+    lms = {g.leading_monomial() for g in gb}
+    pure = {i for lm in lms for i, e in enumerate(lm) if e and e == mono_degree(lm)}
+    if len(pure) < n:
         raise NotZeroDimensionalError(
             "no pure power of some variable in the initial ideal")
-    out = []
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, mono) for lm in lms):
-            out.append(mono)
     key = I.ambient.order.key
-    out.sort(key=lambda m: (mono_degree(m), key(m)))
+    out: list[Mono] = []
+    layer = [(0,) * n]
+    while layer:
+        layer.sort(key=key)
+        out.extend(layer)
+        below = set(layer)
+        raised = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in layer for i in range(n)}
+        layer = [m for m in raised if m not in lms
+                 and all(m[:i] + (m[i] - 1,) + m[i + 1:] in below
+                         for i in range(n) if m[i])]
     return out
 
 

@@ -19,10 +19,6 @@ def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p without silent overflow."""
     inner = a.shape[1] if a.ndim == 2 else a.shape[0]

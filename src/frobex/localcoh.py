@@ -204,7 +204,10 @@ class LimitSystem:
 
     transitions[k] maps level k+1 to level k+2 (multiplication by the product
     of the prefix); frobenius[n] maps level n to level p*n (class of a to
-    class of a^p).  All matrices act on coordinate columns.
+    class of a^p).  All matrices act on coordinate columns.  A composite of
+    transitions is never formed as a matrix: transition_chain pushes a given
+    block of columns up one level at a time, so every product has the
+    operand's few columns on its narrow side.
     """
 
     ring: QuotientRing
@@ -239,14 +242,14 @@ class LimitSystem:
             e += 1
         return e
 
-    def transition_chain(self, a: int, b: int) -> np.ndarray:
-        """Composite transition from level a to level b (a <= b)."""
+    def transition_chain(self, a: int, b: int, x: np.ndarray) -> np.ndarray:
+        """Image of the coordinate columns x at level a under the transitions
+        out to level b (a <= b), applied one level at a time."""
         if not (1 <= a <= b <= self.levels):
             raise AlgebraError(f"levels out of range: {a} -> {b}")
-        out = linalg.identity(self.snapshots[a - 1].length)
         for lev in range(a, b):
-            out = linalg.matmul(self.transitions[lev - 1], out, self.p)
-        return out
+            x = linalg.matmul(self.transitions[lev - 1], x, self.p)
+        return x
 
     def frobenius_chain(self, n: int, e: int) -> np.ndarray:
         """Composite Frobenius from level n to level n * p^e."""
@@ -269,8 +272,7 @@ class LimitSystem:
             if p * (n + 1) > self.levels:
                 break
             lhs = linalg.matmul(self.frobenius[n + 1], self.transitions[n - 1], p)
-            rhs = linalg.matmul(self.transition_chain(p * n, p * (n + 1)),
-                                self.frobenius[n], p)
+            rhs = self.transition_chain(p * n, p * (n + 1), self.frobenius[n])
             if not np.array_equal(lhs, rhs):
                 return (f"square at level {n}: frobenius after transition != "
                         f"transition chain after frobenius")
@@ -330,7 +332,8 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
     if audit:
         witness = system.audit_commutation()
         if witness is not None:
-            raise AlgebraError(f"Frobenius-transition commutation failed: {witness}")
+            raise InconsistencyError(
+                f"Frobenius-transition commutation failed: {witness}")
     return system
 
 
@@ -366,8 +369,10 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
     A witness at level n of order e is a class v with chain^e(v) = 0,
     chain^(e-1)(v) surviving the transitions out to the truncation edge, and
     v itself surviving; survival filtering discards truncation artifacts.
-    Levels with no Frobenius reach inside the truncation are reported as
-    undetermined rather than silently skipped.
+    Survival is read from the images of the kernel basis only, pushed up the
+    tower once a kernel is nonzero, and a witness's images are columns of
+    those (or the sum of two).  Levels with no Frobenius reach inside the
+    truncation are reported as undetermined rather than silently skipped.
     """
     p = system.p
     N = system.levels
@@ -385,34 +390,31 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
             continue
         depth = min(e_max, cap)
         probe_depths[n] = depth
-        survive_n = system.transition_chain(n, N)
         for e in range(1, depth + 1):
-            chain = system.frobenius_chain(n, e)
-            kernel = linalg.nullspace(chain, p)
+            kernel = linalg.nullspace(system.frobenius_chain(n, e), p)
             kernel_dims[(n, e)] = int(kernel.shape[0])
             if kernel.shape[0] == 0:
                 continue
+            img_a = system.transition_chain(n, N, kernel.T)
             if e == 1:
-                almost = survive_n
+                img_b = img_a
             else:
-                mid = n * p**(e - 1)
-                almost = linalg.matmul(system.transition_chain(mid, N),
-                                       system.frobenius_chain(n, e - 1), p)
-            img_a = linalg.matmul(survive_n, kernel.T, p)
-            img_b = linalg.matmul(almost, kernel.T, p)
+                pushed = linalg.matmul(system.frobenius_chain(n, e - 1), kernel.T, p)
+                img_b = system.transition_chain(n * p**(e - 1), N, pushed)
             alive_a = [j for j in range(kernel.shape[0]) if np.any(img_a[:, j])]
             alive_b = [j for j in range(kernel.shape[0]) if np.any(img_b[:, j])]
             if not alive_a or not alive_b:
                 continue
             both = [j for j in alive_a if j in alive_b]
             if both:
-                v = kernel[both[0]] % p
+                pick = both[:1]
             else:
                 # sum of a survivor and an almost-survivor works since each
                 # lies outside exactly one of the two kernels
-                v = (kernel[alive_a[0]] + kernel[alive_b[0]]) % p
-            va = linalg.matmul(survive_n, v.reshape(-1, 1), p)
-            vb = linalg.matmul(almost, v.reshape(-1, 1), p)
+                pick = [alive_a[0], alive_b[0]]
+            v = kernel[pick].sum(axis=0) % p
+            va = img_a[:, pick].sum(axis=1) % p
+            vb = img_b[:, pick].sum(axis=1) % p
             if not (np.any(va) and np.any(vb)):
                 continue
             poly = snap.from_coordinates(v)

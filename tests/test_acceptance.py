@@ -39,7 +39,7 @@ _T0 = time.perf_counter()
 # their eliminations need a larger pair budget than the defaults
 _RAISED_CAPS = {"fermat-cubic-p7": GBConfig(max_pairs=400_000, max_degree=300)}
 _CM_LABELS = {"regular-f2-xy", "regular-f3-xyz", "fermat-cubic-p2",
-              "fermat-cubic-p7"}
+              "fermat-cubic-p7", "fermat-quintic-p2"}
 
 
 def _poly_ring(p, names):

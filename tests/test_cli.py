@@ -32,7 +32,8 @@ def test_corpus_list_table(capsys):
     code, out, _ = run(capsys, "corpus")
     assert code == 0
     for label in ("regular-f2-xy", "regular-f3-xyz", "fermat-cubic-p2",
-                  "fermat-cubic-p7", "two-planes-f2", "depth-zero-f2"):
+                  "fermat-cubic-p7", "fermat-quintic-p2", "two-planes-f2",
+                  "depth-zero-f2"):
         assert label in out
 
 
@@ -41,7 +42,7 @@ def test_corpus_list_json(capsys):
     assert code == 0
     assert doc["schema"] == "frobex/corpus/1"
     assert "timestamp" in doc
-    assert len(doc["entries"]) == 6
+    assert len(doc["entries"]) == 7
     by_label = {e["label"]: e for e in doc["entries"]}
     assert by_label["fermat-cubic-p2"]["dimension"] == 2
     assert by_label["depth-zero-f2"]["characteristic"] == 2

@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, ideal operations, quotient rings."""
 
+import itertools
 import pickle
 import random
 import sys
@@ -485,6 +486,70 @@ def test_std_monomials():
     assert std_monomials(ideal(P, "x", "x + 1")) == []
     with pytest.raises(NotZeroDimensionalError):
         std_monomials(ideal(P, "x^2"))
+
+
+def _std_monomials_by_box(I):
+    """The standard monomials by testing every monomial of the bounding box
+    of the pure powers against every leading monomial: the oracle for the
+    staircase walk."""
+    gb = I.groebner_basis()
+    if any(sum(g.leading_monomial()) == 0 for g in gb):
+        return []
+    n = I.ambient.nvars
+    lms = [g.leading_monomial() for g in gb]
+    bounds = [None] * n
+    for lm in lms:
+        support = [i for i, e in enumerate(lm) if e]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or lm[i] < bounds[i]:
+                bounds[i] = lm[i]
+    if any(b is None for b in bounds):
+        raise NotZeroDimensionalError("no pure power")
+    out = [m for m in itertools.product(*(range(b) for b in bounds))
+           if not any(mono_divides(lm, m) for lm in lms)]
+    key = I.ambient.order.key
+    out.sort(key=lambda m: (sum(m), key(m)))
+    return out
+
+
+def _random_form(rng, P, degree):
+    monos = monomials_of_weighted_degree(P.nvars, degree, P.weights)
+    return P.poly({m: rng.randrange(1, P.p)
+                   for m in rng.sample(monos, min(3, len(monos)))})
+
+
+def test_staircase_walk_matches_box_oracle():
+    # seeded random ideals, homogeneous and not, over F_2, F_3 and F_7 in
+    # 2-4 variables; pure powers of all, some or none of the variables, so
+    # both zero-dimensional ideals and NotZeroDimensionalError are covered
+    rng = random.Random(1801)
+    outcomes = {"basis": 0, "not zero-dimensional": 0}
+    for p in (2, 3, 7):
+        for nvars in (2, 3, 4):
+            P = poly_ring(p, *("x", "y", "z", "w")[:nvars])
+            for homogeneous in (True, False):
+                for _ in range(6):
+                    if homogeneous:
+                        gens = [_random_form(rng, P, rng.randrange(1, 4))
+                                for _ in range(rng.randrange(1, 4))]
+                    else:
+                        gens = [random_poly(rng, P) for _ in range(rng.randrange(1, 4))]
+                    powered = rng.sample(range(nvars), rng.choice((nvars, nvars, nvars - 1)))
+                    gens += [P.monomial(tuple(rng.randrange(1, 6) if k == i else 0
+                                              for k in range(nvars)))
+                             for i in powered]
+                    I = ideal(P, [g for g in gens if g])
+                    try:
+                        want = _std_monomials_by_box(I)
+                    except NotZeroDimensionalError:
+                        with pytest.raises(NotZeroDimensionalError):
+                            std_monomials(I)
+                        outcomes["not zero-dimensional"] += 1
+                        continue
+                    assert std_monomials(I) == want, [str(g) for g in gens]
+                    outcomes["basis"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_std_monomials_of_weighted_degree():

@@ -1,5 +1,6 @@
 """Torsion towers, Frobenius nilpotency, HSL numbers, consistency checks."""
 
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 import frobex.frobenius as frobenius_module
 import frobex.localcoh as localcoh_module
+from frobex import linalg
 from frobex.algebra import (
     AlgebraError,
     MonomialOrder,
@@ -24,6 +26,10 @@ from frobex.frobenius import InconsistencyError, fte_scan, parameter_base
 from frobex.groebner import QuotientRing, ideal, saturation, std_monomials
 from frobex.localcoh import (
     PROBE_STEP,
+    LimitSystem,
+    NilpotentReport,
+    NilpotentWitness,
+    TorsionQuotientSnapshot,
     TorsionSpanError,
     _hsl_tower,
     _stabilized_tail,
@@ -177,7 +183,7 @@ def test_limit_system_regular_top_tower():
     assert system.lengths() == [1, 4, 9, 16]
     assert system.audit_commutation() is None
     # transition by x*y is injective on the regular tower
-    t = system.transition_chain(1, 4)
+    t = system.transition_chain(1, 4, np.eye(1, dtype=np.int64))
     assert np.any(t)
     # Frobenius has no kernel anywhere: the ring is regular
     report = nilpotent_part(system, e_max=2)
@@ -231,6 +237,58 @@ def test_truncated_tower_is_the_tower_built_there():
         built.truncated(5)
 
 
+def commutation_squares(system):
+    """Each square n of the audit with the transition levels (level k maps
+    k to k + 1) and the Frobenius levels it multiplies."""
+    p, N = system.p, system.levels
+    return {n: ({n, *range(p * n, p * (n + 1))}, {n, n + 1})
+            for n in range(1, N) if p * (n + 1) <= N}
+
+
+@pytest.mark.parametrize("label,elements", [("regular-f2-xy", ["x", "y"]),
+                                            ("fermat-cubic-p2", ["y", "z"])])
+def test_audit_names_the_square_of_a_corrupted_transition(label, elements):
+    # every transition inside a square, the chain that the audit applies to
+    # frobenius[n] included, is checked: corrupting it fails the first
+    # square that multiplies it
+    R = load_corpus_ring(label)
+    system = limit_system(R, verified(R, elements), 2, 6)
+    squares = commutation_squares(system)
+    assert len(squares) == 2
+    for level in sorted(set().union(*(t for t, _ in squares.values()))):
+        transitions = list(system.transitions)
+        transitions[level - 1] = (transitions[level - 1] + 1) % system.p
+        bad = dataclasses.replace(system, transitions=transitions)
+        first = min(n for n, (t, _) in squares.items() if level in t)
+        assert bad.audit_commutation().startswith(f"square at level {first}:"), level
+
+
+@pytest.mark.parametrize("label,elements", [("regular-f2-xy", ["x", "y"]),
+                                            ("fermat-cubic-p2", ["y", "z"])])
+def test_audit_names_the_square_of_a_corrupted_frobenius(label, elements):
+    R = load_corpus_ring(label)
+    system = limit_system(R, verified(R, elements), 2, 6)
+    squares = commutation_squares(system)
+    for n0 in sorted(set().union(*(f for _, f in squares.values()))):
+        frobenius = dict(system.frobenius)
+        frobenius[n0] = (frobenius[n0] + 1) % system.p
+        bad = dataclasses.replace(system, frobenius=frobenius)
+        first = min(n for n, (_, f) in squares.items() if n0 in f)
+        assert bad.audit_commutation().startswith(f"square at level {first}:"), n0
+
+
+def test_failed_audit_is_an_inconsistency(monkeypatch):
+    # an "action" that sends the class of a at level n to the class of a at
+    # level p*n does not commute with the transitions; a tower built with it
+    # breaks an invariant, which is not a failed check of the ring
+    monkeypatch.setattr(localcoh_module, "frobenius_raise", lambda f, e: f)
+    R = load_corpus_ring("regular-f2-xy")
+    seq = verified(R, ["x", "y"])
+    with pytest.raises(InconsistencyError, match="square at level 1"):
+        limit_system(R, seq, 2, 4)
+    assert limit_system(R, seq, 2, 4, audit=False).audit_commutation() is not None
+
+
 def test_nilpotent_part_depth_zero_socle():
     # Frobenius kills the class of x instantly: order-1 witnesses everywhere
     # the chain fits, deeper levels reported undetermined
@@ -265,6 +323,138 @@ def test_fermat_cubic_order_one_witness():
     assert report.max_order == 1
     w = next(w for w in report.witnesses if w.level == 1)
     assert w.poly == "x^2"
+
+
+def full_transition_chain(system, a, b):
+    out = np.eye(system.snapshots[a - 1].length, dtype=np.int64)
+    for lev in range(a, b):
+        out = linalg.matmul(system.transitions[lev - 1], out, system.p)
+    return out
+
+
+def nilpotent_part_by_full_chains(system, e_max):
+    """nilpotent_part with every composite transition chain formed as a
+    matrix and each witness's images taken as fresh products: the oracle for
+    pushing only the kernel basis up the tower."""
+    p = system.p
+    N = system.levels
+    witnesses, kernel_dims, undetermined, probe_depths = [], {}, [], {}
+    for n in range(1, N + 1):
+        snap = system.snapshots[n - 1]
+        if snap.length == 0:
+            continue
+        cap = system.capacity(n)
+        if cap == 0:
+            undetermined.append(n)
+            continue
+        depth = min(e_max, cap)
+        probe_depths[n] = depth
+        survive_n = full_transition_chain(system, n, N)
+        for e in range(1, depth + 1):
+            kernel = linalg.nullspace(system.frobenius_chain(n, e), p)
+            kernel_dims[(n, e)] = int(kernel.shape[0])
+            if kernel.shape[0] == 0:
+                continue
+            if e == 1:
+                almost = survive_n
+            else:
+                almost = linalg.matmul(full_transition_chain(system, n * p**(e - 1), N),
+                                       system.frobenius_chain(n, e - 1), p)
+            img_a = linalg.matmul(survive_n, kernel.T, p)
+            img_b = linalg.matmul(almost, kernel.T, p)
+            alive_a = [j for j in range(kernel.shape[0]) if np.any(img_a[:, j])]
+            alive_b = [j for j in range(kernel.shape[0]) if np.any(img_b[:, j])]
+            if not alive_a or not alive_b:
+                continue
+            both = [j for j in alive_a if j in alive_b]
+            if both:
+                v = kernel[both[0]] % p
+            else:
+                v = (kernel[alive_a[0]] + kernel[alive_b[0]]) % p
+            va = linalg.matmul(survive_n, v.reshape(-1, 1), p)
+            vb = linalg.matmul(almost, v.reshape(-1, 1), p)
+            if not (np.any(va) and np.any(vb)):
+                continue
+            witnesses.append(NilpotentWitness(n, e, tuple(int(x) for x in v),
+                                              str(snap.from_coordinates(v))))
+    max_order = max((w.order for w in witnesses), default=0)
+    return NilpotentReport(witnesses, max_order, kernel_dims, undetermined,
+                           probe_depths, N, e_max)
+
+
+@pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
+                                   "fermat-quintic-p2", "regular-f2-xy",
+                                   "regular-f3-xyz", "two-planes-f2"])
+def test_nilpotent_part_matches_full_chain_oracle(label):
+    # every tower of the ring at the CLI's truncation and at the probe's,
+    # compared as whole reports, witness coordinates included
+    R = load_corpus_ring(label)
+    seq = parameter_base(R, seed=42)
+    N, e_max = 8, 8
+    orders = []
+    for i in range(R.dim + 1):
+        system = limit_system(R, seq, i, N + PROBE_STEP)
+        for tower, depth in ((system.truncated(N), e_max), (system, e_max + 1)):
+            report = nilpotent_part(tower, depth)
+            assert report == nilpotent_part_by_full_chains(tower, depth), (i, tower.levels)
+            orders.append(report.max_order)
+    assert max(orders) == {"depth-zero-f2": 1, "fermat-cubic-p2": 1,
+                           "fermat-quintic-p2": 2}.get(label, 0)
+
+
+
+def synthetic_system(R, transitions, frobenius):
+    """A tower over R with the given matrices and x^0, x^1, ... as the basis
+    of each level; nilpotent_part reads nothing else."""
+    lengths = [transitions[0].shape[1]] + [t.shape[0] for t in transitions]
+    snapshots = [TorsionQuotientSnapshot(
+        R, ideal(R), tuple(R.parse("x") ** k for k in range(length)), (),
+        None, None, 0, False) for length in lengths]
+    return LimitSystem(R, (), 0, len(lengths), snapshots, list(transitions),
+                       frobenius)
+
+
+def test_nilpotent_part_matches_full_chain_oracle_on_random_towers():
+    # seeded random matrices on towers with levels of length 1-4, so that
+    # kernels, dying classes and almost-survivors all occur
+    rng = random.Random(1801)
+    orders = Counter()
+    for label in ("regular-f2-xy", "regular-f3-xyz"):
+        R = load_corpus_ring(label)
+        p = R.p
+
+        def matrix(rows, cols):
+            return np.array([[rng.randrange(p) if rng.random() < 0.6 else 0
+                              for _ in range(cols)] for _ in range(rows)],
+                            dtype=np.int64).reshape(rows, cols)
+
+        for _ in range(100):
+            N = rng.randrange(p + 1, 2 * p * p + 1)
+            lengths = [rng.randrange(1, 5) for _ in range(N)]
+            system = synthetic_system(
+                R, [matrix(lengths[k + 1], lengths[k]) for k in range(N - 1)],
+                {n: matrix(lengths[p * n - 1], lengths[n - 1])
+                 for n in range(1, N // p + 1)})
+            report = nilpotent_part(system, 3)
+            assert report == nilpotent_part_by_full_chains(system, 3)
+            orders.update(w.order for w in report.witnesses)
+    assert orders[1] and orders[2], orders
+
+
+def test_witness_from_a_survivor_plus_an_almost_survivor():
+    # at level 1 the order-2 kernel is spanned by e1, which survives to
+    # level 4 but whose Frobenius image dies, and e2, which dies but whose
+    # Frobenius image survives; no basis vector is a witness, their sum is
+    R = load_corpus_ring("regular-f2-xy")
+    one = np.array([[1]], dtype=np.int64)
+    system = synthetic_system(
+        R, [np.eye(2, dtype=np.int64), np.array([[1, 0]], dtype=np.int64), one],
+        {1: np.array([[0, 1], [1, 0]], dtype=np.int64),
+         2: np.zeros((1, 2), dtype=np.int64)})
+    report = nilpotent_part(system, 2)
+    assert report == nilpotent_part_by_full_chains(system, 2)
+    assert [w for w in report.witnesses if w.level == 1] == [
+        NilpotentWitness(1, 2, (1, 1), "x+1")]
 
 
 # --- HSL estimation ---
