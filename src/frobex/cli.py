@@ -47,6 +47,7 @@ from .groebner import (
     dimension,
     ideal,
     saturation,
+    shared_bases,
 )
 from .localcoh import hsl_estimate, ns_consistency_check, prop34_check, verify_inequality
 from .seeding import derive_seed
@@ -552,7 +553,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         _validate_flags(args)
-        return args.func(args)
+        with shared_bases():
+            return args.func(args)
     except ResourceCapExceeded as exc:
         _emit_error(args, exc, EXIT_RESOURCE)
         return EXIT_RESOURCE

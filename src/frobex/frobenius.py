@@ -27,6 +27,7 @@ against HSL numbers.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +59,7 @@ from .groebner import (
     quotient_from_data,
     quotient_to_data,
     ring_fingerprint,
+    shared_bases,
 )
 from .seeding import derive_seed
 
@@ -383,7 +385,9 @@ def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
     fn, the tasks and the results cross the pool pickled, so fn is a
     module-level function or a functools.partial of one.  A pooled task
     gets R rebuilt from quotient_to_data(R), so fn must not depend on
-    anything cached in R.
+    anything cached in R.  Each pooled task also starts with an empty memo
+    of shared bases (groebner.shared_bases); the results are identical
+    either way.
     """
     if jobs > 1 and len(tasks) > 1:
         run = functools.partial(_on_ring_data, fn, quotient_to_data(R))
@@ -393,8 +397,15 @@ def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
 
 
 def _on_ring_data(fn, ring_data: dict, task):
-    """Pool entry point of map_tasks: fn on the ring rebuilt from its data."""
-    return fn(quotient_from_data(ring_data), task)
+    """Pool entry point of map_tasks: fn on the ring rebuilt from its data,
+    in a shared_bases() block of its own.  It runs in an empty context,
+    because a forked worker starts with a copy of its parent's memo."""
+    return contextvars.Context().run(_in_own_memo, fn, ring_data, task)
+
+
+def _in_own_memo(fn, ring_data: dict, task):
+    with shared_bases():
+        return fn(quotient_from_data(ring_data), task)
 
 
 def parameter_base(R: QuotientRing, seed: int,

@@ -13,10 +13,14 @@ Ideals are IdealHandle objects: generator lists over an ambient polynomial
 ring, optionally attached to a QuotientRing whose defining relations are
 appended to every Groebner computation.  A handle keeps its generators and
 its cached basis only; every Groebner run takes its caps from the call.
+Inside a shared_bases() block, bases are shared between handles: a basis
+is built once per order, characteristic, caps and generator list.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import heapq
 import itertools
 import time
@@ -263,6 +267,43 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
     return reduced, stats
 
 
+_SHARED_BASES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "frobex_shared_bases", default=None)
+
+
+@contextlib.contextmanager
+def shared_bases():
+    """Share reduced bases between handles until the outermost block exits.
+
+    Inside the block, a basis is built once for each key (order, p, caps,
+    generator term dicts in their given order); a repeat gets the stored
+    basis and GBStats, exactly what a rebuild would return.  A run that
+    hits a cap is not stored.  Nested blocks use the outer block's memo.
+    """
+    if _SHARED_BASES.get() is not None:
+        yield
+        return
+    token = _SHARED_BASES.set({})
+    try:
+        yield
+    finally:
+        _SHARED_BASES.reset(token)
+
+
+def _basis(polys, order: MonomialOrder, p: int, config: GBConfig):
+    """buchberger_basis(polys, order, p, config), through the memo of the
+    enclosing shared_bases() block when there is one."""
+    memo = _SHARED_BASES.get()
+    if memo is None:
+        return buchberger_basis(polys, order, p, config)
+    terms = [f.terms if isinstance(f, Polynomial) else f for f in polys]
+    key = (order, p, config, tuple(frozenset(t.items()) for t in terms))
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = buchberger_basis(terms, order, p, config)
+    return found
+
+
 def _reduce_basis(basis: list[dict], lms: list[Mono], p: int,
                   order: MonomialOrder) -> list[dict]:
     """Minimalize by leading-monomial divisibility, then tail-reduce; the
@@ -315,6 +356,10 @@ class IdealHandle:
     appended automatically in every Groebner computation, so membership and
     equality are those of the quotient ring.  The reduced basis is computed
     once and cached, with the caps of the call that first asks for it.
+    Inside a shared_bases() block (every CLI command runs in one), a fresh
+    handle with the same generators, order and caps as an earlier one gets
+    that basis without a rebuild; a pooled task of frobenius.map_tasks starts
+    with an empty memo.  The results are identical either way.
     """
 
     def __init__(self, ring, gens=()):
@@ -361,9 +406,8 @@ class IdealHandle:
 
     def groebner_basis(self, config: GBConfig | None = None) -> tuple[Polynomial, ...]:
         if self._gb is None:
-            terms, stats = buchberger_basis(self.generators, self._ambient.order,
-                                            self._ambient.p,
-                                            config or DEFAULT_GB_CONFIG)
+            terms, stats = _basis(self.generators, self._ambient.order,
+                                  self._ambient.p, config or DEFAULT_GB_CONFIG)
             self._gb = tuple(Polynomial(self._ambient, t) for t in terms)
             self._stats = stats
         return self._gb
@@ -616,8 +660,7 @@ def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
         else:
             moved = [{tuple(m[j] for j in perm): c for m, c in g.terms.items()}
                      for g in I.generators]
-            basis, _ = buchberger_basis(moved, grevlex, p,
-                                        config or DEFAULT_GB_CONFIG)
+            basis, _ = _basis(moved, grevlex, p, config or DEFAULT_GB_CONFIG)
         powers = [min(m[-1] for m in terms) for terms in basis]
         if not any(powers):
             return I, 0

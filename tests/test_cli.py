@@ -6,8 +6,9 @@ import json
 import pytest
 
 import frobex.cli as cli_module
+import frobex.groebner as groebner_module
 from frobex.cli import main
-from frobex.groebner import saturation
+from frobex.groebner import IdealHandle, saturation
 
 
 def run(capsys, *argv):
@@ -276,6 +277,35 @@ def test_verify_inequality_same_document_for_every_jobs(capsys):
             for jobs in ("1", "2")]
     assert runs[0][0] == runs[1][0] == 0
     assert without_timestamp(runs[0][1]) == without_timestamp(runs[1][1])
+
+
+def test_each_command_shares_bases_only_within_itself(capsys, monkeypatch):
+    counts = {"builds": 0, "misses": 0}
+    build = groebner_module.buchberger_basis
+    handle_basis = IdealHandle.groebner_basis
+
+    def counted_build(polys, order, p, config=groebner_module.DEFAULT_GB_CONFIG):
+        counts["builds"] += 1
+        return build(polys, order, p, config)
+
+    def counted_basis(self, config=None):
+        counts["misses"] += self._gb is None
+        return handle_basis(self, config)
+
+    monkeypatch.setattr(groebner_module, "buchberger_basis", counted_build)
+    monkeypatch.setattr(IdealHandle, "groebner_basis", counted_basis)
+    argv = ("verify-inequality", "--ring", "depth-zero-f2", "--samples", "1",
+            "--trunc", "4", "--jobs", "1")
+    seen = []
+    for _ in range(2):
+        counts.update(builds=0, misses=0)
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        seen.append((counts["builds"], counts["misses"], without_timestamp(doc)))
+    # the second command builds every basis again: none is kept between
+    # commands, and within one command a repeated basis is built once
+    assert seen[0] == seen[1]
+    assert 0 < seen[0][0] < seen[0][1]
 
 
 # --- exit codes and error documents ---

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import frobex.frobenius as frobenius_module
+import frobex.groebner as groebner_module
 from frobex.algebra import (
     AlgebraError,
     MonomialOrder,
@@ -26,7 +27,7 @@ from frobex.frobenius import (
     power_family_ideal,
     qpower_preimage,
 )
-from frobex.groebner import GBConfig, QuotientRing, ideal
+from frobex.groebner import GBConfig, QuotientRing, ideal, quotient_to_data
 from frobex.seeding import rng_for
 
 
@@ -338,6 +339,24 @@ def test_fte_scan_parallel_matches_serial():
     serial = fte_scan(R, n_random=1, power_family_max=1, seed=42, jobs=1)
     parallel = fte_scan(R, n_random=1, power_family_max=1, seed=42, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+def _memo_keys(R, task):
+    return set(groebner_module._SHARED_BASES.get())
+
+
+def test_pooled_task_starts_with_an_empty_memo():
+    # a forked worker inherits its parent's context, memo included; the pool
+    # entry point runs each task with a memo of its own
+    R = load_corpus_ring("regular-f2-xy")
+    data = quotient_to_data(R)
+    alone = frobenius_module._on_ring_data(_memo_keys, data, None)
+    with groebner_module.shared_bases():
+        load_corpus_ring("two-planes-f2")
+        parent = set(groebner_module._SHARED_BASES.get())
+        inside = frobenius_module._on_ring_data(_memo_keys, data, None)
+        assert groebner_module._SHARED_BASES.get().keys() == parent
+    assert inside == alone and not parent & inside
 
 
 def test_fte_scan_records_sample_failures():

@@ -141,6 +141,95 @@ def test_every_basis_goes_through_groebner():
                            for value in vars(module).values()), name
 
 
+# --- bases shared within a block ---
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Generator lists handed to buchberger_basis, one entry per build."""
+    seen = []
+    build = groebner_module.buchberger_basis
+
+    def counted(polys, order, p, config=groebner_module.DEFAULT_GB_CONFIG):
+        seen.append(polys)
+        return build(polys, order, p, config)
+
+    monkeypatch.setattr(groebner_module, "buchberger_basis", counted)
+    return seen
+
+
+def test_shared_basis_equals_direct_build():
+    rng = rng_for(42, "gb", "shared")
+    config = GBConfig(max_pairs=100)
+    checked = raised = 0
+    for p in (2, 3, 7):
+        for nvars in (2, 3):
+            names = ("x", "y", "z")[:nvars]
+            for order in _orders_for(nvars)[:4]:
+                P = PolyRing(PrimeField(p), names, order)
+                for _ in range(4):
+                    gens = [P.poly(_random_terms(rng, nvars, p, rng.randrange(2, 4), 2))
+                            for _ in range(rng.randrange(2, 4))]
+                    with groebner_module.shared_bases():
+                        handle = ideal(P, gens)
+                        try:
+                            want, stats = buchberger_basis(gens, order, p, config)
+                        except ResourceCapExceeded:
+                            with pytest.raises(ResourceCapExceeded):
+                                handle.groebner_basis(config)
+                            raised += 1
+                            continue
+                        got = handle.groebner_basis(config)
+                        assert [g.terms for g in got] == want
+                        assert handle.gb_stats.to_dict() == stats.to_dict()
+                        again = ideal(P, gens)
+                        assert again.groebner_basis(config) == got
+                        assert again.gb_stats.to_dict() == stats.to_dict()
+                        checked += 1
+    assert checked > 50 and raised > 0
+
+
+def test_repeat_handle_builds_nothing(builds):
+    P = poly_ring(3, "x", "y", "z")
+    gens = ["x^2 - y", "x^3 - z", "y*z + x"]
+    with groebner_module.shared_bases():
+        first = ideal(P, gens).groebner_basis()
+        assert ideal(P, gens).groebner_basis() == first
+        assert len(builds) == 1
+        # generator order is part of the key
+        assert ideal(P, gens[::-1]).groebner_basis() == first
+        assert len(builds) == 2
+
+
+def test_caps_are_part_of_the_key(builds):
+    P = poly_ring(3, "x", "y")
+    gens = ["x^2 + y", "y^2 + x"]
+    with groebner_module.shared_bases():
+        ideal(P, gens).groebner_basis()
+        for _ in range(2):
+            with pytest.raises(ResourceCapExceeded):
+                ideal(P, gens).groebner_basis(GBConfig(max_pairs=0))
+        # a run that hits a cap is not stored, so the second one builds again
+        assert len(builds) == 3
+
+
+def test_sharing_is_scoped_to_the_outermost_block(builds):
+    P = poly_ring(5, "x", "y")
+    gens = ["x^2 - y", "x*y - 1"]
+    ideal(P, gens).groebner_basis()
+    ideal(P, gens).groebner_basis()
+    assert len(builds) == 2
+    with groebner_module.shared_bases():
+        memo = groebner_module._SHARED_BASES.get()
+        with groebner_module.shared_bases():
+            assert groebner_module._SHARED_BASES.get() is memo
+            ideal(P, gens).groebner_basis()
+        ideal(P, gens).groebner_basis()
+        assert len(builds) == 3
+    assert groebner_module._SHARED_BASES.get() is None
+    ideal(P, gens).groebner_basis()
+    assert len(builds) == 4
+
+
 # --- normal forms and membership ---
 
 def _nf_terms_by_max_scan(fterms, reducers, p, order, track=False):
