@@ -64,6 +64,7 @@ from .groebner import (
     quotient_to_data,
     ring_fingerprint,
     saturation,
+    shared_bases,
     std_monomials,
 )
 from .localcoh import (
@@ -102,7 +103,7 @@ __all__ = [
     "ImproperIdealError", "NotZeroDimensionalError", "QuotientRing",
     "ResourceCapExceeded", "colon", "dimension", "ideal", "intersect",
     "quotient_from_data", "quotient_to_data", "ring_fingerprint",
-    "saturation", "std_monomials",
+    "saturation", "shared_bases", "std_monomials",
     "HslReport", "InequalityReport", "LimitSystem", "NilpotentReport",
     "NsReport", "Prop34Report", "TorsionQuotientSnapshot",
     "hsl_estimate", "koszul_cohomology_table",

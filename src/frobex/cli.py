@@ -101,14 +101,14 @@ def _gb_caps(args) -> GBConfig:
     return GBConfig(max_pairs=args.max_pairs, max_degree=args.max_degree)
 
 
-def _load_ring(args, config: GBConfig) -> QuotientRing:
+def _load_ring(args) -> QuotientRing:
     spec = args.ring
     if spec is None:
         raise RingSpecError("this command needs --ring (a spec file or corpus label)")
     if os.path.exists(spec):
-        return load_ring_spec(spec, config)
+        return load_ring_spec(spec)
     if spec in corpus_labels():
-        return load_corpus_ring(spec, config)
+        return load_corpus_ring(spec)
     raise RingSpecError(
         f"{spec!r} is neither a readable file nor a corpus label "
         f"(bundled: {', '.join(corpus_labels())})")
@@ -128,10 +128,9 @@ def _require_jobs(args) -> int:
 
 
 def cmd_gb(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
-    gens = [str(g) for g in I.groebner_basis(config)]
+    gens = [str(g) for g in I.groebner_basis()]
     stats = I.gb_stats
     payload = {"ring_label": R.label, "generators": gens,
                "stats": stats.to_dict()}
@@ -145,11 +144,10 @@ def cmd_gb(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
     f = R.parse(args.poly)
-    w = I.normal_form(f, config)
+    w = I.normal_form(f)
     payload = {"ring_label": R.label, "poly": str(f), "normal_form": str(w),
                "is_member": not w.terms}
     _emit(args, "nf", payload, [f"normal form: {w}"])
@@ -157,34 +155,31 @@ def cmd_nf(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     gens = _parse_polys(R, args.ideal) if args.ideal else []
-    d = dimension(ideal(R, gens), config)
+    d = dimension(ideal(R, gens))
     payload = {"ring_label": R.label, "ideal": [str(g) for g in gens], "dimension": d}
     _emit(args, "dim", payload, [f"dimension = {d}"])
     return EXIT_OK
 
 
 def cmd_colon(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
     K = ideal(R, _parse_polys(R, args.by))
-    Q = colon(I, K, config)
-    gens = [str(g) for g in Q.groebner_basis(config)]
+    Q = colon(I, K)
+    gens = [str(g) for g in Q.groebner_basis()]
     payload = {"ring_label": R.label, "generators": gens}
     _emit(args, "colon", payload, ["colon ideal:"] + [f"  {g}" for g in gens])
     return EXIT_OK
 
 
 def cmd_sat(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
     K = ideal(R, _parse_polys(R, args.by)) if args.by else R.maximal_ideal()
-    S, steps = saturation(I, K, config=config)
-    gens = [str(g) for g in S.groebner_basis(config)]
+    S, steps = saturation(I, K)
+    gens = [str(g) for g in S.groebner_basis()]
     payload = {"ring_label": R.label, "generators": gens, "exponent": steps}
     _emit(args, "sat", payload,
           ["saturation:"] + [f"  {g}" for g in gens] + [f"stabilization exponent s = {steps}"])
@@ -192,12 +187,11 @@ def cmd_sat(args) -> int:
 
 
 def cmd_filter_check(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     elements = _parse_polys(R, args.elements)
     seq = make_sequence(R, elements)
-    ok, bad = is_filter_regular_sequence(seq, config)
-    sop = is_system_of_parameters(R, elements, config)
+    ok, bad = is_filter_regular_sequence(seq)
+    sop = is_system_of_parameters(R, elements)
     payload = {"ring_label": R.label, "elements": [str(f) for f in elements],
                "filter_regular": ok, "first_failure": bad,
                "system_of_parameters": sop}
@@ -208,9 +202,8 @@ def cmd_filter_check(args) -> int:
 
 
 def cmd_sop_random(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
-    seq = random_filter_regular_sop(R, args.seed, config=config)
+    R = _load_ring(args)
+    seq = random_filter_regular_sop(R, args.seed)
     payload = {"ring_label": R.label, "seed": args.seed,
                "elements": seq.element_strings()}
     _emit(args, "sop-random", payload,
@@ -220,8 +213,7 @@ def cmd_sop_random(args) -> int:
 
 
 def cmd_frobenius_power(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
     P = frobenius_power(I, args.e)
     gens = [str(g) for g in P.own_gens]
@@ -232,11 +224,10 @@ def cmd_frobenius_power(args) -> int:
 
 
 def cmd_frobenius_preimage(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     K = ideal(R, _parse_polys(R, args.ideal))
-    P = qpower_preimage(K, args.e, config)
-    gens = [str(g) for g in P.groebner_basis(config)]
+    P = qpower_preimage(K, args.e)
+    gens = [str(g) for g in P.groebner_basis()]
     payload = {"ring_label": R.label, "e": args.e, "generators": gens}
     _emit(args, "frobenius-preimage", payload,
           [f"q-power preimage, e = {args.e}:"] + [f"  {g}" for g in gens])
@@ -244,12 +235,11 @@ def cmd_frobenius_preimage(args) -> int:
 
 
 def cmd_frobenius_closure(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
-    result = frobenius_closure(I, args.emax, args.window, config)
+    result = frobenius_closure(I, args.emax, args.window)
     payload = {"ring_label": R.label, **result.to_dict()}
-    gens = [str(g) for g in result.closure.groebner_basis(config)]
+    gens = [str(g) for g in result.closure.groebner_basis()]
     lines = ["Frobenius closure:"] + [f"  {g}" for g in gens]
     lines.append(f"stabilized_at={result.stabilized_at} certified={result.certified} "
                  f"stable={result.stable}")
@@ -258,11 +248,10 @@ def cmd_frobenius_closure(args) -> int:
 
 
 def cmd_frobenius_fte(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
-    result = frobenius_closure(I, args.emax, args.window, config)
-    fte = fte_of_ideal(I, result.closure, args.emax, config)
+    result = frobenius_closure(I, args.emax, args.window)
+    fte = fte_of_ideal(I, result.closure, args.emax)
     payload = {"ring_label": R.label, "ideal": [str(g) for g in I.own_gens],
                "fte": fte, "closure": result.to_dict()}
     _emit(args, "frobenius-fte", payload, [f"Fte = {fte}"])
@@ -270,10 +259,9 @@ def cmd_frobenius_fte(args) -> int:
 
 
 def cmd_fte_scan(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     report = fte_scan(R, n_random=args.samples, seed=args.seed, e_max=args.emax,
-                      window=args.window, jobs=_require_jobs(args), config=config)
+                      window=args.window, jobs=_require_jobs(args))
     payload = report.to_dict()
     body = []
     for s in report.samples:
@@ -286,18 +274,16 @@ def cmd_fte_scan(args) -> int:
 
 
 def cmd_hsl(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     if args.sequence:
         seq = make_sequence(R, _parse_polys(R, args.sequence))
-        ok, bad = is_filter_regular_sequence(seq, config)
+        ok, bad = is_filter_regular_sequence(seq)
         if not ok:
             raise AlgebraError(f"--sequence is not filter regular at position {bad}")
     else:
-        seq = random_filter_regular_sop(R, derive_seed(args.seed, "hsl-sop"),
-                                        config=config)
+        seq = random_filter_regular_sop(R, derive_seed(args.seed, "hsl-sop"))
     report = hsl_estimate(R, seq, N=args.trunc, e_max=args.emax,
-                          jobs=_require_jobs(args), config=config)
+                          jobs=_require_jobs(args))
     payload = {
         "ring_label": report.ring_label,
         "per_i": {str(i): v for i, v in report.per_index.items()},
@@ -327,11 +313,10 @@ def cmd_hsl(args) -> int:
 
 
 def cmd_ns_check(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
-    seq_a = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 0), config=config)
-    seq_b = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 1), config=config)
-    report = ns_consistency_check(R, seq_a, seq_b, N=args.trunc, config=config)
+    R = _load_ring(args)
+    seq_a = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 0))
+    seq_b = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 1))
+    report = ns_consistency_check(R, seq_a, seq_b, N=args.trunc)
     payload = report.to_dict()
     body = []
     for i in sorted(report.tables):
@@ -346,10 +331,9 @@ def cmd_ns_check(args) -> int:
 
 
 def cmd_prop34_check(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     report = prop34_check(R, _parse_polys(R, args.prefix), n=args.n, e=args.e,
-                          N=args.trunc, e_max=args.emax, config=config)
+                          N=args.trunc, e_max=args.emax)
     payload = report.to_dict()
     lines = [f"forward (closure classes nilpotent of order <= {args.e}): "
              f"{'pass' if report.forward_ok else 'fail'}"]
@@ -362,18 +346,16 @@ def cmd_prop34_check(args) -> int:
 
 
 def cmd_verify_inequality(args) -> int:
-    config = _gb_caps(args)
-    R = _load_ring(args, config)
+    R = _load_ring(args)
     jobs = _require_jobs(args)
     scan = fte_scan(R, n_random=args.samples, seed=args.seed, e_max=args.emax,
-                    window=args.window, jobs=jobs, config=config)
+                    window=args.window, jobs=jobs)
     base_seq = make_sequence(R, scan.base_sop)
-    ok, bad = is_filter_regular_sequence(base_seq, config)
+    ok, bad = is_filter_regular_sequence(base_seq)
     if not ok:
         raise AlgebraError(f"scan base sequence failed re-verification at {bad}")
-    hsl = hsl_estimate(R, base_seq, N=args.trunc, e_max=args.emax, jobs=jobs,
-                       config=config)
-    report = verify_inequality(R, scan, hsl, config)
+    hsl = hsl_estimate(R, base_seq, N=args.trunc, e_max=args.emax, jobs=jobs)
+    report = verify_inequality(R, scan, hsl)
     payload = {**report.to_dict(), "scan": scan.to_dict(), "hsl": hsl.to_dict()}
     lines = [f"max Fte over samples: {report.max_fte}",
              f"HSL estimate:         {report.hsl_overall}",
@@ -553,7 +535,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         _validate_flags(args)
-        with shared_bases():
+        with shared_bases(_gb_caps(args)):
             return args.func(args)
     except ResourceCapExceeded as exc:
         _emit_error(args, exc, EXIT_RESOURCE)

@@ -21,7 +21,7 @@ import json
 from importlib import resources
 
 from .algebra import AlgebraError, ParseError, PolyRing, is_prime, parse_poly
-from .groebner import GBConfig, QuotientRing, ResourceCapExceeded, quotient_from_data
+from .groebner import QuotientRing, ResourceCapExceeded, quotient_from_data
 
 
 class RingSpecError(Exception):
@@ -65,7 +65,7 @@ def validate_ring_spec(data) -> dict:
     return data
 
 
-def ring_from_spec(data, config: GBConfig | None = None) -> QuotientRing:
+def ring_from_spec(data) -> QuotientRing:
     """Build the quotient ring described by a validated spec dict."""
     spec = validate_ring_spec(data)
     try:
@@ -76,7 +76,7 @@ def ring_from_spec(data, config: GBConfig | None = None) -> QuotientRing:
             "relations": list(spec["relations"]),
             "grading": spec.get("grading"),
             "label": spec["label"],
-        }, config)
+        })
     except ParseError as exc:
         raise RingSpecError(f"bad relation polynomial: {exc}") from exc
     except ResourceCapExceeded:
@@ -97,7 +97,7 @@ def _check_homogeneous(spec: dict):
                 f"{list(ambient.weights)}")
 
 
-def load_ring_spec(path: str, config: GBConfig | None = None) -> QuotientRing:
+def load_ring_spec(path: str) -> QuotientRing:
     """Read and validate a ring spec file."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -106,7 +106,7 @@ def load_ring_spec(path: str, config: GBConfig | None = None) -> QuotientRing:
         raise RingSpecError(f"cannot read ring spec {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RingSpecError(f"ring spec {path} is not valid JSON: {exc}") from exc
-    return ring_from_spec(data, config)
+    return ring_from_spec(data)
 
 
 def corpus_specs() -> list[dict]:
@@ -135,5 +135,5 @@ def corpus_spec(label: str) -> dict:
                         f"known: {', '.join(corpus_labels())}")
 
 
-def load_corpus_ring(label: str, config: GBConfig | None = None) -> QuotientRing:
-    return ring_from_spec(corpus_spec(label), config)
+def load_corpus_ring(label: str) -> QuotientRing:
+    return ring_from_spec(corpus_spec(label))

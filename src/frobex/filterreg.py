@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraError, Polynomial
 from .groebner import (
-    GBConfig,
     IdealHandle,
     ImproperIdealError,
     QuotientRing,
@@ -67,56 +66,52 @@ def make_sequence(R: QuotientRing, elements,
     return FilterSequence(R, elems, False, seed)
 
 
-def filter_regular_failure(seq: FilterSequence,
-                           config: GBConfig | None = None) -> int | None:
+def filter_regular_failure(seq: FilterSequence) -> int | None:
     """Index of the first element violating the colon-saturation criterion,
     or None when the whole sequence is filter regular."""
     R = seq.ring
     m = R.maximal_ideal()
     for f in seq.elements:
-        if not m.contains(f, config):
+        if not m.contains(f):
             raise AlgebraError("sequence element outside the maximal ideal")
     for i, f in enumerate(seq.elements):
         prefix = seq.prefix_ideal(i)
-        quotient = colon(prefix, ideal(R, [f]), config)
-        saturated, _ = saturation(prefix, m, config)
-        if not saturated.contains_ideal(quotient, config):
+        quotient = colon(prefix, ideal(R, [f]))
+        saturated, _ = saturation(prefix, m)
+        if not saturated.contains_ideal(quotient):
             return i
     return None
 
 
-def is_filter_regular_sequence(seq: FilterSequence,
-                               config: GBConfig | None = None) -> tuple[bool, int | None]:
+def is_filter_regular_sequence(seq: FilterSequence) -> tuple[bool, int | None]:
     """(True, None) when filter regular, else (False, first bad index).
 
     Marks the sequence verified on success.
     """
-    bad = filter_regular_failure(seq, config)
+    bad = filter_regular_failure(seq)
     if bad is None:
         seq.verified = True
         return True, None
     return False, bad
 
 
-def is_system_of_parameters(R: QuotientRing, elements,
-                            config: GBConfig | None = None) -> bool:
+def is_system_of_parameters(R: QuotientRing, elements) -> bool:
     """True when the elements lie in m, are dim(R) many, and cut the
     dimension to zero."""
     elems = [R.parse(f) if isinstance(f, str) else f for f in elements]
     if len(elems) != R.dim:
         return False
     m = R.maximal_ideal()
-    if not all(m.contains(f, config) for f in elems):
+    if not all(m.contains(f) for f in elems):
         return False
     q = ideal(R, elems)
-    if not q.is_proper(config):
+    if not q.is_proper():
         return False
-    return dimension(q, config) == 0
+    return dimension(q) == 0
 
 
 def random_filter_regular_sop(R: QuotientRing, seed: int,
-                              max_tries: int = 60, restarts: int = 25,
-                              config: GBConfig | None = None) -> FilterSequence:
+                              max_tries: int = 60, restarts: int = 25) -> FilterSequence:
     """Random linear forms built one at a time; each new element must keep
     the prefix filter regular and drop the dimension by one.
 
@@ -137,7 +132,7 @@ def random_filter_regular_sop(R: QuotientRing, seed: int,
         chosen: list[Polynomial] = []
         for step in range(d):
             prefix = ideal(R, chosen)
-            saturated, _ = saturation(prefix, m, config)
+            saturated, _ = saturation(prefix, m)
             found = None
             nv = len(variables)
             for _ in range(max_tries):
@@ -154,12 +149,12 @@ def random_filter_regular_sop(R: QuotientRing, seed: int,
                         cand = cand + c * v
                 extended = ideal(R, chosen + [cand])
                 try:
-                    if dimension(extended, config) != d - step - 1:
+                    if dimension(extended) != d - step - 1:
                         continue
                 except ImproperIdealError:
                     continue  # the candidate made the unit ideal
-                quotient = colon(prefix, ideal(R, [cand]), config)
-                if not saturated.contains_ideal(quotient, config):
+                quotient = colon(prefix, ideal(R, [cand]))
+                if not saturated.contains_ideal(quotient):
                     continue
                 found = cand
                 break

@@ -54,6 +54,7 @@ from .groebner import (
     QuotientRing,
     ResourceCapExceeded,
     _nf_terms,
+    caps_in_force,
     fresh_names,
     ideal,
     quotient_from_data,
@@ -81,8 +82,7 @@ def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:
     return IdealHandle(I.ring, raised)
 
 
-def qpower_preimage(K: IdealHandle, e: int,
-                    config: GBConfig | None = None) -> IdealHandle:
+def qpower_preimage(K: IdealHandle, e: int) -> IdealHandle:
     """The ideal { x : x^(p^e) lies in K }.
 
     For e >= 1 and K homogeneous (quotient relations included) under the
@@ -94,14 +94,13 @@ def qpower_preimage(K: IdealHandle, e: int,
     tag-variable elimination of _preimage_by_elimination.
     """
     if e > 0:
-        gens = _graded_preimage(K, e, config)
+        gens = _graded_preimage(K, e)
         if gens is not None:
             return IdealHandle(K.ring, gens)
-    return _preimage_by_elimination(K, e, config)
+    return _preimage_by_elimination(K, e)
 
 
-def _graded_preimage(K: IdealHandle, e: int,
-                     config: GBConfig | None) -> list[Polynomial] | None:
+def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     """Generators of { x : x^q in K } by graded linear algebra, or None when
     K is not a standard-graded homogeneous m-primary ideal or its basis hits
     a resource cap.
@@ -119,7 +118,7 @@ def _graded_preimage(K: IdealHandle, e: int,
     if not all(g.is_homogeneous() for g in K.generators):
         return None
     try:
-        gb = K.groebner_basis(config)
+        gb = K.groebner_basis()
     except ResourceCapExceeded:
         return None
     lms = [g.leading_monomial() for g in gb]
@@ -145,8 +144,7 @@ def _graded_preimage(K: IdealHandle, e: int,
                                           for m, c in zip(monos, vec) if c}))
 
 
-def _preimage_by_elimination(K: IdealHandle, e: int,
-                             config: GBConfig | None = None) -> IdealHandle:
+def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
     """The ideal { x : x^(p^e) lies in K }, via elimination; the general
     path of qpower_preimage and the oracle its graded path is tested against.
 
@@ -189,7 +187,7 @@ def _preimage_by_elimination(K: IdealHandle, e: int,
         wi = zero + tuple(1 if k == i else 0 for k in range(n))
         gens.append(ext.poly({wi: 1, xi_q: p - 1}))
     work = IdealHandle(ext, gens)
-    gb = work.groebner_basis(config)
+    gb = work.groebner_basis()
     out = []
     for g in gb:
         if all(all(m[i] == 0 for i in range(n)) for m in g.terms):
@@ -228,8 +226,7 @@ class ClosureResult:
         }
 
 
-def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2,
-                      config: GBConfig | None = None) -> ClosureResult:
+def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2) -> ClosureResult:
     """Ascending chain of q-th power preimages until `window` consecutive
     equalities are seen or e_max is reached."""
     if e_max < 1:
@@ -238,18 +235,18 @@ def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2,
         raise AlgebraError("window must be >= 1")
     start = IdealHandle(I.ring, I.own_gens)
     previous = start
-    lengths = [len(previous.groebner_basis(config))]
+    lengths = [len(previous.groebner_basis())]
     consecutive = 0
     stabilized_at: int | None = None
     levels = 0
     for e in range(1, e_max + 1):
         bracket = frobenius_power(I, e)
-        current = qpower_preimage(bracket, e, config)
+        current = qpower_preimage(bracket, e)
         levels = e
-        if not current.contains_ideal(previous, config):
+        if not current.contains_ideal(previous):
             raise InconsistencyError(f"closure chain not ascending at level {e}")
-        lengths.append(len(current.groebner_basis(config)))
-        if current.equals(previous, config):
+        lengths.append(len(current.groebner_basis()))
+        if current.equals(previous):
             consecutive += 1
             if stabilized_at is None:
                 stabilized_at = e - 1
@@ -260,19 +257,18 @@ def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2,
         if consecutive >= window:
             break
     stable = consecutive >= window
-    certified = stable and previous.equals(start, config)
+    certified = stable and previous.equals(start)
     return ClosureResult(previous, stabilized_at, window, certified, lengths,
                          stable, levels)
 
 
-def fte_of_ideal(I: IdealHandle, closure: IdealHandle, e_max: int = 8,
-                 config: GBConfig | None = None) -> int:
+def fte_of_ideal(I: IdealHandle, closure: IdealHandle, e_max: int = 8) -> int:
     """Least e with closure^[p^e] = I^[p^e], checked by membership of the
     raised closure generators.  The bracket of the larger ideal always
     contains the bracket of the smaller, so one inclusion suffices."""
     for e in range(e_max + 1):
         bracket = frobenius_power(I, e)
-        if all(bracket.contains(frobenius_raise(g, e), config)
+        if all(bracket.contains(frobenius_raise(g, e))
                for g in closure.own_gens):
             return e
     raise InconsistencyError(f"no Frobenius test exponent up to {e_max}")
@@ -346,14 +342,13 @@ class FteScanReport:
         }
 
 
-def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int,
-                config: GBConfig | None) -> ScanSample:
+def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSample:
     kind = task["kind"]
     descriptor = task["descriptor"]
     gens: list[str] = []
     try:
         if kind == "random-sop":
-            fseq = random_filter_regular_sop(R, task["seed"], config=config)
+            fseq = random_filter_regular_sop(R, task["seed"])
             polys = list(fseq.elements)
         else:
             handle = power_family_ideal(R, task["base"], descriptor["t"],
@@ -362,13 +357,13 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int,
         gens = [str(g) for g in polys]
         sample = ScanSample(kind, descriptor, gens)
         I = ideal(R, polys)
-        closure = frobenius_closure(I, e_max, window, config)
-        fte = fte_of_ideal(I, closure.closure, e_max, config)
+        closure = frobenius_closure(I, e_max, window)
+        fte = fte_of_ideal(I, closure.closure, e_max)
         sample.fte = fte
         sample.closure_gens = [str(g) for g in closure.closure.groebner_basis()]
         sample.stabilized_at = closure.stabilized_at
         sample.certified = closure.certified
-        sample.nontrivial = not closure.closure.equals(I, config)
+        sample.nontrivial = not closure.closure.equals(I)
         if not closure.stable:
             sample.error = "closure chain did not stabilize within e_max"
         return sample
@@ -384,32 +379,32 @@ def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
 
     fn, the tasks and the results cross the pool pickled, so fn is a
     module-level function or a functools.partial of one.  A pooled task
-    gets R rebuilt from quotient_to_data(R), so fn must not depend on
-    anything cached in R.  Each pooled task also starts with an empty memo
-    of shared bases (groebner.shared_bases); the results are identical
-    either way.
+    runs in a shared_bases() block of its own, under the caps in force at
+    the call and with an empty memo, and gets R rebuilt there from
+    quotient_to_data(R), so fn must not depend on anything cached in R.
+    The results are identical either way.
     """
     if jobs > 1 and len(tasks) > 1:
-        run = functools.partial(_on_ring_data, fn, quotient_to_data(R))
+        run = functools.partial(_on_ring_data, fn, quotient_to_data(R),
+                                caps_in_force())
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(run, tasks))
     return [fn(R, task) for task in tasks]
 
 
-def _on_ring_data(fn, ring_data: dict, task):
+def _on_ring_data(fn, ring_data: dict, caps: GBConfig, task):
     """Pool entry point of map_tasks: fn on the ring rebuilt from its data,
-    in a shared_bases() block of its own.  It runs in an empty context,
+    in a shared_bases(caps) block of its own.  It runs in an empty context,
     because a forked worker starts with a copy of its parent's memo."""
-    return contextvars.Context().run(_in_own_memo, fn, ring_data, task)
+    return contextvars.Context().run(_in_own_memo, fn, ring_data, caps, task)
 
 
-def _in_own_memo(fn, ring_data: dict, task):
-    with shared_bases():
+def _in_own_memo(fn, ring_data: dict, caps: GBConfig, task):
+    with shared_bases(caps):
         return fn(quotient_from_data(ring_data), task)
 
 
-def parameter_base(R: QuotientRing, seed: int,
-                   config: GBConfig | None = None) -> FilterSequence:
+def parameter_base(R: QuotientRing, seed: int) -> FilterSequence:
     """Base system of parameters for the power families.
 
     Coordinate variables are preferred when some dim(R)-subset of them is a
@@ -420,19 +415,18 @@ def parameter_base(R: QuotientRing, seed: int,
     d = R.dim
     variables = R.ambient.gens()
     for combo in itertools.combinations(variables, d):
-        if not is_system_of_parameters(R, list(combo), config):
+        if not is_system_of_parameters(R, list(combo)):
             continue
         seq = make_sequence(R, combo)
-        ok, _ = is_filter_regular_sequence(seq, config)
+        ok, _ = is_filter_regular_sequence(seq)
         if ok:
             return seq
-    return random_filter_regular_sop(R, derive_seed(seed, "family-base"),
-                                     config=config)
+    return random_filter_regular_sop(R, derive_seed(seed, "family-base"))
 
 
 def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
-             seed: int = 42, e_max: int = 8, window: int = 2, jobs: int = 1,
-             config: GBConfig | None = None) -> FteScanReport:
+             seed: int = 42, e_max: int = 8, window: int = 2,
+             jobs: int = 1) -> FteScanReport:
     """Closure and test exponent for a deterministic batch of parameter
     ideals: n_random random filter regular systems of parameters plus the
     prefix-power families of one base system (see parameter_base).
@@ -442,7 +436,7 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     """
     if R.dim < 1:
         raise AlgebraError("scan needs a ring of positive dimension")
-    base = parameter_base(R, seed, config)
+    base = parameter_base(R, seed)
     base_strs = base.element_strings()
     tasks: list[dict] = []
     for k in range(n_random):
@@ -460,8 +454,7 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
                 "descriptor": {"t": t, "n": n},
                 "base": base_strs,
             })
-    samples = map_tasks(functools.partial(_run_sample, e_max=e_max,
-                                          window=window, config=config),
+    samples = map_tasks(functools.partial(_run_sample, e_max=e_max, window=window),
                         R, tasks, jobs)
     good = [s.fte for s in samples if s.fte is not None and s.error is None]
     return FteScanReport(

@@ -12,9 +12,10 @@ runaway computations into explicit errors instead of hangs.
 Ideals are IdealHandle objects: generator lists over an ambient polynomial
 ring, optionally attached to a QuotientRing whose defining relations are
 appended to every Groebner computation.  A handle keeps its generators and
-its cached basis only; every Groebner run takes its caps from the call.
-Inside a shared_bases() block, bases are shared between handles: a basis
-is built once per order, characteristic, caps and generator list.
+its cached basis only.  Every Groebner run takes its caps from the
+enclosing shared_bases() block (the library defaults outside any block), and
+inside a block bases are shared between handles: a basis is built once per
+order, characteristic, caps and generator list.
 """
 
 from __future__ import annotations
@@ -267,40 +268,49 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
     return reduced, stats
 
 
-_SHARED_BASES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "frobex_shared_bases", default=None)
+# (caps, memo) of the innermost shared_bases() block, None outside any block
+_SHARED_BASES: contextvars.ContextVar[tuple[GBConfig, dict] | None] = \
+    contextvars.ContextVar("frobex_shared_bases", default=None)
 
 
 @contextlib.contextmanager
-def shared_bases():
-    """Share reduced bases between handles until the outermost block exits.
+def shared_bases(caps: GBConfig = DEFAULT_GB_CONFIG):
+    """Build every basis inside the block under ``caps``, and share reduced
+    bases between handles until the outermost block exits.
 
     Inside the block, a basis is built once for each key (order, p, caps,
     generator term dicts in their given order); a repeat gets the stored
     basis and GBStats, exactly what a rebuild would return.  A run that
-    hits a cap is not stored.  Nested blocks use the outer block's memo.
+    hits a cap is not stored.  A nested block sets its own caps and uses the
+    outermost block's memo.  Outside any block, bases are built under
+    DEFAULT_GB_CONFIG and nothing is shared.
     """
-    if _SHARED_BASES.get() is not None:
-        yield
-        return
-    token = _SHARED_BASES.set({})
+    outer = _SHARED_BASES.get()
+    token = _SHARED_BASES.set((caps, {} if outer is None else outer[1]))
     try:
         yield
     finally:
         _SHARED_BASES.reset(token)
 
 
-def _basis(polys, order: MonomialOrder, p: int, config: GBConfig):
-    """buchberger_basis(polys, order, p, config), through the memo of the
-    enclosing shared_bases() block when there is one."""
-    memo = _SHARED_BASES.get()
-    if memo is None:
-        return buchberger_basis(polys, order, p, config)
+def caps_in_force() -> GBConfig:
+    """The caps of the enclosing shared_bases() block, or the defaults."""
+    block = _SHARED_BASES.get()
+    return DEFAULT_GB_CONFIG if block is None else block[0]
+
+
+def _basis(polys, order: MonomialOrder, p: int):
+    """buchberger_basis(polys, order, p, caps) under the caps of the
+    enclosing shared_bases() block, through its memo when there is one."""
+    block = _SHARED_BASES.get()
+    if block is None:
+        return buchberger_basis(polys, order, p, DEFAULT_GB_CONFIG)
+    caps, memo = block
     terms = [f.terms if isinstance(f, Polynomial) else f for f in polys]
-    key = (order, p, config, tuple(frozenset(t.items()) for t in terms))
+    key = (order, p, caps, tuple(frozenset(t.items()) for t in terms))
     found = memo.get(key)
     if found is None:
-        found = memo[key] = buchberger_basis(terms, order, p, config)
+        found = memo[key] = buchberger_basis(terms, order, p, caps)
     return found
 
 
@@ -355,11 +365,12 @@ class IdealHandle:
     ideal (own generators) + J in the ambient S; the quotient's relations are
     appended automatically in every Groebner computation, so membership and
     equality are those of the quotient ring.  The reduced basis is computed
-    once and cached, with the caps of the call that first asks for it.
-    Inside a shared_bases() block (every CLI command runs in one), a fresh
-    handle with the same generators, order and caps as an earlier one gets
-    that basis without a rebuild; a pooled task of frobenius.map_tasks starts
-    with an empty memo.  The results are identical either way.
+    once and cached, under the caps of the shared_bases() block in force
+    when it is first asked for.  Inside a block (every CLI command runs in
+    one), a fresh handle with the same generators, order and caps as an
+    earlier one gets that basis without a rebuild; a pooled task of
+    frobenius.map_tasks starts with an empty memo under the caller's caps.
+    The results are identical either way.
     """
 
     def __init__(self, ring, gens=()):
@@ -404,10 +415,10 @@ class IdealHandle:
             return self.own_gens
         return self.own_gens + self._quotient.relations.own_gens
 
-    def groebner_basis(self, config: GBConfig | None = None) -> tuple[Polynomial, ...]:
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._gb is None:
             terms, stats = _basis(self.generators, self._ambient.order,
-                                  self._ambient.p, config or DEFAULT_GB_CONFIG)
+                                  self._ambient.p)
             self._gb = tuple(Polynomial(self._ambient, t) for t in terms)
             self._stats = stats
         return self._gb
@@ -416,30 +427,30 @@ class IdealHandle:
     def gb_stats(self) -> GBStats | None:
         return self._stats
 
-    def normal_form(self, f, config: GBConfig | None = None) -> Polynomial:
+    def normal_form(self, f) -> Polynomial:
         if isinstance(f, str):
             f = parse_poly(self._ambient, f)
         if f.ring != self._ambient:
             raise RingMismatchError("polynomial from a different ring")
-        gb = self.groebner_basis(config)
+        gb = self.groebner_basis()
         reducers = [(g.leading_monomial(), g.terms) for g in gb]
         rem, _ = _nf_terms(f.terms, reducers, self._ambient.p, self._ambient.order)
         return Polynomial(self._ambient, rem)
 
-    def contains(self, f, config: GBConfig | None = None) -> bool:
-        return self.normal_form(f, config).is_zero()
+    def contains(self, f) -> bool:
+        return self.normal_form(f).is_zero()
 
-    def contains_ideal(self, other: "IdealHandle", config: GBConfig | None = None) -> bool:
-        return all(self.contains(g, config) for g in other.generators)
+    def contains_ideal(self, other: "IdealHandle") -> bool:
+        return all(self.contains(g) for g in other.generators)
 
-    def is_proper(self, config: GBConfig | None = None) -> bool:
-        gb = self.groebner_basis(config)
+    def is_proper(self) -> bool:
+        gb = self.groebner_basis()
         return not any(mono_degree(g.leading_monomial()) == 0 for g in gb)
 
-    def equals(self, other: "IdealHandle", config: GBConfig | None = None) -> bool:
+    def equals(self, other: "IdealHandle") -> bool:
         if self._ambient != other._ambient:
             raise RingMismatchError("ideals over different ambient rings")
-        return self.groebner_basis(config) == other.groebner_basis(config)
+        return self.groebner_basis() == other.groebner_basis()
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.own_gens) or "0"
@@ -450,18 +461,16 @@ class QuotientRing:
     """R = S/J for a polynomial ring S and proper ideal J (possibly zero).
 
     The maximal ideal is always the image of (all variables); rings here are
-    graded-local by convention.  Krull dimension is computed at construction,
-    with the caps of ``config``, which the ring does not keep.
+    graded-local by convention.  Krull dimension is computed at construction.
     """
 
-    def __init__(self, ambient: PolyRing, relations=(), label: str = "",
-                 config: GBConfig | None = None):
+    def __init__(self, ambient: PolyRing, relations=(), label: str = ""):
         self.ambient = ambient
         self.relations = IdealHandle(ambient, relations)
-        if not self.relations.is_proper(config):
+        if not self.relations.is_proper():
             raise ImproperIdealError("relations generate the unit ideal")
         self.label = label
-        self.dim = dimension(self.relations, config)
+        self.dim = dimension(self.relations)
 
     @property
     def p(self) -> int:
@@ -529,8 +538,7 @@ def _append_tag(terms: dict, tag_exp: int) -> dict:
     return {m + (tag_exp,): c for m, c in terms.items()}
 
 
-def intersect(I: IdealHandle, K: IdealHandle,
-              config: GBConfig | None = None) -> IdealHandle:
+def intersect(I: IdealHandle, K: IdealHandle) -> IdealHandle:
     """I cap K via the tag construction t*I + (1-t)*K, eliminating t."""
     if I.ambient != K.ambient:
         raise RingMismatchError("ideals over different ambient rings")
@@ -554,7 +562,7 @@ def intersect(I: IdealHandle, K: IdealHandle,
                 del combined[m]
         gens.append(Polynomial(tagged, combined))
     work = IdealHandle(tagged, gens)
-    gb = work.groebner_basis(config)
+    gb = work.groebner_basis()
     out = []
     for g in gb:
         if all(m[n] == 0 for m in g.terms):
@@ -581,8 +589,7 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     return Polynomial(ring, q)
 
 
-def colon(I: IdealHandle, K: IdealHandle,
-          config: GBConfig | None = None) -> IdealHandle:
+def colon(I: IdealHandle, K: IdealHandle) -> IdealHandle:
     """The colon ideal (I : K) = {r : r*K inside I}, over the same ring."""
     if I.ambient != K.ambient:
         raise RingMismatchError("ideals over different ambient rings")
@@ -594,19 +601,18 @@ def colon(I: IdealHandle, K: IdealHandle,
     result: IdealHandle | None = None
     for f in divisors:
         principal = IdealHandle(ring, [f])
-        inter = intersect(IdealHandle(ring, I.generators), principal, config)
+        inter = intersect(IdealHandle(ring, I.generators), principal)
         quotient_gens = [exact_divide(h, f) for h in inter.own_gens]
         piece = IdealHandle(I.ring, quotient_gens)
         if result is None:
             result = piece
         else:
-            result = intersect(result, piece, config)
+            result = intersect(result, piece)
             result = IdealHandle(I.ring, result.own_gens)
     return result
 
 
 def saturation(I: IdealHandle, K: IdealHandle,
-               config: GBConfig | None = None,
                max_steps: int = 200) -> tuple[IdealHandle, int]:
     """Stable colon (I : K^infinity) along with the stabilization exponent s,
     the least s with (I : K^s) = (I : K^(s+1)).
@@ -621,20 +627,20 @@ def saturation(I: IdealHandle, K: IdealHandle,
     ring = I.ambient
     if (K.ambient == ring and all(w == 1 for w in ring.weights)
             and all(g.is_homogeneous() for g in I.generators)
-            and _is_maximal_ideal(K, config)):
-        return _saturation_by_variables(I, config, max_steps)
-    return _saturation_by_colons(I, K, config, max_steps)
+            and _is_maximal_ideal(K)):
+        return _saturation_by_variables(I, max_steps)
+    return _saturation_by_colons(I, K, max_steps)
 
 
-def _is_maximal_ideal(K: IdealHandle, config: GBConfig | None) -> bool:
+def _is_maximal_ideal(K: IdealHandle) -> bool:
     """Whether K's reduced basis is the variables of its ambient ring."""
-    gb = K.groebner_basis(config)
+    gb = K.groebner_basis()
     return (len(gb) == K.ambient.nvars > 0
             and all(len(g.terms) == 1 and mono_degree(g.leading_monomial()) == 1
                     for g in gb))
 
 
-def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
+def _saturation_by_variables(I: IdealHandle,
                              max_steps: int) -> tuple[IdealHandle, int]:
     """(I : m^infinity) and its exponent for homogeneous I under the
     standard grading (Bayer-Stillman; Eisenbud, Prop. 15.12).
@@ -656,11 +662,11 @@ def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
     for i in reversed(range(n)):
         perm = tuple(j for j in range(n) if j != i) + (i,)
         if i == n - 1 and ring.order == grevlex:
-            basis = [g.terms for g in I.groebner_basis(config)]
+            basis = [g.terms for g in I.groebner_basis()]
         else:
             moved = [{tuple(m[j] for j in perm): c for m, c in g.terms.items()}
                      for g in I.generators]
-            basis, _ = _basis(moved, grevlex, p, config or DEFAULT_GB_CONFIG)
+            basis, _ = _basis(moved, grevlex, p)
         powers = [min(m[-1] for m in terms) for terms in basis]
         if not any(powers):
             return I, 0
@@ -673,49 +679,46 @@ def _saturation_by_variables(I: IdealHandle, config: GBConfig | None,
         pieces.append(IdealHandle(ring, gens))
     sat = pieces[0]
     for piece in pieces[1:]:
-        if piece.contains_ideal(sat, config):
+        if piece.contains_ideal(sat):
             continue
-        if sat.contains_ideal(piece, config):
+        if sat.contains_ideal(piece):
             sat = piece
         else:
-            sat = intersect(sat, piece, config)
+            sat = intersect(sat, piece)
     sat = IdealHandle(I.ring, sat.own_gens)
-    s = max(_kill_exponent(I, g, config, max_steps)
-            for g in sat.groebner_basis(config))
+    s = max(_kill_exponent(I, g, max_steps) for g in sat.groebner_basis())
     return sat, s
 
 
-def _kill_exponent(I: IdealHandle, g: Polynomial, config: GBConfig | None,
-                   max_steps: int) -> int:
+def _kill_exponent(I: IdealHandle, g: Polynomial, max_steps: int) -> int:
     """Least k < max_steps with m^k * g inside I."""
     ring = I.ambient
     for k in range(max_steps):
         monos = monomials_of_weighted_degree(ring.nvars, k, (1,) * ring.nvars)
-        if all(I.contains(ring.monomial(a) * g, config) for a in monos):
+        if all(I.contains(ring.monomial(a) * g) for a in monos):
             return k
     raise ResourceCapExceeded(
         f"saturation did not stabilize within {max_steps} steps", GBStats())
 
 
 def _saturation_by_colons(I: IdealHandle, K: IdealHandle,
-                          config: GBConfig | None = None,
                           max_steps: int = 200) -> tuple[IdealHandle, int]:
     """(I : K^infinity) by iterated colons until two agree; the general path
     of saturation and the oracle its fast path is tested against."""
     current = I
     for s in range(max_steps):
-        nxt = colon(current, K, config)
-        if nxt.equals(current, config):
+        nxt = colon(current, K)
+        if nxt.equals(current):
             return current, s
         current = nxt
     raise ResourceCapExceeded(
         f"saturation did not stabilize within {max_steps} steps", GBStats())
 
 
-def dimension(I: IdealHandle, config: GBConfig | None = None) -> int:
+def dimension(I: IdealHandle) -> int:
     """Krull dimension of ambient/(I), computed from the initial ideal as the
     largest set of variables meeting no leading-monomial support."""
-    gb = I.groebner_basis(config)
+    gb = I.groebner_basis()
     if any(mono_degree(g.leading_monomial()) == 0 for g in gb):
         raise ImproperIdealError("dimension of the zero ring")
     supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
@@ -729,7 +732,7 @@ def dimension(I: IdealHandle, config: GBConfig | None = None) -> int:
     return 0
 
 
-def std_monomials(I: IdealHandle, config: GBConfig | None = None) -> list[Mono]:
+def std_monomials(I: IdealHandle) -> list[Mono]:
     """Monomials outside the initial ideal: a vector space basis of
     ambient/I, sorted by degree, then by the monomial order.  Requires I
     zero-dimensional (finite staircase).
@@ -739,7 +742,7 @@ def std_monomials(I: IdealHandle, config: GBConfig | None = None) -> list[Mono]:
     nonzero exponents gives a standard monomial, so every candidate of the
     next degree costs a few set lookups and no divisibility scan.
     """
-    gb = I.groebner_basis(config)
+    gb = I.groebner_basis()
     if any(mono_degree(g.leading_monomial()) == 0 for g in gb):
         return []
     n = I.ambient.nvars
@@ -762,10 +765,9 @@ def std_monomials(I: IdealHandle, config: GBConfig | None = None) -> list[Mono]:
     return out
 
 
-def std_monomials_of_weighted_degree(I: IdealHandle, degree: int,
-                                     config: GBConfig | None = None) -> list[Mono]:
+def std_monomials_of_weighted_degree(I: IdealHandle, degree: int) -> list[Mono]:
     """Standard monomials of the given weighted degree (any dimension)."""
-    gb = I.groebner_basis(config)
+    gb = I.groebner_basis()
     lms = [g.leading_monomial() for g in gb]
     ring = I.ambient
     cands = monomials_of_weighted_degree(ring.nvars, degree, ring.weights)
@@ -791,7 +793,7 @@ def quotient_to_data(R: QuotientRing) -> dict:
     return data
 
 
-def quotient_from_data(data: dict, config: GBConfig | None = None) -> QuotientRing:
+def quotient_from_data(data: dict) -> QuotientRing:
     from .algebra import PrimeField
 
     field = PrimeField(int(data["characteristic"]))
@@ -799,4 +801,4 @@ def quotient_from_data(data: dict, config: GBConfig | None = None) -> QuotientRi
     ambient = PolyRing(field, data["variables"], MonomialOrder("grevlex"),
                        tuple(grading) if grading else None)
     return QuotientRing(ambient, list(data.get("relations", [])),
-                        label=data.get("label", ""), config=config)
+                        label=data.get("label", ""))

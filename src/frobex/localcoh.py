@@ -47,7 +47,6 @@ from .frobenius import (
     power_family_ideal,
 )
 from .groebner import (
-    GBConfig,
     IdealHandle,
     QuotientRing,
     dimension,
@@ -137,8 +136,7 @@ def _empty_snapshot(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot:
     return TorsionQuotientSnapshot(R, Q, (), (), None, None, 0, False)
 
 
-def torsion_quotient(R: QuotientRing, Q: IdealHandle,
-                     config: GBConfig | None = None) -> TorsionQuotientSnapshot:
+def torsion_quotient(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot:
     """Snapshot of (Q : m^infinity)/Q; Q is a handle over R.
 
     A homogeneous Q of dimension 0 under the standard grading needs no
@@ -148,28 +146,28 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle,
     classes of mono * g with deg(mono) = 0, 1, ... span the quotient up to
     the first degree where all of them vanish, which is g's kill exponent.
     """
-    if not Q.is_proper(config):
+    if not Q.is_proper():
         return _empty_snapshot(R, Q)
     n = R.ambient.nvars
     if (all(w == 1 for w in R.ambient.weights)
             and all(g.is_homogeneous() for g in Q.generators)
-            and dimension(Q, config) == 0):
-        cols = tuple(std_monomials(Q, config))
+            and dimension(Q) == 0):
+        cols = tuple(std_monomials(Q))
         basis = tuple(R.ambient.monomial(m) for m in cols)
         kill = max(mono_degree(m) for m in cols) + 1
         return TorsionQuotientSnapshot(R, Q, basis, cols, None, None, kill, True)
-    saturated, s = saturation(Q, R.maximal_ideal(), config)
-    if saturated.equals(Q, config):
+    saturated, s = saturation(Q, R.maximal_ideal())
+    if saturated.equals(Q):
         return _empty_snapshot(R, Q)
     p = R.p
     order_key = R.ambient.order.key
     rows: list[dict] = []
     kill = 0
-    for g in saturated.groebner_basis(config):
+    for g in saturated.groebner_basis():
         for k in itertools.count():
             if k > s:
                 raise InconsistencyError("saturation exponent bound violated")
-            forms = [Q.normal_form(R.ambient.monomial(a) * g, config).terms
+            forms = [Q.normal_form(R.ambient.monomial(a) * g).terms
                      for a in monomials_of_weighted_degree(n, k, (1,) * n)]
             nonzero = [t for t in forms if t]
             if not nonzero:
@@ -280,7 +278,6 @@ class LimitSystem:
 
 
 def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
-                 config: GBConfig | None = None,
                  audit: bool = True) -> LimitSystem:
     """Build snapshots, transitions and Frobenius matrices for prefix i.
 
@@ -298,12 +295,12 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
 
     snapshots: list[TorsionQuotientSnapshot] = []
     if i == 0:
-        shared = torsion_quotient(R, ideal(R), config)
+        shared = torsion_quotient(R, ideal(R))
         snapshots = [shared] * N
     else:
         for n in range(1, N + 1):
             Q = ideal(R, [f**n for f in prefix])
-            snapshots.append(torsion_quotient(R, Q, config))
+            snapshots.append(torsion_quotient(R, Q))
 
     product = R.ambient.one()
     for f in prefix:
@@ -475,23 +472,21 @@ class HslReport:
         }
 
 
-def _hsl_tower(R: QuotientRing, i: int, sequence: list[str],
-               verified: bool, N: int, e_max: int,
-               config: GBConfig | None) -> tuple[NilpotentReport, NilpotentReport]:
+def _hsl_tower(R: QuotientRing, i: int, sequence: list[str], verified: bool,
+               N: int, e_max: int) -> tuple[NilpotentReport, NilpotentReport]:
     """Base and probe nilpotency reports of the i-th limit tower of the
     sequence given by its element strings and verified flag (a task of
     map_tasks).  The tower is built once, at the probe's truncation; the
     base report reads its first N levels."""
     fseq = make_sequence(R, sequence)
     fseq.verified = verified
-    system = limit_system(R, fseq, i, N + PROBE_STEP, config)
+    system = limit_system(R, fseq, i, N + PROBE_STEP)
     return (nilpotent_part(system.truncated(N), e_max),
             nilpotent_part(system, e_max + 1))
 
 
 def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
-                 e_max: int = 8, jobs: int = 1,
-                 config: GBConfig | None = None) -> HslReport:
+                 e_max: int = 8, jobs: int = 1) -> HslReport:
     """Witnessed HSL numbers for every cohomological degree 0..dim(R).
 
     The sequence must be a verified filter regular system of parameters.
@@ -503,12 +498,11 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
     if len(fseq) != d:
         raise AlgebraError(f"need a full system of parameters ({d} elements)")
     if not fseq.verified:
-        ok, bad = is_filter_regular_sequence(fseq, config)
+        ok, bad = is_filter_regular_sequence(fseq)
         if not ok:
             raise AlgebraError(f"sequence is not filter regular at index {bad}")
     tower = functools.partial(_hsl_tower, sequence=fseq.element_strings(),
-                              verified=fseq.verified, N=N, e_max=e_max,
-                              config=config)
+                              verified=fseq.verified, N=N, e_max=e_max)
     bases, probes = zip(*map_tasks(tower, R, list(range(d + 1)), jobs))
     per_index = {i: r.max_order for i, r in enumerate(bases)}
     per_index_stable = {i: r.max_order == per_index[i]
@@ -535,8 +529,7 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
 
 
 def koszul_cohomology_table(R: QuotientRing, powers, degree_lo: int,
-                            degree_hi: int,
-                            config: GBConfig | None = None) -> dict:
+                            degree_hi: int) -> dict:
     """Graded dimensions of every Koszul cohomology H^j(powers; R) in the
     degree window, as {j: {degree: dim}}.
 
@@ -564,7 +557,7 @@ def koszul_cohomology_table(R: QuotientRing, powers, degree_lo: int,
         if D < 0:
             return []
         if D not in piece_cache:
-            piece_cache[D] = std_monomials_of_weighted_degree(J, D, config)
+            piece_cache[D] = std_monomials_of_weighted_degree(J, D)
         return piece_cache[D]
 
     mult_cache: dict = {}
@@ -577,7 +570,7 @@ def koszul_cohomology_table(R: QuotientRing, powers, degree_lo: int,
             index = {m: r for r, m in enumerate(dst)}
             mat = np.zeros((len(dst), len(src)), dtype=np.int64)
             for col, mono in enumerate(src):
-                w = J.normal_form(R.ambient.monomial(mono) * powers[gi], config)
+                w = J.normal_form(R.ambient.monomial(mono) * powers[gi])
                 for m, c in w.terms.items():
                     mat[index[m], col] = c
             mult_cache[key] = mat
@@ -677,8 +670,7 @@ STAB_WINDOW = 2
 
 
 def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
-                         fseq_b: FilterSequence, N: int = 6,
-                         config: GBConfig | None = None) -> NsReport:
+                         fseq_b: FilterSequence, N: int = 6) -> NsReport:
     """Check that two independent filter regular systems of parameters give
     the same stabilized torsion-quotient tables, and that both agree with
     the graded Koszul cohomology oracle at the levels NS_PROBES.
@@ -702,8 +694,8 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
             first = msg
 
     for i in range(d + 1):
-        sa = limit_system(R, fseq_a, i, N, config, audit=False)
-        sb = limit_system(R, fseq_b, i, N, config, audit=False)
+        sa = limit_system(R, fseq_a, i, N, audit=False)
+        sb = limit_system(R, fseq_b, i, N, audit=False)
         for tag, system in (("a", sa), ("b", sb)):
             witness = system.audit_commutation()
             if witness is not None:
@@ -736,11 +728,11 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
                 continue
             powers = [f**n for f in fseq_a.elements]
             full = ideal(R, powers)
-            monos = std_monomials(full, config)
+            monos = std_monomials(full)
             top_internal = max((mono_weighted_degree(m, R.ambient.weights)
                                 for m in monos), default=-1)
             hi = sum(f.weighted_degree() for f in powers) + max(top_internal, 0) + 2
-            table = koszul_cohomology_table(R, powers, 0, hi, config)
+            table = koszul_cohomology_table(R, powers, 0, hi)
             for i in range(d + 1):
                 margin = [table[i].get(D, 0) for D in (hi - 1, hi)]
                 if any(margin):
@@ -805,19 +797,17 @@ class InequalityReport:
 
 
 def _nilpotency_order_in_uniform_powers(R: QuotientRing, elements, a: Polynomial,
-                                        n: int, e_cap: int,
-                                        config: GBConfig | None) -> int | None:
+                                        n: int, e_cap: int) -> int | None:
     """Least e with a^(p^e) in (f_1^(n p^e), ..., f_d^(n p^e)) + J."""
     for e in range(e_cap + 1):
         q = R.p**e
         target = ideal(R, [f**(n * q) for f in elements])
-        if target.contains(frobenius_raise(a, e), config):
+        if target.contains(frobenius_raise(a, e)):
             return e
     return None
 
 
-def verify_inequality(R: QuotientRing, scan, hsl: HslReport,
-                      config: GBConfig | None = None) -> InequalityReport:
+def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport:
     """Check max sampled Frobenius test exponent >= witnessed HSL number.
 
     Also traces the mechanism linking the two sides: for every prefix-power
@@ -857,16 +847,16 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport,
         entry = {"t": t, "n": n, "fte": sample.fte, "classes": []}
         for gen_str in sample.closure_gens or []:
             a = R.parse(gen_str)
-            if family.contains(a, config):
+            if family.contains(a):
                 continue
             pushed = a * push
             record = {"gen": gen_str, "pushed": str(pushed)}
-            if ideal(R, [f**n for f in base]).contains(pushed, config):
+            if ideal(R, [f**n for f in base]).contains(pushed):
                 record["zero_class"] = True
                 entry["classes"].append(record)
                 continue
             order = _nilpotency_order_in_uniform_powers(
-                R, base, pushed, n, max(sample.fte, 1), config)
+                R, base, pushed, n, max(sample.fte, 1))
             record["order"] = order
             record["zero_class"] = False
             if order is None or order > sample.fte:
@@ -921,8 +911,7 @@ class Prop34Report:
 
 
 def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
-                 N: int = 8, e_max: int = 8,
-                 config: GBConfig | None = None) -> Prop34Report:
+                 N: int = 8, e_max: int = 8) -> Prop34Report:
     """Both directions of the closure/nilpotence correspondence.
 
     Forward: every generator of the Frobenius closure of (x_1^n, ..., x_t^n)
@@ -935,32 +924,32 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     prefix = [R.parse(f) if isinstance(f, str) else f for f in prefix_elements]
     t = len(prefix)
     seq = make_sequence(R, prefix)
-    ok_seq, bad = is_filter_regular_sequence(seq, config)
+    ok_seq, bad = is_filter_regular_sequence(seq)
     if not ok_seq:
         raise AlgebraError(f"prefix is not filter regular at index {bad}")
 
     Qn = ideal(R, [f**n for f in prefix])
-    closure = frobenius_closure(Qn, e_max, 2, config)
+    closure = frobenius_closure(Qn, e_max, 2)
     forward: list = []
     forward_ok = True
-    for g in closure.closure.groebner_basis(config):
-        if Qn.contains(g, config):
+    for g in closure.closure.groebner_basis():
+        if Qn.contains(g):
             continue
-        order = _nilpotency_order_in_uniform_powers(R, prefix, g, n, e_max, config)
+        order = _nilpotency_order_in_uniform_powers(R, prefix, g, n, e_max)
         entry = {"gen": str(g), "order": order}
         if order is None or order > e:
             forward_ok = False
             entry["violating"] = True
         forward.append(entry)
 
-    system = limit_system(R, seq, t, N, config)
+    system = limit_system(R, seq, t, N)
     nil = nilpotent_part(system, e)
     backward: list = []
     backward_ok = True
     for w in nil.witnesses:
         level_ideal = ideal(R, [f**w.level for f in prefix])
-        level_closure = frobenius_closure(level_ideal, e_max, 2, config)
-        member = level_closure.closure.contains(R.parse(w.poly), config)
+        level_closure = frobenius_closure(level_ideal, e_max, 2)
+        member = level_closure.closure.contains(R.parse(w.poly))
         entry = {"level": w.level, "order": w.order, "poly": w.poly,
                  "in_closure": member}
         if not member:

@@ -23,7 +23,14 @@ from frobex.frobenius import (
     fte_scan,
     qpower_preimage,
 )
-from frobex.groebner import GBConfig, _nf_terms, ideal, spairs_reduce_to_zero
+from frobex.groebner import (
+    DEFAULT_GB_CONFIG,
+    GBConfig,
+    _nf_terms,
+    ideal,
+    shared_bases,
+    spairs_reduce_to_zero,
+)
 from frobex.localcoh import (
     hsl_estimate,
     limit_system,
@@ -124,14 +131,14 @@ def test_criterion_4_inequality_on_whole_corpus():
     # the sampled test-exponent bound dominates the witnessed HSL number on
     # every corpus ring, with equality on the Cohen-Macaulay members
     for label in corpus_labels():
-        R = load_corpus_ring(label)
-        config = _RAISED_CAPS.get(label)
-        scan = fte_scan(R, config=config)
-        base = make_sequence(R, scan.base_sop)
-        ok, bad = is_filter_regular_sequence(base, config)
-        assert ok, f"{label}: base sequence failed re-verification at {bad}"
-        hsl = hsl_estimate(R, base, N=8, e_max=8, config=config)
-        rep = verify_inequality(R, scan, hsl, config)
+        with shared_bases(_RAISED_CAPS.get(label, DEFAULT_GB_CONFIG)):
+            R = load_corpus_ring(label)
+            scan = fte_scan(R)
+            base = make_sequence(R, scan.base_sop)
+            ok, bad = is_filter_regular_sequence(base)
+            assert ok, f"{label}: base sequence failed re-verification at {bad}"
+            hsl = hsl_estimate(R, base, N=8, e_max=8)
+            rep = verify_inequality(R, scan, hsl)
         assert rep.status == "pass", f"{label}: {rep.status} {rep.notes}"
         assert rep.holds, f"{label}: {rep.max_fte} < {rep.hsl_overall}"
         assert rep.mechanism_ok, f"{label}: mechanism trace failed"
@@ -221,9 +228,9 @@ def test_criterion_8_invariant_suites(monkeypatch):
     audited = []  # (order kind, (caller, its caller), what failed or None)
     build = groebner_module.buchberger_basis
 
-    def audited_build(polys, order, p, config=groebner_module.DEFAULT_GB_CONFIG):
+    def audited_build(polys, order, p, caps):
         polys = [getattr(f, "terms", f) for f in polys]
-        basis, stats = build(polys, order, p, config)
+        basis, stats = build(polys, order, p, caps)
         _, failed = spairs_reduce_to_zero(basis, p, order)
         reducers = [(max(g, key=order.key), g) for g in basis]
         if failed is None and any(_nf_terms(f, reducers, p, order)[0] for f in polys):

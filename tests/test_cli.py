@@ -284,13 +284,13 @@ def test_each_command_shares_bases_only_within_itself(capsys, monkeypatch):
     build = groebner_module.buchberger_basis
     handle_basis = IdealHandle.groebner_basis
 
-    def counted_build(polys, order, p, config=groebner_module.DEFAULT_GB_CONFIG):
+    def counted_build(polys, order, p, caps):
         counts["builds"] += 1
-        return build(polys, order, p, config)
+        return build(polys, order, p, caps)
 
-    def counted_basis(self, config=None):
+    def counted_basis(self):
         counts["misses"] += self._gb is None
-        return handle_basis(self, config)
+        return handle_basis(self)
 
     monkeypatch.setattr(groebner_module, "buchberger_basis", counted_build)
     monkeypatch.setattr(IdealHandle, "groebner_basis", counted_basis)
@@ -362,6 +362,13 @@ def test_resource_cap_during_ring_load_is_exit_three(capsys):
     code, _, _ = run_json(capsys, "dim", "--ring", "fermat-cubic-p2",
                           "--max-degree", "2")
     assert code == 3
+
+
+def test_corpus_listing_builds_its_rings_under_the_caps(capsys):
+    # the cubic relation of fermat-cubic-p2 is over a degree cap of 2
+    code, doc, _ = run_json(capsys, "corpus", "--max-degree", "2")
+    assert code == 3
+    assert doc["error"]["type"] == "ResourceCapExceeded"
 
 
 def test_plain_errors_go_to_stderr(capsys):

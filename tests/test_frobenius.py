@@ -27,7 +27,14 @@ from frobex.frobenius import (
     power_family_ideal,
     qpower_preimage,
 )
-from frobex.groebner import GBConfig, QuotientRing, ideal, quotient_to_data
+from frobex.groebner import (
+    DEFAULT_GB_CONFIG,
+    GBConfig,
+    QuotientRing,
+    ideal,
+    quotient_to_data,
+    shared_bases,
+)
 from frobex.seeding import rng_for
 
 
@@ -144,19 +151,19 @@ def elimination_calls(monkeypatch):
     """Record every fallback qpower_preimage makes to the elimination."""
     calls = []
 
-    def spy(K, e, config=None):
+    def spy(K, e):
         calls.append((K, e))
-        return _preimage_by_elimination(K, e, config)
+        return _preimage_by_elimination(K, e)
 
     monkeypatch.setattr(frobenius_module, "_preimage_by_elimination", spy)
     return calls
 
 
-def assert_graded_matches_oracle(K, e, calls, config=None):
-    got = qpower_preimage(K, e, config)
+def assert_graded_matches_oracle(K, e, calls):
+    got = qpower_preimage(K, e)
     assert not calls, f"fell back to elimination on {K!r}, e={e}"
-    want = _preimage_by_elimination(K, e, config)
-    assert got.groebner_basis(config) == want.groebner_basis(config), (K, e)
+    want = _preimage_by_elimination(K, e)
+    assert got.groebner_basis() == want.groebner_basis(), (K, e)
 
 
 def random_mprimary_K(rng, P, e):
@@ -174,14 +181,14 @@ def random_mprimary_K(rng, P, e):
 
 def test_graded_preimage_matches_elimination_on_random_forms(elimination_calls):
     rng = random.Random(1801)
-    config = GBConfig(max_pairs=50_000, max_degree=400)
-    for p in (2, 3, 7):
-        for names in (("x", "y"), ("x", "y", "z")):
-            P = poly_ring(p, *names)
-            for _ in range(3):
-                for e in (1, 2):
-                    assert_graded_matches_oracle(random_mprimary_K(rng, P, e), e,
-                                                 elimination_calls, config)
+    with shared_bases(GBConfig(max_pairs=50_000, max_degree=400)):
+        for p in (2, 3, 7):
+            for names in (("x", "y"), ("x", "y", "z")):
+                P = poly_ring(p, *names)
+                for _ in range(3):
+                    for e in (1, 2):
+                        assert_graded_matches_oracle(random_mprimary_K(rng, P, e), e,
+                                                     elimination_calls)
 
 
 @pytest.mark.parametrize("label", ["fermat-cubic-p2", "two-planes-f2"])
@@ -203,31 +210,32 @@ def weighted_K():
     return ideal(P, "x^2 + y", "y^3")
 
 
-@pytest.mark.parametrize("make_K, config", [
-    (lambda: ideal(poly_ring(2, "x", "y"), "x^3 + y", "y^2"), None),
-    (lambda: ideal(poly_ring(2, "x", "y"), "x^2"), None),
-    (weighted_K, None),
+@pytest.mark.parametrize("make_K, caps", [
+    (lambda: ideal(poly_ring(2, "x", "y"), "x^3 + y", "y^2"), DEFAULT_GB_CONFIG),
+    (lambda: ideal(poly_ring(2, "x", "y"), "x^2"), DEFAULT_GB_CONFIG),
+    (weighted_K, DEFAULT_GB_CONFIG),
     # K's own basis trips the degree cap; the elimination stays below it
     (lambda: ideal(poly_ring(2, "x", "y"), "x^8 + x^4*y^4", "y^8"),
      GBConfig(max_degree=6)),
 ], ids=["inhomogeneous", "not-m-primary", "weighted", "degree-cap"])
-def test_preimage_fallbacks_take_elimination(make_K, config, elimination_calls):
+def test_preimage_fallbacks_take_elimination(make_K, caps, elimination_calls):
     K = make_K()
-    got = qpower_preimage(K, 2, config)
-    assert len(elimination_calls) == 1
-    want = _preimage_by_elimination(K, 2, config)
-    assert got.groebner_basis(config) == want.groebner_basis(config)
+    with shared_bases(caps):
+        got = qpower_preimage(K, 2)
+        assert len(elimination_calls) == 1
+        want = _preimage_by_elimination(K, 2)
+        assert got.groebner_basis() == want.groebner_basis()
 
 
 def test_fte_on_p7_at_default_caps(elimination_calls):
     # at q = 49 the bracket power has degree 147, over the default degree cap
     # of 120, so the chain's second level must come from the elimination
     R = load_corpus_ring("fermat-cubic-p7")
-    config = GBConfig()
     I = ideal(R, "x^3", "y")
-    res = frobenius_closure(I, config=config)
-    assert res.certified and res.stabilized_at == 0
-    assert fte_of_ideal(I, res.closure, config=config) == 0
+    with shared_bases(GBConfig()):
+        res = frobenius_closure(I)
+        assert res.certified and res.stabilized_at == 0
+        assert fte_of_ideal(I, res.closure) == 0
     assert [e for _, e in elimination_calls] == [2]
 
 
@@ -341,22 +349,30 @@ def test_fte_scan_parallel_matches_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
-def _memo_keys(R, task):
-    return set(groebner_module._SHARED_BASES.get())
+def _caps_and_memo_keys(R, task):
+    caps, memo = groebner_module._SHARED_BASES.get()
+    return caps, set(memo)
 
 
 def test_pooled_task_starts_with_an_empty_memo():
     # a forked worker inherits its parent's context, memo included; the pool
-    # entry point runs each task with a memo of its own
+    # entry point runs each task with a memo of its own, under the caps that
+    # map_tasks hands it
     R = load_corpus_ring("regular-f2-xy")
     data = quotient_to_data(R)
-    alone = frobenius_module._on_ring_data(_memo_keys, data, None)
-    with groebner_module.shared_bases():
+    caps = GBConfig(max_pairs=7_000, max_degree=70)
+    alone = frobenius_module._on_ring_data(_caps_and_memo_keys, data, caps, None)
+    with shared_bases(caps):
         load_corpus_ring("two-planes-f2")
-        parent = set(groebner_module._SHARED_BASES.get())
-        inside = frobenius_module._on_ring_data(_memo_keys, data, None)
-        assert groebner_module._SHARED_BASES.get().keys() == parent
-    assert inside == alone and not parent & inside
+        parent = set(groebner_module._SHARED_BASES.get()[1])
+        inside = frobenius_module._on_ring_data(_caps_and_memo_keys, data, caps, None)
+        assert set(groebner_module._SHARED_BASES.get()[1]) == parent
+        pooled = frobenius_module.map_tasks(_caps_and_memo_keys, R, [0, 1], jobs=2)
+    assert inside == alone and alone[0] == caps and not parent & inside[1]
+    # the ring is rebuilt in each worker, under the caller's caps
+    for got_caps, keys in pooled:
+        assert got_caps == caps and keys and not parent & keys
+        assert {key[2] for key in keys} == {caps}
 
 
 def test_fte_scan_records_sample_failures():
@@ -372,13 +388,14 @@ def test_fte_scan_records_sample_failures():
 def test_failed_scan_samples_keep_their_generators():
     # the degree cap trips in the closure chain, after each ideal is built
     R = load_corpus_ring("regular-f2-xy")
-    config = GBConfig(max_degree=3)
-    serial = fte_scan(R, n_random=0, power_family_max=2, config=config)
+    with shared_bases(GBConfig(max_degree=3)):
+        serial = fte_scan(R, n_random=0, power_family_max=2)
     assert [s.gens for s in serial.samples] == [["x", "y"], ["x^2", "y"],
                                                 ["x^2", "y^2"]]
     assert all(s.error.startswith("ResourceCapExceeded")
                for s in serial.samples)
-    pooled = fte_scan(R, n_random=0, power_family_max=2, jobs=2, config=config)
+    with shared_bases(GBConfig(max_degree=3)):
+        pooled = fte_scan(R, n_random=0, power_family_max=2, jobs=2)
     assert pooled.to_dict() == serial.to_dict()
 
 

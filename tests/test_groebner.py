@@ -1,9 +1,11 @@
 """Groebner engine: bases, normal forms, ideal operations, quotient rings."""
 
+import ast
 import itertools
 import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,16 +115,18 @@ def test_gb_stats_populated():
 def test_pair_budget_cap():
     P = poly_ring(3, "x", "y")
     I = ideal(P, "x^2 + y", "y^2 + x")
-    with pytest.raises(ResourceCapExceeded) as err:
-        I.groebner_basis(GBConfig(max_pairs=0))
+    with groebner_module.shared_bases(GBConfig(max_pairs=0)):
+        with pytest.raises(ResourceCapExceeded) as err:
+            I.groebner_basis()
     assert err.value.stats.pairs_processed >= 1
 
 
 def test_degree_cap():
     P = poly_ring(3, "x", "y")
     I = ideal(P, "x^2 + y")
-    with pytest.raises(ResourceCapExceeded):
-        I.groebner_basis(GBConfig(max_degree=1))
+    with groebner_module.shared_bases(GBConfig(max_degree=1)):
+        with pytest.raises(ResourceCapExceeded):
+            I.groebner_basis()
 
 
 def test_spair_audit_flags_incomplete_basis():
@@ -141,6 +145,37 @@ def test_every_basis_goes_through_groebner():
                            for value in vars(module).values()), name
 
 
+def _calls_gbconfig(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GBConfig")
+
+
+def test_caps_come_only_from_the_enclosing_block():
+    # buchberger_basis is the one function that takes caps; everything else
+    # reads them from shared_bases(), and only the CLI makes a GBConfig
+    # besides the library default
+    takes_config, makes_caps = [], []
+    for path in sorted(Path(groebner_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        default = {node.value.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and _calls_gbconfig(node.value)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["DEFAULT_GB_CONFIG"]}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    x for x in (a.vararg, a.kwarg) if x is not None]
+                if any(x.arg == "config" for x in params):
+                    takes_config.append(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+            elif _calls_gbconfig(node) and node.lineno not in default:
+                makes_caps.append(path.stem)
+        if path.stem == "groebner":
+            assert len(default) == 1
+    assert takes_config == ["groebner.buchberger_basis"]
+    assert makes_caps == ["cli"]
+
+
 # --- bases shared within a block ---
 
 @pytest.fixture
@@ -149,9 +184,9 @@ def builds(monkeypatch):
     seen = []
     build = groebner_module.buchberger_basis
 
-    def counted(polys, order, p, config=groebner_module.DEFAULT_GB_CONFIG):
+    def counted(polys, order, p, caps):
         seen.append(polys)
-        return build(polys, order, p, config)
+        return build(polys, order, p, caps)
 
     monkeypatch.setattr(groebner_module, "buchberger_basis", counted)
     return seen
@@ -169,20 +204,20 @@ def test_shared_basis_equals_direct_build():
                 for _ in range(4):
                     gens = [P.poly(_random_terms(rng, nvars, p, rng.randrange(2, 4), 2))
                             for _ in range(rng.randrange(2, 4))]
-                    with groebner_module.shared_bases():
+                    with groebner_module.shared_bases(config):
                         handle = ideal(P, gens)
                         try:
                             want, stats = buchberger_basis(gens, order, p, config)
                         except ResourceCapExceeded:
                             with pytest.raises(ResourceCapExceeded):
-                                handle.groebner_basis(config)
+                                handle.groebner_basis()
                             raised += 1
                             continue
-                        got = handle.groebner_basis(config)
+                        got = handle.groebner_basis()
                         assert [g.terms for g in got] == want
                         assert handle.gb_stats.to_dict() == stats.to_dict()
                         again = ideal(P, gens)
-                        assert again.groebner_basis(config) == got
+                        assert again.groebner_basis() == got
                         assert again.gb_stats.to_dict() == stats.to_dict()
                         checked += 1
     assert checked > 50 and raised > 0
@@ -206,8 +241,9 @@ def test_caps_are_part_of_the_key(builds):
     with groebner_module.shared_bases():
         ideal(P, gens).groebner_basis()
         for _ in range(2):
-            with pytest.raises(ResourceCapExceeded):
-                ideal(P, gens).groebner_basis(GBConfig(max_pairs=0))
+            with groebner_module.shared_bases(GBConfig(max_pairs=0)):
+                with pytest.raises(ResourceCapExceeded):
+                    ideal(P, gens).groebner_basis()
         # a run that hits a cap is not stored, so the second one builds again
         assert len(builds) == 3
 
@@ -218,16 +254,28 @@ def test_sharing_is_scoped_to_the_outermost_block(builds):
     ideal(P, gens).groebner_basis()
     ideal(P, gens).groebner_basis()
     assert len(builds) == 2
+    assert groebner_module.caps_in_force() == groebner_module.DEFAULT_GB_CONFIG
     with groebner_module.shared_bases():
-        memo = groebner_module._SHARED_BASES.get()
+        caps, memo = groebner_module._SHARED_BASES.get()
+        assert caps == groebner_module.DEFAULT_GB_CONFIG
         with groebner_module.shared_bases():
-            assert groebner_module._SHARED_BASES.get() is memo
+            assert groebner_module._SHARED_BASES.get()[1] is memo
             ideal(P, gens).groebner_basis()
         ideal(P, gens).groebner_basis()
         assert len(builds) == 3
+        # a nested block sets its own caps on the outer block's memo, and
+        # the outer caps come back when it exits
+        raised = GBConfig(max_pairs=1_000, max_degree=60)
+        with groebner_module.shared_bases(raised):
+            assert groebner_module._SHARED_BASES.get() == (raised, memo)
+            assert groebner_module.caps_in_force() == raised
+            ideal(P, gens).groebner_basis()
+            ideal(P, gens).groebner_basis()
+        assert len(builds) == 4
+        assert groebner_module._SHARED_BASES.get() == (caps, memo)
     assert groebner_module._SHARED_BASES.get() is None
     ideal(P, gens).groebner_basis()
-    assert len(builds) == 4
+    assert len(builds) == 5
 
 
 # --- normal forms and membership ---
@@ -415,20 +463,20 @@ def colon_saturations(monkeypatch):
     """Record every saturation that falls back to iterated colons."""
     calls = []
 
-    def spy(I, K, config=None, max_steps=200):
+    def spy(I, K, max_steps=200):
         calls.append((I, K))
-        return _saturation_by_colons(I, K, config, max_steps)
+        return _saturation_by_colons(I, K, max_steps)
 
     monkeypatch.setattr(groebner_module, "_saturation_by_colons", spy)
     return calls
 
 
-def assert_saturation_matches_oracle(I, K, config=None):
+def assert_saturation_matches_oracle(I, K):
     """saturation and the colon loop agree on the reduced basis and on s;
     returns s."""
-    got, s = saturation(I, K, config)
-    want, t = _saturation_by_colons(I, K, config)
-    assert got.groebner_basis(config) == want.groebner_basis(config), I
+    got, s = saturation(I, K)
+    want, t = _saturation_by_colons(I, K)
+    assert got.groebner_basis() == want.groebner_basis(), I
     assert s == t, I
     return s
 
@@ -472,10 +520,10 @@ def test_saturation_matches_colons_on_corpus_run(monkeypatch, colon_saturations)
     # corpus ring at seed 42
     recorded = {}
 
-    def spy(I, K, config=None, max_steps=200):
+    def spy(I, K, max_steps=200):
         key = (I.quotient.label, tuple(I.generators), tuple(K.generators))
-        recorded.setdefault(key, (I, K, config))
-        return saturation(I, K, config, max_steps)
+        recorded.setdefault(key, (I, K))
+        return saturation(I, K, max_steps)
 
     monkeypatch.setattr(localcoh_module, "saturation", spy)
     monkeypatch.setattr(filterreg_module, "saturation", spy)
@@ -485,8 +533,8 @@ def test_saturation_matches_colons_on_corpus_run(monkeypatch, colon_saturations)
                                 "--seed", "42", "--jobs", "1"]) == 0
     assert not colon_saturations, "a corpus saturation fell back to colons"
     assert len({key[0] for key in recorded}) == len(labels)
-    exponents = [assert_saturation_matches_oracle(I, K, config)
-                 for I, K, config in recorded.values()]
+    exponents = [assert_saturation_matches_oracle(I, K)
+                 for I, K in recorded.values()]
     assert len(exponents) > 50 and max(exponents) > 0
 
 

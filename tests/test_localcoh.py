@@ -164,8 +164,8 @@ def test_weighted_m_primary_snapshot_matches_membership_loop():
 def test_understated_saturation_exponent_is_an_inconsistency(monkeypatch):
     # the kill-exponent search is bounded by saturation's s; an s that is
     # too small is an internal bug, not a failed check
-    def understated(I, K, config=None):
-        sat, s = saturation(I, K, config)
+    def understated(I, K):
+        sat, s = saturation(I, K)
         return sat, s - 1
 
     monkeypatch.setattr(localcoh_module, "saturation", understated)
@@ -521,7 +521,7 @@ def test_one_tower_reports_equal_separate_towers(label):
     N, e_max = 4, 2
     for i in range(R.dim + 1):
         base, probe = _hsl_tower(R, i, seq.element_strings(), seq.verified,
-                                 N, e_max, None)
+                                 N, e_max)
         assert base == nilpotent_part(limit_system(R, seq, i, N), e_max)
         assert probe == nilpotent_part(limit_system(R, seq, i, N + PROBE_STEP),
                                        e_max + 1)
@@ -657,10 +657,10 @@ def test_ns_check_corrupted_tower_fails_audit(monkeypatch):
     bad = limit_system(R, seq, 2, 4, audit=False)
     bad.frobenius[1] = (bad.frobenius[1] + 1) % 2
 
-    def corrupted(R, fseq, i, N, config=None, audit=True):
+    def corrupted(R, fseq, i, N, audit=True):
         if fseq is seq and i == 2:
             return bad
-        return limit_system(R, fseq, i, N, config, audit)
+        return limit_system(R, fseq, i, N, audit)
 
     monkeypatch.setattr(localcoh_module, "limit_system", corrupted)
     rep = ns_consistency_check(R, seq, verified(R, ["y", "x"]), N=4)
