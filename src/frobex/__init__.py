@@ -60,8 +60,6 @@ from .groebner import (
     dimension,
     ideal,
     intersect,
-    quotient_from_data,
-    quotient_to_data,
     ring_fingerprint,
     saturation,
     shared_bases,
@@ -102,8 +100,7 @@ __all__ = [
     "DEFAULT_GB_CONFIG", "GBConfig", "GBStats", "IdealHandle",
     "ImproperIdealError", "NotZeroDimensionalError", "QuotientRing",
     "ResourceCapExceeded", "colon", "dimension", "ideal", "intersect",
-    "quotient_from_data", "quotient_to_data", "ring_fingerprint",
-    "saturation", "shared_bases", "std_monomials",
+    "ring_fingerprint", "saturation", "shared_bases", "std_monomials",
     "HslReport", "InequalityReport", "LimitSystem", "NilpotentReport",
     "NsReport", "Prop34Report", "TorsionQuotientSnapshot",
     "hsl_estimate", "koszul_cohomology_table",

@@ -350,11 +350,7 @@ def cmd_verify_inequality(args) -> int:
     jobs = _require_jobs(args)
     scan = fte_scan(R, n_random=args.samples, seed=args.seed, e_max=args.emax,
                     window=args.window, jobs=jobs)
-    base_seq = make_sequence(R, scan.base_sop)
-    ok, bad = is_filter_regular_sequence(base_seq)
-    if not ok:
-        raise AlgebraError(f"scan base sequence failed re-verification at {bad}")
-    hsl = hsl_estimate(R, base_seq, N=args.trunc, e_max=args.emax, jobs=jobs)
+    hsl = hsl_estimate(R, scan.base, N=args.trunc, e_max=args.emax, jobs=jobs)
     report = verify_inequality(R, scan, hsl)
     payload = {**report.to_dict(), "scan": scan.to_dict(), "hsl": hsl.to_dict()}
     lines = [f"max Fte over samples: {report.max_fte}",
@@ -517,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_flags(args) -> None:
     checks = [("--trunc", getattr(args, "trunc", 1), 1),
               ("--emax", getattr(args, "emax", 1), 0),
+              ("--n", getattr(args, "n", 1), 1),
+              ("--e", getattr(args, "e", 0), 0),
               ("--window", getattr(args, "window", 1), 1),
               ("--samples", getattr(args, "samples", 0), 0),
               ("--jobs", getattr(args, "jobs", 0), 0),

@@ -21,7 +21,7 @@ import json
 from importlib import resources
 
 from .algebra import AlgebraError, ParseError, PolyRing, is_prime, parse_poly
-from .groebner import QuotientRing, ResourceCapExceeded, quotient_from_data
+from .groebner import QuotientRing, ResourceCapExceeded
 
 
 class RingSpecError(Exception):
@@ -66,35 +66,29 @@ def validate_ring_spec(data) -> dict:
 
 
 def ring_from_spec(data) -> QuotientRing:
-    """Build the quotient ring described by a validated spec dict."""
+    """Build the quotient ring described by a validated spec dict.
+
+    Every relation must be homogeneous for the spec's grading (all ones when
+    absent); that is checked before any Groebner work on the relations."""
     spec = validate_ring_spec(data)
     try:
-        _check_homogeneous(spec)
-        return quotient_from_data({
-            "characteristic": spec["characteristic"],
-            "variables": list(spec["variables"]),
-            "relations": list(spec["relations"]),
-            "grading": spec.get("grading"),
-            "label": spec["label"],
-        })
+        ambient = PolyRing(spec["characteristic"], spec["variables"],
+                           grading=spec.get("grading"))
+        relations = []
+        for text in spec["relations"]:
+            g = parse_poly(ambient, text)
+            if not g.is_homogeneous():
+                raise RingSpecError(
+                    f"relation {text!r} is not homogeneous for the grading "
+                    f"{list(ambient.weights)}")
+            relations.append(g)
+        return QuotientRing(ambient, relations, label=spec["label"])
     except ParseError as exc:
         raise RingSpecError(f"bad relation polynomial: {exc}") from exc
     except ResourceCapExceeded:
         raise  # a resource cap is not a spec problem; let the caller classify
     except AlgebraError as exc:
         raise RingSpecError(str(exc)) from exc
-
-
-def _check_homogeneous(spec: dict):
-    """Every relation must be homogeneous for the spec's grading (all ones
-    when absent); checked before any Groebner work on the relations."""
-    ambient = PolyRing(spec["characteristic"], spec["variables"],
-                       grading=spec.get("grading"))
-    for text in spec["relations"]:
-        if not parse_poly(ambient, text).is_homogeneous():
-            raise RingSpecError(
-                f"relation {text!r} is not homogeneous for the grading "
-                f"{list(ambient.weights)}")
 
 
 def load_ring_spec(path: str) -> QuotientRing:

@@ -29,6 +29,10 @@ from .groebner import (
 )
 from .seeding import rng_for
 
+# random_filter_regular_sop: candidates per step, restarts of the search
+_MAX_TRIES = 60
+_RESTARTS = 25
+
 
 class SearchExhausted(AlgebraError):
     """Random search failed to find an admissible element."""
@@ -39,14 +43,12 @@ class FilterSequence:
     """A sequence of elements of the maximal ideal m of R.
 
     ``verified`` is True once the whole sequence is certified filter
-    regular, by the construction or by is_filter_regular_sequence.  ``seed``
-    records how a random search was derived, None for hand-picked sequences.
+    regular, by the construction or by is_filter_regular_sequence.
     """
 
     ring: QuotientRing
     elements: tuple[Polynomial, ...]
     verified: bool
-    seed: int | None = None
 
     def __len__(self):
         return len(self.elements)
@@ -59,11 +61,10 @@ class FilterSequence:
         return [str(f) for f in self.elements]
 
 
-def make_sequence(R: QuotientRing, elements,
-                  seed: int | None = None) -> FilterSequence:
+def make_sequence(R: QuotientRing, elements) -> FilterSequence:
     """Wrap raw elements (str or Polynomial) without verifying them."""
     elems = tuple(R.parse(f) if isinstance(f, str) else f for f in elements)
-    return FilterSequence(R, elems, False, seed)
+    return FilterSequence(R, elems, False)
 
 
 def filter_regular_failure(seq: FilterSequence) -> int | None:
@@ -110,15 +111,14 @@ def is_system_of_parameters(R: QuotientRing, elements) -> bool:
     return dimension(q) == 0
 
 
-def random_filter_regular_sop(R: QuotientRing, seed: int,
-                              max_tries: int = 60, restarts: int = 25) -> FilterSequence:
+def random_filter_regular_sop(R: QuotientRing, seed: int) -> FilterSequence:
     """Random linear forms built one at a time; each new element must keep
     the prefix filter regular and drop the dimension by one.
 
     Over tiny fields a prefix can be a dead end (every remaining linear form
-    a zerodivisor where it should not be), so after max_tries failures at
+    a zerodivisor where it should not be), so after _MAX_TRIES failures at
     one step the whole sequence is rebuilt from a derived seed, up to
-    `restarts` times.  Returns a fully verified FilterSequence of length
+    _RESTARTS times.  Returns a fully verified FilterSequence of length
     dim(R) whose ideal is a parameter ideal; raises SearchExhausted when
     every restart dead-ends.
     """
@@ -127,7 +127,7 @@ def random_filter_regular_sop(R: QuotientRing, seed: int,
     variables = R.ambient.gens()
     p = R.p
     last_fail = "step 1"
-    for attempt in range(restarts):
+    for attempt in range(_RESTARTS):
         rng = rng_for(seed, "sop", attempt)
         chosen: list[Polynomial] = []
         for step in range(d):
@@ -135,7 +135,7 @@ def random_filter_regular_sop(R: QuotientRing, seed: int,
             saturated, _ = saturation(prefix, m)
             found = None
             nv = len(variables)
-            for _ in range(max_tries):
+            for _ in range(_MAX_TRIES):
                 # bias toward sparse forms: downstream Frobenius eliminations
                 # stay cheap, and sparse parameters are just as admissible
                 size = 1 + min(rng.randrange(nv), rng.randrange(nv))
@@ -163,7 +163,7 @@ def random_filter_regular_sop(R: QuotientRing, seed: int,
                 break
             chosen.append(found)
         else:
-            return FilterSequence(R, tuple(chosen), True, seed)
+            return FilterSequence(R, tuple(chosen), True)
     raise SearchExhausted(
-        f"no filter regular linear system of parameters after {restarts} "
-        f"restarts of {max_tries} tries (last failure at {last_fail})")
+        f"no filter regular linear system of parameters after {_RESTARTS} "
+        f"restarts of {_MAX_TRIES} tries (last failure at {last_fail})")

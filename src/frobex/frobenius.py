@@ -57,8 +57,6 @@ from .groebner import (
     caps_in_force,
     fresh_names,
     ideal,
-    quotient_from_data,
-    quotient_to_data,
     ring_fingerprint,
     shared_bases,
 )
@@ -277,10 +275,9 @@ def fte_of_ideal(I: IdealHandle, closure: IdealHandle, e_max: int = 8) -> int:
 def power_family_ideal(R: QuotientRing, base_elements, t: int, n: int) -> IdealHandle:
     """Parameter ideal (f_1^n, ..., f_t^n, f_{t+1}, ..., f_d) built from a
     system of parameters: the prefix-power families the scan walks."""
-    elems = [R.parse(f) if isinstance(f, str) else f for f in base_elements]
-    if not (1 <= t <= len(elems)):
+    if not (1 <= t <= len(base_elements)):
         raise AlgebraError("prefix length out of range")
-    gens = [f**n for f in elems[:t]] + list(elems[t:])
+    gens = [f**n for f in base_elements[:t]] + list(base_elements[t:])
     return ideal(R, gens)
 
 
@@ -312,14 +309,16 @@ class ScanSample:
 
 @dataclass
 class FteScanReport:
-    """Sampled lower bound for the ring-level Frobenius test exponent."""
+    """Sampled lower bound for the ring-level Frobenius test exponent; base
+    is the verified system of parameters of the power families, emitted as
+    "base_sop"."""
 
     fingerprint: str
     ring_label: str
     seed: int
     n_random: int
     power_family_max: int
-    base_sop: list[str]
+    base: FilterSequence
     samples: list[ScanSample]
     max_fte: int | None
     any_failures: bool
@@ -333,7 +332,7 @@ class FteScanReport:
             "seed": self.seed,
             "n_random": self.n_random,
             "power_family_max": self.power_family_max,
-            "base_sop": self.base_sop,
+            "base_sop": self.base.element_strings(),
             "samples": [s.to_dict() for s in self.samples],
             "max_fte": self.max_fte,
             "any_failures": self.any_failures,
@@ -377,31 +376,29 @@ def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
     """[fn(R, task) for task in tasks], on a process pool of up to `jobs`
     workers when jobs > 1 and there is more than one task.
 
-    fn, the tasks and the results cross the pool pickled, so fn is a
+    fn, R, the tasks and the results cross the pool pickled, so fn is a
     module-level function or a functools.partial of one.  A pooled task
-    runs in a shared_bases() block of its own, under the caps in force at
-    the call and with an empty memo, and gets R rebuilt there from
-    quotient_to_data(R), so fn must not depend on anything cached in R.
-    The results are identical either way.
+    gets an unpickled copy of R, and runs in a shared_bases() block of its
+    own, under the caps in force at the call and with an empty memo.  The
+    results are identical either way.
     """
     if jobs > 1 and len(tasks) > 1:
-        run = functools.partial(_on_ring_data, fn, quotient_to_data(R),
-                                caps_in_force())
+        run = functools.partial(_pooled, fn, R, caps_in_force())
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(run, tasks))
     return [fn(R, task) for task in tasks]
 
 
-def _on_ring_data(fn, ring_data: dict, caps: GBConfig, task):
-    """Pool entry point of map_tasks: fn on the ring rebuilt from its data,
-    in a shared_bases(caps) block of its own.  It runs in an empty context,
-    because a forked worker starts with a copy of its parent's memo."""
-    return contextvars.Context().run(_in_own_memo, fn, ring_data, caps, task)
+def _pooled(fn, R: QuotientRing, caps: GBConfig, task):
+    """Pool entry point of map_tasks: fn(R, task) in a shared_bases(caps)
+    block of its own.  It runs in an empty context, because a forked worker
+    starts with a copy of its parent's memo."""
+    return contextvars.Context().run(_in_own_memo, fn, R, caps, task)
 
 
-def _in_own_memo(fn, ring_data: dict, caps: GBConfig, task):
+def _in_own_memo(fn, R: QuotientRing, caps: GBConfig, task):
     with shared_bases(caps):
-        return fn(quotient_from_data(ring_data), task)
+        return fn(R, task)
 
 
 def parameter_base(R: QuotientRing, seed: int) -> FilterSequence:
@@ -437,7 +434,6 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     if R.dim < 1:
         raise AlgebraError("scan needs a ring of positive dimension")
     base = parameter_base(R, seed)
-    base_strs = base.element_strings()
     tasks: list[dict] = []
     for k in range(n_random):
         tasks.append({
@@ -452,7 +448,7 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
             tasks.append({
                 "kind": "power-family",
                 "descriptor": {"t": t, "n": n},
-                "base": base_strs,
+                "base": base.elements,
             })
     samples = map_tasks(functools.partial(_run_sample, e_max=e_max, window=window),
                         R, tasks, jobs)
@@ -463,7 +459,7 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
         seed=seed,
         n_random=n_random,
         power_family_max=power_family_max,
-        base_sop=base_strs,
+        base=base,
         samples=samples,
         max_fte=max(good) if good else None,
         any_failures=any(s.error is not None for s in samples),

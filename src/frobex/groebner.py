@@ -776,29 +776,3 @@ def std_monomials_of_weighted_degree(I: IdealHandle, degree: int) -> list[Mono]:
     out.sort(key=key)
     return out
 
-
-# ---------------------------------------------------------------------------
-# (de)serialization of ring descriptions
-
-
-def quotient_to_data(R: QuotientRing) -> dict:
-    data = {
-        "characteristic": R.p,
-        "variables": list(R.variables),
-        "relations": [str(g) for g in R.relations.own_gens],
-        "label": R.label,
-    }
-    if R.grading is not None:
-        data["grading"] = list(R.grading)
-    return data
-
-
-def quotient_from_data(data: dict) -> QuotientRing:
-    from .algebra import PrimeField
-
-    field = PrimeField(int(data["characteristic"]))
-    grading = data.get("grading")
-    ambient = PolyRing(field, data["variables"], MonomialOrder("grevlex"),
-                       tuple(grading) if grading else None)
-    return QuotientRing(ambient, list(data.get("relations", [])),
-                        label=data.get("label", ""))

@@ -472,14 +472,11 @@ class HslReport:
         }
 
 
-def _hsl_tower(R: QuotientRing, i: int, sequence: list[str], verified: bool,
-               N: int, e_max: int) -> tuple[NilpotentReport, NilpotentReport]:
-    """Base and probe nilpotency reports of the i-th limit tower of the
-    sequence given by its element strings and verified flag (a task of
-    map_tasks).  The tower is built once, at the probe's truncation; the
-    base report reads its first N levels."""
-    fseq = make_sequence(R, sequence)
-    fseq.verified = verified
+def _hsl_tower(R: QuotientRing, i: int, fseq: FilterSequence, N: int,
+               e_max: int) -> tuple[NilpotentReport, NilpotentReport]:
+    """Base and probe nilpotency reports of the i-th limit tower of fseq (a
+    task of map_tasks).  The tower is built once, at the probe's truncation;
+    the base report reads its first N levels."""
     system = limit_system(R, fseq, i, N + PROBE_STEP)
     return (nilpotent_part(system.truncated(N), e_max),
             nilpotent_part(system, e_max + 1))
@@ -489,20 +486,22 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
                  e_max: int = 8, jobs: int = 1) -> HslReport:
     """Witnessed HSL numbers for every cohomological degree 0..dim(R).
 
-    The sequence must be a verified filter regular system of parameters.
-    Each tower is built once, to truncation N + PROBE_STEP: the base report
-    reads levels 1..N with chain depth e_max, the probe reads every level
-    with depth e_max + 1, and agreement sets the stability flag.
+    The sequence must be a filter regular system of parameters (one not
+    marked verified is verified here), and e_max must be >= 1.  Each tower
+    is built once, to truncation N + PROBE_STEP: the base report reads
+    levels 1..N with chain depth e_max, the probe reads every level with
+    depth e_max + 1, and agreement sets the stability flag.
     """
     d = R.dim
     if len(fseq) != d:
         raise AlgebraError(f"need a full system of parameters ({d} elements)")
+    if e_max < 1:
+        raise AlgebraError("e_max must be >= 1")
     if not fseq.verified:
         ok, bad = is_filter_regular_sequence(fseq)
         if not ok:
             raise AlgebraError(f"sequence is not filter regular at index {bad}")
-    tower = functools.partial(_hsl_tower, sequence=fseq.element_strings(),
-                              verified=fseq.verified, N=N, e_max=e_max)
+    tower = functools.partial(_hsl_tower, fseq=fseq, N=N, e_max=e_max)
     bases, probes = zip(*map_tasks(tower, R, list(range(d + 1)), jobs))
     per_index = {i: r.max_order for i, r in enumerate(bases)}
     per_index_stable = {i: r.max_order == per_index[i]
@@ -831,8 +830,7 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
         notes.append("HSL probe run disagreed with the base run")
     holds = scan.max_fte is not None and scan.max_fte >= hsl.overall
 
-    base = [R.parse(s) for s in scan.base_sop]
-    d = R.dim
+    base = scan.base.elements
     mechanism: list = []
     mechanism_ok = True
     for sample in scan.samples:
@@ -921,6 +919,8 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     in the computed Frobenius closure at its level.  Both directions are
     vacuously true on rings with trivial closures and no nilpotent classes.
     """
+    if n < 1:
+        raise AlgebraError("power n must be >= 1")
     prefix = [R.parse(f) if isinstance(f, str) else f for f in prefix_elements]
     t = len(prefix)
     seq = make_sequence(R, prefix)

@@ -134,7 +134,7 @@ def test_criterion_4_inequality_on_whole_corpus():
         with shared_bases(_RAISED_CAPS.get(label, DEFAULT_GB_CONFIG)):
             R = load_corpus_ring(label)
             scan = fte_scan(R)
-            base = make_sequence(R, scan.base_sop)
+            base = make_sequence(R, scan.base.elements)
             ok, bad = is_filter_regular_sequence(base)
             assert ok, f"{label}: base sequence failed re-verification at {bad}"
             hsl = hsl_estimate(R, base, N=8, e_max=8)

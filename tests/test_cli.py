@@ -342,6 +342,28 @@ def test_bad_flag_value_is_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("prop34-check", "--ring", "fermat-cubic-p2", "--prefix", "y,z", "--n", "0"),
+    ("prop34-check", "--ring", "fermat-cubic-p2", "--prefix", "y,z", "--n", "-2"),
+    ("frobenius", "power", "--ring", "regular-f2-xy", "--ideal", "x", "--e", "-1"),
+    ("frobenius", "preimage", "--ring", "regular-f2-xy", "--ideal", "x",
+     "--e", "-1"),
+], ids=["prop34-n0", "prop34-n-2", "power-e-1", "preimage-e-1"])
+def test_bad_exponent_flag_is_usage(capsys, argv):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["schema"] == "frobex/error/1"
+
+
+def test_hsl_emax_zero_is_check_failure(capsys):
+    # no Frobenius chain is read at depth 0, so no HSL number is witnessed
+    code, doc, _ = run_json(capsys, "hsl", "--ring", "depth-zero-f2",
+                            "--sequence", "y", "--emax", "0")
+    assert code == 1
+    assert doc["error"] == {"type": "AlgebraError",
+                            "message": "e_max must be >= 1"}
+
+
 def test_algebra_error_is_check_failure(capsys):
     code, doc, _ = run_json(capsys, "frobenius", "closure", "--ring",
                             "regular-f2-xy", "--ideal", "x", "--emax", "0")

@@ -2,6 +2,7 @@
 
 import pytest
 
+import frobex.filterreg as filterreg_module
 from frobex.algebra import AlgebraError, MonomialOrder, PolyRing, PrimeField
 from frobex.corpus import load_corpus_ring
 from frobex.filterreg import (
@@ -85,7 +86,6 @@ def test_random_sop_is_deterministic():
     a = random_filter_regular_sop(R, seed=42)
     b = random_filter_regular_sop(R, seed=42)
     assert a.element_strings() == b.element_strings()
-    assert a.seed == 42
 
 
 def test_random_sop_on_singular_corpus_rings():
@@ -104,8 +104,10 @@ def test_random_sop_zero_dimensional_ring_is_empty():
     assert is_system_of_parameters(R, [])
 
 
-def test_random_sop_exhaustion_is_reported():
+def test_random_sop_exhaustion_is_reported(monkeypatch):
     R = quotient(2, ("x", "y"), [])
+    monkeypatch.setattr(filterreg_module, "_MAX_TRIES", 0)
+    monkeypatch.setattr(filterreg_module, "_RESTARTS", 2)
     with pytest.raises(SearchExhausted) as err:
-        random_filter_regular_sop(R, seed=1, max_tries=0, restarts=2)
+        random_filter_regular_sop(R, seed=1)
     assert "restarts" in str(err.value)

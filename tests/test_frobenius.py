@@ -32,7 +32,7 @@ from frobex.groebner import (
     GBConfig,
     QuotientRing,
     ideal,
-    quotient_to_data,
+    ring_fingerprint,
     shared_bases,
 )
 from frobex.seeding import rng_for
@@ -294,14 +294,15 @@ def test_closure_to_dict_shape():
 
 def test_power_family_ideal():
     R = load_corpus_ring("regular-f2-xy")
-    fam = power_family_ideal(R, ["x", "y"], t=1, n=3)
+    base = R.ambient.gens()
+    fam = power_family_ideal(R, base, t=1, n=3)
     assert {str(g) for g in fam.own_gens} == {"x^3", "y"}
-    fam = power_family_ideal(R, ["x", "y"], t=2, n=2)
+    fam = power_family_ideal(R, base, t=2, n=2)
     assert {str(g) for g in fam.own_gens} == {"x^2", "y^2"}
     with pytest.raises(AlgebraError):
-        power_family_ideal(R, ["x", "y"], t=0, n=1)
+        power_family_ideal(R, base, t=0, n=1)
     with pytest.raises(AlgebraError):
-        power_family_ideal(R, ["x", "y"], t=3, n=1)
+        power_family_ideal(R, base, t=3, n=1)
 
 
 def test_parameter_base_prefers_coordinates():
@@ -324,7 +325,9 @@ def test_fte_scan_regular_ring():
     assert kinds.count("random-sop") == 2
     assert kinds.count("power-family") == 3  # (1,1), (1,2), (2,2)
     assert all(s.nontrivial is False for s in report.samples)
-    assert report.base_sop == ["x", "y"]
+    assert report.base.element_strings() == ["x", "y"]
+    assert report.base.verified
+    assert report.to_dict()["base_sop"] == ["x", "y"]
 
 
 def test_fte_scan_detects_fermat_closure():
@@ -349,7 +352,8 @@ def test_fte_scan_parallel_matches_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
-def _caps_and_memo_keys(R, task):
+def _memo_after_one_basis(R, task):
+    ideal(R, ["x"]).groebner_basis()
     caps, memo = groebner_module._SHARED_BASES.get()
     return caps, set(memo)
 
@@ -357,22 +361,35 @@ def _caps_and_memo_keys(R, task):
 def test_pooled_task_starts_with_an_empty_memo():
     # a forked worker inherits its parent's context, memo included; the pool
     # entry point runs each task with a memo of its own, under the caps that
-    # map_tasks hands it
+    # map_tasks hands it, and the task's one basis is the only one built
     R = load_corpus_ring("regular-f2-xy")
-    data = quotient_to_data(R)
     caps = GBConfig(max_pairs=7_000, max_degree=70)
-    alone = frobenius_module._on_ring_data(_caps_and_memo_keys, data, caps, None)
+    gens = ideal(R, ["x"]).generators
+    key = (R.ambient.order, R.p, caps,
+           tuple(frozenset(g.terms.items()) for g in gens))
+    alone = frobenius_module._pooled(_memo_after_one_basis, R, caps, None)
     with shared_bases(caps):
         load_corpus_ring("two-planes-f2")
         parent = set(groebner_module._SHARED_BASES.get()[1])
-        inside = frobenius_module._on_ring_data(_caps_and_memo_keys, data, caps, None)
+        inside = frobenius_module._pooled(_memo_after_one_basis, R, caps, None)
         assert set(groebner_module._SHARED_BASES.get()[1]) == parent
-        pooled = frobenius_module.map_tasks(_caps_and_memo_keys, R, [0, 1], jobs=2)
-    assert inside == alone and alone[0] == caps and not parent & inside[1]
-    # the ring is rebuilt in each worker, under the caller's caps
-    for got_caps, keys in pooled:
-        assert got_caps == caps and keys and not parent & keys
-        assert {key[2] for key in keys} == {caps}
+        pooled = frobenius_module.map_tasks(_memo_after_one_basis, R, [0, 1],
+                                            jobs=2)
+    assert parent and key not in parent
+    assert alone == inside == (caps, {key})
+    assert pooled == [(caps, {key})] * 2
+
+
+def _ring_summary(R, task):
+    return R.grading, ring_fingerprint(R), R.dim
+
+
+def test_pooled_tasks_get_the_callers_ring():
+    W = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (1, 2))
+    R = QuotientRing(W, ["x^4 + y^2"])
+    serial = frobenius_module.map_tasks(_ring_summary, R, [0, 1], jobs=1)
+    pooled = frobenius_module.map_tasks(_ring_summary, R, [0, 1], jobs=2)
+    assert pooled == serial == [((1, 2), ring_fingerprint(R), R.dim)] * 2
 
 
 def test_fte_scan_records_sample_failures():

@@ -520,8 +520,7 @@ def test_one_tower_reports_equal_separate_towers(label):
     seq = parameter_base(R, seed=42)
     N, e_max = 4, 2
     for i in range(R.dim + 1):
-        base, probe = _hsl_tower(R, i, seq.element_strings(), seq.verified,
-                                 N, e_max)
+        base, probe = _hsl_tower(R, i, seq, N, e_max)
         assert base == nilpotent_part(limit_system(R, seq, i, N), e_max)
         assert probe == nilpotent_part(limit_system(R, seq, i, N + PROBE_STEP),
                                        e_max + 1)
@@ -560,6 +559,15 @@ def test_hsl_verifies_or_rejects_sequence():
     D = load_corpus_ring("depth-zero-f2")
     with pytest.raises(AlgebraError):
         hsl_estimate(D, make_sequence(D, ["x"]), N=3, e_max=1)
+
+
+def test_hsl_needs_a_positive_chain_depth():
+    # depth 0 reads no Frobenius chain, so it would report HSL 0 on a ring
+    # whose HSL is 1
+    D = load_corpus_ring("depth-zero-f2")
+    with pytest.raises(AlgebraError, match="e_max must be >= 1"):
+        hsl_estimate(D, verified(D, ["y"]), N=3, e_max=0)
+    assert hsl_estimate(D, verified(D, ["y"]), N=3, e_max=1).overall == 1
 
 
 # --- graded Koszul oracle ---
@@ -733,6 +741,14 @@ def test_prop34_vacuous_on_regular_ring():
     rep = prop34_check(R, ["x", "y"], n=1, e=1, N=4, e_max=4)
     assert rep.ok
     assert rep.forward == [] and rep.backward == []
+
+
+def test_prop34_rejects_a_power_below_one():
+    # n = 0 would check the unit ideal
+    R = load_corpus_ring("fermat-cubic-p2")
+    for n in (0, -2):
+        with pytest.raises(AlgebraError, match="n must be >= 1"):
+            prop34_check(R, ["y", "z"], n=n, e=1, N=3, e_max=2)
 
 
 def test_prop34_rejects_bad_prefix():
