@@ -711,6 +711,25 @@ def test_quotient_ring_basics():
     assert ring_fingerprint(C).startswith("GF(3)[x,y]/")
 
 
+# a ring reaches pool workers pickled, so it must come back whole
+
+def test_quotient_data_roundtrip():
+    R = QuotientRing(poly_ring(3, "x", "y"), ["x^2 + 2*y^2"], label="conic")
+    back = pickle.loads(pickle.dumps(R))
+    assert back.p == 3 and back.label == "conic"
+    assert back == R
+    assert ring_fingerprint(back) == ring_fingerprint(R)
+    assert ring_fingerprint(R).startswith("GF(3)[x,y]/")
+
+
+def test_quotient_data_grading_survives():
+    W = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (1, 2))
+    R = QuotientRing(W, ["x^4 + y^2"])
+    back = pickle.loads(pickle.dumps(R))
+    assert back.grading == (1, 2)
+    assert back == R
+
+
 def test_fresh_names_avoid_collisions():
     assert fresh_names(("t0", "x"), "t", 2) == ["t1", "t2"]
     assert fresh_names(("x", "y"), "w", 2) == ["w0", "w1"]
