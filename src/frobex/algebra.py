@@ -41,7 +41,12 @@ class ParseError(AlgebraError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        # pickled out of a pool worker; the default would call cls(str(self))
+        return type(self), (self.message, self.position)
 
 
 def is_prime(n: int) -> bool:

@@ -38,6 +38,7 @@ from .frobenius import (
     fte_of_ideal,
     fte_scan,
     qpower_preimage,
+    task_pool,
 )
 from .groebner import (
     GBConfig,
@@ -533,7 +534,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         _validate_flags(args)
-        with shared_bases(_gb_caps(args)):
+        with shared_bases(_gb_caps(args)), task_pool():
             return args.func(args)
     except ResourceCapExceeded as exc:
         _emit_error(args, exc, EXIT_RESOURCE)

@@ -27,6 +27,7 @@ against HSL numbers.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import itertools
@@ -49,10 +50,12 @@ from .filterreg import (
     random_filter_regular_sop,
 )
 from .groebner import (
+    DEFAULT_GB_CONFIG,
     GBConfig,
     IdealHandle,
     QuotientRing,
     ResourceCapExceeded,
+    _SHARED_BASES,
     _nf_terms,
     caps_in_force,
     fresh_names,
@@ -116,15 +119,13 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     if not all(g.is_homogeneous() for g in K.generators):
         return None
     try:
-        gb = K.groebner_basis()
+        reducers = K.reducers()
     except ResourceCapExceeded:
         return None
-    lms = [g.leading_monomial() for g in gb]
     # m-primary: some leading monomial is a pure power of each variable
-    if not all(any(lm[i] == sum(lm) for lm in lms) for i in range(n)):
+    if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
         return None
     p, q, order = ring.p, ring.p**e, ring.order
-    reducers = [(lm, g.terms) for lm, g in zip(lms, gb)]
     gens: list[Polynomial] = []
     for d in itertools.count():
         monos = monomials_of_weighted_degree(n, d, ring.weights)
@@ -283,11 +284,14 @@ def power_family_ideal(R: QuotientRing, base_elements, t: int, n: int) -> IdealH
 
 @dataclass
 class ScanSample:
+    """One scanned parameter ideal; closure_gens is the reduced basis of
+    its Frobenius closure, written out as strings by to_dict."""
+
     kind: str
     descriptor: dict
     gens: list[str]
     fte: int | None = None
-    closure_gens: list[str] | None = None
+    closure_gens: list[Polynomial] | None = None
     stabilized_at: int | None = None
     certified: bool | None = None
     nontrivial: bool | None = None
@@ -299,7 +303,8 @@ class ScanSample:
             "descriptor": self.descriptor,
             "gens": self.gens,
             "fte": self.fte,
-            "closure_gens": self.closure_gens,
+            "closure_gens": (None if self.closure_gens is None
+                             else [str(g) for g in self.closure_gens]),
             "stabilized_at": self.stabilized_at,
             "certified": self.certified,
             "nontrivial": self.nontrivial,
@@ -359,7 +364,7 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSam
         closure = frobenius_closure(I, e_max, window)
         fte = fte_of_ideal(I, closure.closure, e_max)
         sample.fte = fte
-        sample.closure_gens = [str(g) for g in closure.closure.groebner_basis()]
+        sample.closure_gens = list(closure.closure.groebner_basis())
         sample.stabilized_at = closure.stabilized_at
         sample.certified = closure.certified
         sample.nontrivial = not closure.closure.equals(I)
@@ -372,31 +377,74 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSam
         return sample
 
 
+class _PoolBlock:
+    """The pool of one task_pool() block, started by the first map that
+    needs it and joined by the block's ExitStack."""
+
+    def __init__(self, stack: contextlib.ExitStack):
+        self.stack = stack
+        self.pool = None
+
+    def map(self, run, tasks: list, jobs: int) -> list:
+        if self.pool is None:
+            self.pool = self.stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks)), initializer=_start_worker))
+        return list(self.pool.map(run, tasks))
+
+
+# the pool of the innermost task_pool() block, None outside any block
+_TASK_POOL: contextvars.ContextVar[_PoolBlock | None] = \
+    contextvars.ContextVar("frobex_task_pool", default=None)
+
+
+@contextlib.contextmanager
+def task_pool():
+    """Share one process pool between the map_tasks calls inside the block.
+
+    The first call that pools starts it, with min(jobs, len(tasks))
+    workers, and later calls reuse those workers whatever their jobs.  The
+    block's exit joins the pool, so no worker outlives it.
+    """
+    with contextlib.ExitStack() as stack:
+        token = _TASK_POOL.set(_PoolBlock(stack))
+        try:
+            yield
+        finally:
+            _TASK_POOL.reset(token)
+
+
 def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
-    """[fn(R, task) for task in tasks], on a process pool of up to `jobs`
-    workers when jobs > 1 and there is more than one task.
+    """[fn(R, task) for task in tasks], on the process pool of the enclosing
+    task_pool() block when jobs > 1 and there is more than one task (a
+    block of the call's own outside any block).
 
     fn, R, the tasks and the results cross the pool pickled, so fn is a
     module-level function or a functools.partial of one.  A pooled task
-    gets an unpickled copy of R, and runs in a shared_bases() block of its
-    own, under the caps in force at the call and with an empty memo.  The
+    gets an unpickled copy of R, and runs under the caps in force at the
+    call, through its worker's basis memo: empty when the worker starts,
+    and shared by the tasks that worker runs until the block exits.  The
     results are identical either way.
     """
     if jobs > 1 and len(tasks) > 1:
-        run = functools.partial(_pooled, fn, R, caps_in_force())
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(run, tasks))
+        block = _TASK_POOL.get()
+        if block is None:
+            with task_pool():
+                return map_tasks(fn, R, tasks, jobs)
+        return block.map(functools.partial(_pooled, fn, R, caps_in_force()),
+                         tasks, jobs)
     return [fn(R, task) for task in tasks]
 
 
+def _start_worker() -> None:
+    """Pool initializer: the worker's one basis memo, empty whatever the
+    start method copied from the parent, and kept until the pool is joined."""
+    _SHARED_BASES.set((DEFAULT_GB_CONFIG, {}))
+
+
 def _pooled(fn, R: QuotientRing, caps: GBConfig, task):
-    """Pool entry point of map_tasks: fn(R, task) in a shared_bases(caps)
-    block of its own.  It runs in an empty context, because a forked worker
-    starts with a copy of its parent's memo."""
-    return contextvars.Context().run(_in_own_memo, fn, R, caps, task)
-
-
-def _in_own_memo(fn, R: QuotientRing, caps: GBConfig, task):
+    """Pool entry point of map_tasks: fn(R, task) under the caller's caps,
+    through the worker's memo (see _start_worker), so tasks on one worker
+    share their bases under those caps."""
     with shared_bases(caps):
         return fn(R, task)
 

@@ -53,6 +53,10 @@ class ResourceCapExceeded(AlgebraError):
         self.reason = reason
         self.stats = stats
 
+    def __reduce__(self):
+        # pickled out of a pool worker; the default would call cls(reason)
+        return type(self), (self.reason, self.stats)
+
 
 class ImproperIdealError(AlgebraError):
     """Operation needs a proper ideal but received the unit ideal."""
@@ -366,11 +370,13 @@ class IdealHandle:
     appended automatically in every Groebner computation, so membership and
     equality are those of the quotient ring.  The reduced basis is computed
     once and cached, under the caps of the shared_bases() block in force
-    when it is first asked for.  Inside a block (every CLI command runs in
-    one), a fresh handle with the same generators, order and caps as an
-    earlier one gets that basis without a rebuild; a pooled task of
-    frobenius.map_tasks starts with an empty memo under the caller's caps.
-    The results are identical either way.
+    when it is first asked for, and so is its reducer list for normal
+    forms.  Inside a block (every CLI command runs in one), a fresh handle
+    with the same generators, order and caps as an earlier one gets that
+    basis without a rebuild; a pooled task of frobenius.map_tasks goes
+    through its worker's memo instead, which starts empty and is shared by
+    the tasks of that worker, under the caller's caps.  The results are
+    identical either way.
     """
 
     def __init__(self, ring, gens=()):
@@ -394,6 +400,7 @@ class IdealHandle:
                 own.append(g)
         self.own_gens: tuple[Polynomial, ...] = tuple(own)
         self._gb: tuple[Polynomial, ...] | None = None
+        self._reducers: tuple[tuple[Mono, dict], ...] | None = None
         self._stats: GBStats | None = None
 
     @property
@@ -423,6 +430,14 @@ class IdealHandle:
             self._stats = stats
         return self._gb
 
+    def reducers(self) -> tuple[tuple[Mono, dict], ...]:
+        """The reduced basis as the (leading monomial, terms) pairs that
+        _nf_terms reduces by, built once per handle."""
+        gb = self.groebner_basis()
+        if self._reducers is None:
+            self._reducers = tuple((g.leading_monomial(), g.terms) for g in gb)
+        return self._reducers
+
     @property
     def gb_stats(self) -> GBStats | None:
         return self._stats
@@ -432,9 +447,8 @@ class IdealHandle:
             f = parse_poly(self._ambient, f)
         if f.ring != self._ambient:
             raise RingMismatchError("polynomial from a different ring")
-        gb = self.groebner_basis()
-        reducers = [(g.leading_monomial(), g.terms) for g in gb]
-        rem, _ = _nf_terms(f.terms, reducers, self._ambient.p, self._ambient.order)
+        rem, _ = _nf_terms(f.terms, self.reducers(), self._ambient.p,
+                           self._ambient.order)
         return Polynomial(self._ambient, rem)
 
     def contains(self, f) -> bool:

@@ -838,18 +838,18 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
             continue
         t, n = sample.descriptor["t"], sample.descriptor["n"]
         family = power_family_ideal(R, base, t, n)
+        uniform = ideal(R, [f**n for f in base])
         tail = R.ambient.one()
         for f in base[t:]:
             tail = tail * f
         push = tail**(n - 1)
         entry = {"t": t, "n": n, "fte": sample.fte, "classes": []}
-        for gen_str in sample.closure_gens or []:
-            a = R.parse(gen_str)
+        for a in sample.closure_gens or []:
             if family.contains(a):
                 continue
             pushed = a * push
-            record = {"gen": gen_str, "pushed": str(pushed)}
-            if ideal(R, [f**n for f in base]).contains(pushed):
+            record = {"gen": str(a), "pushed": str(pushed)}
+            if uniform.contains(pushed):
                 record["zero_class"] = True
                 entry["classes"].append(record)
                 continue

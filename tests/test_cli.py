@@ -2,10 +2,12 @@
 
 import functools
 import json
+import multiprocessing
 
 import pytest
 
 import frobex.cli as cli_module
+import frobex.frobenius as frobenius_module
 import frobex.groebner as groebner_module
 from frobex.cli import main
 from frobex.groebner import IdealHandle, saturation
@@ -306,6 +308,36 @@ def test_each_command_shares_bases_only_within_itself(capsys, monkeypatch):
     # commands, and within one command a repeated basis is built once
     assert seen[0] == seen[1]
     assert 0 < seen[0][0] < seen[0][1]
+
+
+@pytest.mark.parametrize("argv, pools", [
+    (("verify-inequality", "--samples", "1"), 1),  # scan, then towers
+    (("ns-check",), 0),  # no phase of ns-check is pooled
+])
+def test_one_pool_per_command(capsys, monkeypatch, argv, pools):
+    entered = []
+
+    class CountingPool(frobenius_module.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(frobenius_module, "ProcessPoolExecutor", CountingPool)
+    code, doc, _ = run_json(capsys, *argv, "--ring", "depth-zero-f2",
+                            "--trunc", "4", "--jobs", "2")
+    assert code == 0, doc
+    assert len(entered) == pools
+    assert multiprocessing.active_children() == []
+
+
+def test_cap_trip_in_a_pool_worker_is_exit_three(capsys):
+    runs = [run_json(capsys, "hsl", "--ring", "two-planes-f2",
+                     "--max-pairs", "60", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert runs[0][0] == runs[1][0] == 3
+    assert runs[1][1]["error"]["type"] == "ResourceCapExceeded"
+    assert without_timestamp(runs[0][1]) == without_timestamp(runs[1][1])
+    assert multiprocessing.active_children() == []
 
 
 # --- exit codes and error documents ---

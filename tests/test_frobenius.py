@@ -1,12 +1,16 @@
 """Bracket powers, q-th power preimages, Frobenius closure, test exponents."""
 
 import math
+import os
+import pickle
 import random
+import sys
 
 import pytest
 
 import frobex.frobenius as frobenius_module
 import frobex.groebner as groebner_module
+from frobex import algebra, corpus, filterreg, localcoh
 from frobex.algebra import (
     AlgebraError,
     MonomialOrder,
@@ -352,32 +356,75 @@ def test_fte_scan_parallel_matches_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
-def _memo_after_one_basis(R, task):
-    ideal(R, ["x"]).groebner_basis()
+def _memo_around_one_basis(R, gen):
     caps, memo = groebner_module._SHARED_BASES.get()
-    return caps, set(memo)
+    before = set(memo)
+    ideal(R, [gen]).groebner_basis()
+    return os.getpid(), caps, before, set(memo)
 
 
-def test_pooled_task_starts_with_an_empty_memo():
-    # a forked worker inherits its parent's context, memo included; the pool
-    # entry point runs each task with a memo of its own, under the caps that
-    # map_tasks hands it, and the task's one basis is the only one built
+def test_pool_workers_keep_one_memo_per_command():
+    # a forked worker starts with a copy of its parent's memo; the pool's
+    # initializer empties it, and the worker's tasks then share it, under the
+    # caps of the map, until the command's pool block exits.  A worker runs
+    # its tasks in the order they were mapped, so each task must see exactly
+    # the keys that the worker's earlier tasks of that command left.
     R = load_corpus_ring("regular-f2-xy")
     caps = GBConfig(max_pairs=7_000, max_degree=70)
-    gens = ideal(R, ["x"]).generators
-    key = (R.ambient.order, R.p, caps,
-           tuple(frozenset(g.terms.items()) for g in gens))
-    alone = frobenius_module._pooled(_memo_after_one_basis, R, caps, None)
-    with shared_bases(caps):
-        load_corpus_ring("two-planes-f2")
-        parent = set(groebner_module._SHARED_BASES.get()[1])
-        inside = frobenius_module._pooled(_memo_after_one_basis, R, caps, None)
-        assert set(groebner_module._SHARED_BASES.get()[1]) == parent
-        pooled = frobenius_module.map_tasks(_memo_after_one_basis, R, [0, 1],
-                                            jobs=2)
-    assert parent and key not in parent
-    assert alone == inside == (caps, {key})
-    assert pooled == [(caps, {key})] * 2
+    gens = ["x", "y", "x + y"]
+    task_keys = {(R.ambient.order, R.p, caps,
+                  tuple(frozenset(g.terms.items())
+                        for g in ideal(R, [gen]).generators))
+                 for gen in gens}
+    for _command in range(2):
+        with shared_bases(caps), frobenius_module.task_pool():
+            ideal(R, ["x"]).groebner_basis()  # a key the tasks build too
+            load_corpus_ring("two-planes-f2")
+            parent = set(groebner_module._SHARED_BASES.get()[1])
+            results = (
+                frobenius_module.map_tasks(_memo_around_one_basis, R,
+                                           ["x", "y", "x", "y"], jobs=2)
+                + frobenius_module.map_tasks(_memo_around_one_basis, R,
+                                             ["x + y", "x"], jobs=2))
+        assert parent - task_keys and parent & task_keys
+        seen: dict[int, set] = {}
+        for pid, task_caps, before, after in results:
+            assert task_caps == caps
+            assert before == seen.get(pid, set())
+            assert after <= task_keys  # every key carries the caps
+            seen[pid] = after
+        # four tasks on at most two workers: a later task on one worker
+        # found the basis an earlier one built
+        assert any(before for _, _, before, _ in results[:4])
+
+
+def test_every_frobex_exception_survives_pickle():
+    # a pooled task's exception comes back to the parent pickled
+    stats = groebner_module.GBStats(pairs_processed=61)
+    samples = [
+        algebra.AlgebraError("no inverse"),
+        algebra.RingMismatchError("different rings"),
+        algebra.ExponentOverflowError("too big"),
+        algebra.ParseError("unexpected token", 4),
+        corpus.RingSpecError("no such ring"),
+        filterreg.SearchExhausted("no admissible element"),
+        groebner_module.ResourceCapExceeded("pair budget exhausted: 60", stats),
+        groebner_module.ImproperIdealError("unit ideal"),
+        groebner_module.NotZeroDimensionalError("positive dimension"),
+        frobenius_module.InconsistencyError("not ascending"),
+        localcoh.TorsionSpanError("outside the span"),
+    ]
+    defined = {value for name, module in sys.modules.items()
+               if name.startswith("frobex")
+               for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, Exception)
+               and value.__module__ == name}
+    assert defined == {type(exc) for exc in samples}
+    for exc in samples:
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert str(copy) == str(exc) and copy.args == exc.args
+        assert vars(copy) == vars(exc)
 
 
 def _ring_summary(R, task):
