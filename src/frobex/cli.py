@@ -1,11 +1,12 @@
 """Command line front end.
 
-Every subcommand reads a ring (--ring takes a spec file path or a bundled
-corpus label), emits either an aligned table or --json (a single document
-with a "schema" tag and a "timestamp"; identical argv and seed give
+Every subcommand but corpus reads a ring (--ring takes a spec file path or
+a bundled corpus label), emits either an aligned table or --json (a single
+document with a "schema" tag and a "timestamp"; identical argv and seed give
 byte-identical JSON apart from the timestamp), and exits 0 on
 pass/success, 1 on a failed check, 2 on usage errors, 3 when a resource
-cap aborted the computation.
+cap aborted the computation.  Each subcommand declares only the flags of
+_FLAGS that it reads; any other flag is a usage error.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def _emit(args, name: str, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _emit_error(args, exc: Exception, code: int) -> None:
-    if getattr(args, "json", False):
+def _emit_error(as_json: bool, exc: Exception, code: int) -> None:
+    if as_json:
         doc = {
             "schema": "frobex/error/1",
             "timestamp": _timestamp(),
@@ -392,158 +393,134 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+# Each flag by name: its lower bound (None if unbounded) and its argparse
+# keywords.  _validate_flags checks the bounds in this order.  Only dim's
+# --ideal and sat's --by, which are optional there, are declared elsewhere.
+_FLAGS = {
+    "--ring": (None, dict(metavar="PATH_OR_LABEL",
+                          help="ring spec file or bundled corpus label")),
+    "--json": (None, dict(action="store_true", help="emit a single JSON document")),
+    "--seed": (None, dict(type=int, default=42)),
+    "--trunc": (1, dict(type=int, default=8, metavar="N",
+                        help="limit-system truncation level")),
+    "--emax": (0, dict(type=int, default=8, metavar="E", help="Frobenius chain depth bound")),
+    "--n": (1, dict(type=int, default=1)),
+    "--e": (0, dict(type=int, default=1)),
+    "--window": (1, dict(type=int, default=2, metavar="W",
+                         help="stabilization window for closure chains")),
+    "--samples": (0, dict(type=int, default=5, metavar="K",
+                          help="random parameter ideals per scan")),
+    "--jobs": (0, dict(type=int, default=0, metavar="J",
+                       help="worker processes (0 = all cores)")),
+    "--max-pairs": (1, dict(type=int, default=50_000)),
+    "--max-degree": (1, dict(type=int, default=120)),
+    "--ideal": (None, dict(required=True, help="comma-separated generators")),
+    "--by": (None, dict(required=True)),
+    "--poly": (None, dict(required=True)),
+    "--elements": (None, dict(required=True)),
+    "--prefix": (None, dict(required=True, help="comma-separated filter regular prefix")),
+    "--sequence": (None, dict(default="",
+                              help="filter regular system of parameters (default: random)")),
+}
 
-def _common() -> argparse.ArgumentParser:
-    c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("--ring", metavar="PATH_OR_LABEL",
-                   help="ring spec file or bundled corpus label")
-    c.add_argument("--json", action="store_true", help="emit a single JSON document")
-    c.add_argument("--seed", type=int, default=42)
-    c.add_argument("--trunc", type=int, default=8, metavar="N",
-                   help="limit-system truncation level")
-    c.add_argument("--emax", type=int, default=8, metavar="E",
-                   help="Frobenius chain depth bound")
-    c.add_argument("--window", type=int, default=2, metavar="W",
-                   help="stabilization window for closure chains")
-    c.add_argument("--samples", type=int, default=5, metavar="K",
-                   help="random parameter ideals per scan")
-    c.add_argument("--jobs", type=int, default=0, metavar="J",
-                   help="worker processes (0 = all cores)")
-    c.add_argument("--max-pairs", type=int, default=50_000)
-    c.add_argument("--max-degree", type=int, default=120)
-    return c
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that main() reports them like any other."""
+
+    def error(self, message):
+        raise RingSpecError(f"{self.prog}: {message}")
+
+
+def _command(sub, name: str, func, flags: str, help: str) -> argparse.ArgumentParser:
+    """Subcommand run by func, taking the given _FLAGS besides --json and the
+    caps, which main() reads for every command."""
+    sp = sub.add_parser(name, help=help)
+    for flag in flags.split() + ["--json", "--max-pairs", "--max-degree"]:
+        sp.add_argument(flag, **_FLAGS[flag][1])
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobex",
         description="Frobenius closures, test exponents, and HSL numbers "
                     "for rings of prime characteristic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("gb", parents=[common], help="reduced Groebner basis")
-    sp.add_argument("--ideal", required=True, help="comma-separated generators")
-    sp.set_defaults(func=cmd_gb)
-
-    sp = sub.add_parser("nf", parents=[common], help="normal form of a polynomial")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--poly", required=True)
-    sp.set_defaults(func=cmd_nf)
-
-    sp = sub.add_parser("dim", parents=[common], help="Krull dimension of R/I")
+    _command(sub, "gb", cmd_gb, "--ring --ideal", "reduced Groebner basis")
+    _command(sub, "nf", cmd_nf, "--ring --ideal --poly", "normal form of a polynomial")
+    sp = _command(sub, "dim", cmd_dim, "--ring", "Krull dimension of R/I")
     sp.add_argument("--ideal", default="", help="defaults to the zero ideal")
-    sp.set_defaults(func=cmd_dim)
-
-    sp = sub.add_parser("colon", parents=[common], help="ideal colon (I : K)")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--by", required=True)
-    sp.set_defaults(func=cmd_colon)
-
-    sp = sub.add_parser("sat", parents=[common], help="saturation (I : K^inf)")
-    sp.add_argument("--ideal", required=True)
+    _command(sub, "colon", cmd_colon, "--ring --ideal --by", "ideal colon (I : K)")
+    sp = _command(sub, "sat", cmd_sat, "--ring --ideal", "saturation (I : K^inf)")
     sp.add_argument("--by", default="", help="defaults to the maximal ideal")
-    sp.set_defaults(func=cmd_sat)
-
-    sp = sub.add_parser("filter-check", parents=[common],
-                        help="test a sequence for filter regularity")
-    sp.add_argument("--elements", required=True)
-    sp.set_defaults(func=cmd_filter_check)
-
-    sp = sub.add_parser("sop-random", parents=[common],
-                        help="random filter regular system of parameters")
-    sp.set_defaults(func=cmd_sop_random)
+    _command(sub, "filter-check", cmd_filter_check, "--ring --elements",
+             "test a sequence for filter regularity")
+    _command(sub, "sop-random", cmd_sop_random, "--ring --seed",
+             "random filter regular system of parameters")
 
     fr = sub.add_parser("frobenius", help="Frobenius powers, preimages, closures")
     frsub = fr.add_subparsers(dest="action", required=True)
-    sp = frsub.add_parser("power", parents=[common], help="bracket power I^[p^e]")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--e", type=int, default=1)
-    sp.set_defaults(func=cmd_frobenius_power)
-    sp = frsub.add_parser("preimage", parents=[common],
-                          help="q-power preimage {x : x^q in K}")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--e", type=int, default=1)
-    sp.set_defaults(func=cmd_frobenius_preimage)
-    sp = frsub.add_parser("closure", parents=[common], help="Frobenius closure I^F")
-    sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=cmd_frobenius_closure)
-    sp = frsub.add_parser("fte", parents=[common],
-                          help="Frobenius test exponent of an ideal")
-    sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=cmd_frobenius_fte)
-
+    _command(frsub, "power", cmd_frobenius_power, "--ring --e --ideal",
+             "bracket power I^[p^e]")
+    _command(frsub, "preimage", cmd_frobenius_preimage, "--ring --e --ideal",
+             "q-power preimage {x : x^q in K}")
+    _command(frsub, "closure", cmd_frobenius_closure, "--ring --emax --window --ideal",
+             "Frobenius closure I^F")
+    _command(frsub, "fte", cmd_frobenius_fte, "--ring --emax --window --ideal",
+             "Frobenius test exponent of an ideal")
     # top-level shorthand for the most common query
-    sp = sub.add_parser("fte", parents=[common],
-                        help="shorthand for 'frobenius fte'")
-    sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=cmd_frobenius_fte)
+    _command(sub, "fte", cmd_frobenius_fte, "--ring --emax --window --ideal",
+             "shorthand for 'frobenius fte'")
 
-    sp = sub.add_parser("fte-scan", parents=[common],
-                        help="closure/test-exponent scan over parameter ideals")
-    sp.set_defaults(func=cmd_fte_scan)
-
-    sp = sub.add_parser("hsl", parents=[common], help="HSL numbers per degree")
-    sp.add_argument("--sequence", default="",
-                    help="filter regular system of parameters (default: random)")
-    sp.set_defaults(func=cmd_hsl)
-
-    sp = sub.add_parser("ns-check", parents=[common],
-                        help="two-seed limit-tower consistency check")
-    sp.set_defaults(func=cmd_ns_check)
-
-    sp = sub.add_parser("prop34-check", parents=[common],
-                        help="closure/nilpotence correspondence check")
-    sp.add_argument("--prefix", required=True,
-                    help="comma-separated filter regular prefix")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--e", type=int, default=1)
-    sp.set_defaults(func=cmd_prop34_check)
-
-    sp = sub.add_parser("verify-inequality", parents=[common],
-                        help="compare sampled Fte bound against the HSL estimate")
-    sp.set_defaults(func=cmd_verify_inequality)
-
-    sp = sub.add_parser("corpus", parents=[common], help="bundled example rings")
+    _command(sub, "fte-scan", cmd_fte_scan, "--ring --seed --emax --window --samples --jobs",
+             "closure/test-exponent scan over parameter ideals")
+    _command(sub, "hsl", cmd_hsl, "--ring --seed --trunc --emax --jobs --sequence",
+             "HSL numbers per degree")
+    _command(sub, "ns-check", cmd_ns_check, "--ring --seed --trunc",
+             "two-seed limit-tower consistency check")
+    # no --window: its closures always use window 2
+    _command(sub, "prop34-check", cmd_prop34_check, "--ring --trunc --emax --n --e --prefix",
+             "closure/nilpotence correspondence check")
+    _command(sub, "verify-inequality", cmd_verify_inequality,
+             "--ring --seed --trunc --emax --window --samples --jobs",
+             "compare sampled Fte bound against the HSL estimate")
+    sp = _command(sub, "corpus", cmd_corpus, "", "bundled example rings")
     sp.add_argument("label", nargs="?", help="print one spec instead of the list")
-    sp.set_defaults(func=cmd_corpus)
 
     return parser
 
 
 def _validate_flags(args) -> None:
-    checks = [("--trunc", getattr(args, "trunc", 1), 1),
-              ("--emax", getattr(args, "emax", 1), 0),
-              ("--n", getattr(args, "n", 1), 1),
-              ("--e", getattr(args, "e", 0), 0),
-              ("--window", getattr(args, "window", 1), 1),
-              ("--samples", getattr(args, "samples", 0), 0),
-              ("--jobs", getattr(args, "jobs", 0), 0),
-              ("--max-pairs", getattr(args, "max_pairs", 1), 1),
-              ("--max-degree", getattr(args, "max_degree", 1), 1)]
-    for flag, value, lo in checks:
-        if value < lo:
+    for flag, (lo, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if lo is not None and value is not None and value < lo:
             raise RingSpecError(f"{flag} must be >= {lo}")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except RingSpecError as exc:
+        # a usage error from argparse: there is no namespace to read --json from
+        _emit_error("--json" in argv, exc, EXIT_USAGE)
+        return EXIT_USAGE
     try:
         _validate_flags(args)
         with shared_bases(_gb_caps(args)), task_pool():
             return args.func(args)
     except ResourceCapExceeded as exc:
-        _emit_error(args, exc, EXIT_RESOURCE)
+        _emit_error(args.json, exc, EXIT_RESOURCE)
         return EXIT_RESOURCE
     except (RingSpecError, ParseError) as exc:
-        _emit_error(args, exc, EXIT_USAGE)
+        _emit_error(args.json, exc, EXIT_USAGE)
         return EXIT_USAGE
     except AlgebraError as exc:
-        _emit_error(args, exc, EXIT_CHECK)
+        _emit_error(args.json, exc, EXIT_CHECK)
         return EXIT_CHECK
 
 

@@ -343,10 +343,10 @@ class NilpotentWitness:
     level: int
     order: int
     coords: tuple[int, ...]
-    poly: str
+    poly: Polynomial
 
     def to_dict(self) -> dict:
-        return {"level": self.level, "order": self.order, "poly": self.poly}
+        return {"level": self.level, "order": self.order, "poly": str(self.poly)}
 
 
 @dataclass
@@ -414,9 +414,8 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
             vb = img_b[:, pick].sum(axis=1) % p
             if not (np.any(va) and np.any(vb)):
                 continue
-            poly = snap.from_coordinates(v)
             witnesses.append(NilpotentWitness(n, e, tuple(int(x) for x in v),
-                                              str(poly)))
+                                              snap.from_coordinates(v)))
     max_order = max((w.order for w in witnesses), default=0)
     return NilpotentReport(witnesses, max_order, kernel_dims, undetermined,
                            probe_depths, N, e_max)
@@ -949,8 +948,8 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     for w in nil.witnesses:
         level_ideal = ideal(R, [f**w.level for f in prefix])
         level_closure = frobenius_closure(level_ideal, e_max, 2)
-        member = level_closure.closure.contains(R.parse(w.poly))
-        entry = {"level": w.level, "order": w.order, "poly": w.poly,
+        member = level_closure.closure.contains(w.poly)
+        entry = {"level": w.level, "order": w.order, "poly": str(w.poly),
                  "in_closure": member}
         if not member:
             backward_ok = False

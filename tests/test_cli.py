@@ -1,8 +1,13 @@
 """Command line interface: exit codes, JSON documents, determinism."""
 
+import argparse
+import ast
 import functools
 import json
 import multiprocessing
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -248,7 +253,7 @@ def test_hsl_rejects_bad_sequence(capsys):
 
 def test_ns_check_regular(capsys):
     code, doc, _ = run_json(capsys, "ns-check", "--ring", "regular-f2-xy",
-                            "--trunc", "4", "--jobs", "1")
+                            "--trunc", "4")
     assert code == 0
     assert doc["status"] == "pass"
     assert doc["stabilized"]["0"] == 0
@@ -311,8 +316,9 @@ def test_each_command_shares_bases_only_within_itself(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, pools", [
-    (("verify-inequality", "--samples", "1"), 1),  # scan, then towers
-    (("ns-check",), 0),  # no phase of ns-check is pooled
+    (("verify-inequality", "--samples", "1", "--jobs", "2"), 1),  # scan, then towers
+    # no phase of ns-check is pooled, so it declares no --jobs
+    (("ns-check", "--jobs", "2"), 0),
 ])
 def test_one_pool_per_command(capsys, monkeypatch, argv, pools):
     entered = []
@@ -323,9 +329,11 @@ def test_one_pool_per_command(capsys, monkeypatch, argv, pools):
             return super().__enter__()
 
     monkeypatch.setattr(frobenius_module, "ProcessPoolExecutor", CountingPool)
-    code, doc, _ = run_json(capsys, *argv, "--ring", "depth-zero-f2",
-                            "--trunc", "4", "--jobs", "2")
-    assert code == 0, doc
+    code, doc, _ = run_json(capsys, *argv, "--ring", "depth-zero-f2", "--trunc", "4")
+    if pools:
+        assert code == 0, doc
+    else:
+        assert code == 2 and doc["schema"] == "frobex/error/1"
     assert len(entered) == pools
     assert multiprocessing.active_children() == []
 
@@ -367,6 +375,25 @@ def test_parse_error_is_usage(capsys):
                             "--ideal", "x + !")
     assert code == 2
     assert doc["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gb", "--ring", "regular-f2-xy", "--ideal", "x", "--bogus"),
+    ("gb", "--ring", "regular-f2-xy", "--ideal", "x", "--max-pairs", "0"),
+    ("ns-check", "--ring", "regular-f2-xy", "--jobs", "2"),
+], ids=["unknown-flag", "flag-below-bound", "undeclared-flag"])
+def test_usage_error_under_json_is_the_error_document(capsys, argv):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["schema"] == "frobex/error/1"
+    assert doc["error"]["type"] == "RingSpecError"
+    assert doc["exit_code"] == 2
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "ns-check", "--help")
+    assert code == 0
+    assert out.startswith("usage: frobex ns-check")
 
 
 def test_bad_flag_value_is_usage(capsys):
@@ -443,3 +470,89 @@ def test_ring_spec_file_loading(tmp_path, capsys):
     assert doc["dimension"] == 1
     path.write_text("{not json")
     assert run_json(capsys, "dim", "--ring", str(path))[0] == 2
+
+
+# --- flags ---
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) for each subcommand that runs a handler."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(path), parser
+    for group in groups:
+        for name, sp in group.choices.items():
+            yield from _leaf_parsers(sp, path + (name,))
+
+
+def _args_reads():
+    """For each function of frobex.cli, the args.<name> it reads, directly
+    or through the module's functions it calls."""
+    tree = ast.parse(Path(cli_module.__file__).read_text(encoding="utf-8"))
+    reads, calls = {}, {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            reads[fn.name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                              and isinstance(n.value, ast.Name) and n.value.id == "args"}
+            calls[fn.name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                              and isinstance(n.func, ast.Name)}
+    out = {}
+    for name in reads:
+        seen, todo = set(), [name]
+        while todo:
+            f = todo.pop()
+            if f in reads and f not in seen:
+                seen.add(f)
+                todo.extend(calls[f])
+        out[name] = set().union(*(reads[f] for f in seen))
+    return out
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    # main() reads --json and the caps, and args.func, for every command
+    reads = _args_reads()
+    unread, undeclared = {}, {}
+    for path, sp in _leaf_parsers(cli_module.build_parser()):
+        declared = {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+        read = (reads[sp.get_default("func").__name__] | reads["main"]) - {"func"}
+        if declared - read:
+            unread[path] = sorted(declared - read)
+        if read - declared:
+            undeclared[path] = sorted(read - declared)
+    assert unread == {}
+    assert undeclared == {}
+
+
+# --- README examples ---
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(command line, output lines shown under it) for each `$ frobex` line."""
+    examples, shown = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ frobex "):
+            shown = []
+            examples.append((line.removeprefix("$ frobex "), shown))
+        elif shown is not None and line and not line.startswith("```"):
+            shown.append(line)
+        else:
+            shown = None
+    return examples
+
+
+def _untimed(lines):
+    return [re.sub(r"time=\S+", "time=", line) for line in lines]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, shown", README_EXAMPLES,
+                         ids=[command for command, _ in README_EXAMPLES])
+def test_readme_example_runs(capsys, command, shown):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 0, err
+    if shown:
+        assert _untimed(out.splitlines()) == _untimed(shown)

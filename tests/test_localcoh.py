@@ -299,7 +299,7 @@ def test_nilpotent_part_depth_zero_socle():
     assert report.max_order == 1
     levels = {w.level for w in report.witnesses}
     assert levels == {1, 2}
-    assert all(w.poly == "x" for w in report.witnesses)
+    assert all(str(w.poly) == "x" for w in report.witnesses)
     assert report.undetermined_levels == [3, 4]
     assert report.probe_depths == {1: 2, 2: 1}
 
@@ -322,7 +322,7 @@ def test_fermat_cubic_order_one_witness():
     report = nilpotent_part(system, e_max=1)
     assert report.max_order == 1
     w = next(w for w in report.witnesses if w.level == 1)
-    assert w.poly == "x^2"
+    assert str(w.poly) == "x^2"
 
 
 def full_transition_chain(system, a, b):
@@ -376,7 +376,7 @@ def nilpotent_part_by_full_chains(system, e_max):
             if not (np.any(va) and np.any(vb)):
                 continue
             witnesses.append(NilpotentWitness(n, e, tuple(int(x) for x in v),
-                                              str(snap.from_coordinates(v))))
+                                              snap.from_coordinates(v)))
     max_order = max((w.order for w in witnesses), default=0)
     return NilpotentReport(witnesses, max_order, kernel_dims, undetermined,
                            probe_depths, N, e_max)
@@ -454,7 +454,7 @@ def test_witness_from_a_survivor_plus_an_almost_survivor():
     report = nilpotent_part(system, 2)
     assert report == nilpotent_part_by_full_chains(system, 2)
     assert [w for w in report.witnesses if w.level == 1] == [
-        NilpotentWitness(1, 2, (1, 1), "x+1")]
+        NilpotentWitness(1, 2, (1, 1), R.parse("x + 1"))]
 
 
 # --- HSL estimation ---
@@ -474,7 +474,7 @@ def test_hsl_depth_zero():
     assert rep.per_index == {0: 1, 1: 0}
     assert rep.overall == 1
     assert rep.stable
-    assert any(w.poly == "x" for w in rep.witnesses[0])
+    assert any(str(w.poly) == "x" for w in rep.witnesses[0])
 
 
 def test_hsl_two_planes_f_pure():
