@@ -79,6 +79,7 @@ from .localcoh import (
     nilpotent_part,
     ns_consistency_check,
     prop34_check,
+    scan_and_hsl,
     torsion_quotient,
     verify_inequality,
 )
@@ -105,7 +106,7 @@ __all__ = [
     "NsReport", "Prop34Report", "TorsionQuotientSnapshot",
     "hsl_estimate", "koszul_cohomology_table",
     "limit_system", "nilpotent_part", "ns_consistency_check", "prop34_check",
-    "torsion_quotient", "verify_inequality",
+    "scan_and_hsl", "torsion_quotient", "verify_inequality",
     "derive_seed",
     "__version__",
 ]

@@ -51,7 +51,13 @@ from .groebner import (
     saturation,
     shared_bases,
 )
-from .localcoh import hsl_estimate, ns_consistency_check, prop34_check, verify_inequality
+from .localcoh import (
+    hsl_estimate,
+    ns_consistency_check,
+    prop34_check,
+    scan_and_hsl,
+    verify_inequality,
+)
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -349,10 +355,9 @@ def cmd_prop34_check(args) -> int:
 
 def cmd_verify_inequality(args) -> int:
     R = _load_ring(args)
-    jobs = _require_jobs(args)
-    scan = fte_scan(R, n_random=args.samples, seed=args.seed, e_max=args.emax,
-                    window=args.window, jobs=jobs)
-    hsl = hsl_estimate(R, scan.base, N=args.trunc, e_max=args.emax, jobs=jobs)
+    scan, hsl = scan_and_hsl(R, n_random=args.samples, seed=args.seed,
+                             e_max=args.emax, window=args.window, N=args.trunc,
+                             jobs=_require_jobs(args))
     report = verify_inequality(R, scan, hsl)
     payload = {**report.to_dict(), "scan": scan.to_dict(), "hsl": hsl.to_dict()}
     lines = [f"max Fte over samples: {report.max_fte}",
@@ -425,7 +430,12 @@ _FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so that main() reports them like any other."""
+    """Raises usage errors, so that main() reports them like any other.
+    Flags are matched only in full, here and in every subcommand (which
+    argparse builds with this class), so main() can find --json in argv."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise RingSpecError(f"{self.prog}: {message}")

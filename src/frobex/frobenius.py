@@ -479,6 +479,17 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     Per-sample failures (resource caps, exhausted searches) are recorded on
     the sample and the scan continues.  Requires dim(R) >= 1.
     """
+    base, tasks = _scan_tasks(R, n_random, power_family_max, seed)
+    samples = map_tasks(functools.partial(_run_sample, e_max=e_max, window=window),
+                        R, tasks, jobs)
+    return _scan_report(R, base, samples, n_random, power_family_max, seed,
+                       e_max, window)
+
+
+def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
+               seed: int) -> tuple[FilterSequence, list[dict]]:
+    """The base system of parameters of fte_scan and its sample tasks, each
+    run by _run_sample; raises unless dim(R) >= 1."""
     if R.dim < 1:
         raise AlgebraError("scan needs a ring of positive dimension")
     base = parameter_base(R, seed)
@@ -498,8 +509,13 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
                 "descriptor": {"t": t, "n": n},
                 "base": base.elements,
             })
-    samples = map_tasks(functools.partial(_run_sample, e_max=e_max, window=window),
-                        R, tasks, jobs)
+    return base, tasks
+
+
+def _scan_report(R: QuotientRing, base: FilterSequence, samples: list[ScanSample],
+                n_random: int, power_family_max: int, seed: int, e_max: int,
+                window: int) -> FteScanReport:
+    """The report of fte_scan from its samples, in the order of _scan_tasks."""
     good = [s.fte for s in samples if s.fte is not None and s.error is None]
     return FteScanReport(
         fingerprint=ring_fingerprint(R),

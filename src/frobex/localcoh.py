@@ -41,7 +41,11 @@ from .algebra import (
 )
 from .filterreg import FilterSequence, is_filter_regular_sequence, make_sequence
 from .frobenius import (
+    FteScanReport,
     InconsistencyError,
+    _run_sample,
+    _scan_report,
+    _scan_tasks,
     frobenius_closure,
     map_tasks,
     power_family_ideal,
@@ -489,8 +493,16 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
     marked verified is verified here), and e_max must be >= 1.  Each tower
     is built once, to truncation N + PROBE_STEP: the base report reads
     levels 1..N with chain depth e_max, the probe reads every level with
-    depth e_max + 1, and agreement sets the stability flag.
+    depth e_max + 1, and agreement sets the stability flag.  The towers are
+    mapped from the top degree down.
     """
+    _check_hsl_args(R, fseq, e_max)
+    tower = functools.partial(_hsl_tower, fseq=fseq, N=N, e_max=e_max)
+    towers = map_tasks(tower, R, list(range(R.dim, -1, -1)), jobs)
+    return _hsl_report(R, fseq, N, e_max, towers[::-1])
+
+
+def _check_hsl_args(R: QuotientRing, fseq: FilterSequence, e_max: int) -> None:
     d = R.dim
     if len(fseq) != d:
         raise AlgebraError(f"need a full system of parameters ({d} elements)")
@@ -500,8 +512,13 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
         ok, bad = is_filter_regular_sequence(fseq)
         if not ok:
             raise AlgebraError(f"sequence is not filter regular at index {bad}")
-    tower = functools.partial(_hsl_tower, fseq=fseq, N=N, e_max=e_max)
-    bases, probes = zip(*map_tasks(tower, R, list(range(d + 1)), jobs))
+
+
+def _hsl_report(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
+                towers: list) -> HslReport:
+    """The report of hsl_estimate from the (base, probe) pairs of _hsl_tower,
+    indexed by degree."""
+    bases, probes = zip(*towers)
     per_index = {i: r.max_order for i, r in enumerate(bases)}
     per_index_stable = {i: r.max_order == per_index[i]
                         for i, r in enumerate(probes)}
@@ -520,6 +537,38 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
         probe_N=N + PROBE_STEP,
         probe_e_max=e_max + 1,
     )
+
+
+def scan_and_hsl(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
+                 seed: int = 42, e_max: int = 8, window: int = 2, N: int = 8,
+                 jobs: int = 1) -> tuple[FteScanReport, HslReport]:
+    """fte_scan(R, n_random, power_family_max, seed, e_max, window) and
+    hsl_estimate(R, scan.base, N, e_max), as one map_tasks call.
+
+    The towers need only the base sequence, which is built before the map,
+    so they go first, being the longest tasks, from the top degree down as
+    in hsl_estimate, followed by the scan samples; a pool then waits once,
+    for its slowest worker.  Both reports equal those of the two calls, and
+    the checks of both run, in the same order, before any task does.
+    """
+    base, sample_tasks = _scan_tasks(R, n_random, power_family_max, seed)
+    _check_hsl_args(R, base, e_max)
+    d = R.dim
+    task = functools.partial(_scan_or_tower, fseq=base, N=N, e_max=e_max,
+                             window=window)
+    results = map_tasks(task, R, list(range(d, -1, -1)) + sample_tasks, jobs)
+    scan = _scan_report(R, base, results[d + 1:], n_random, power_family_max,
+                        seed, e_max, window)
+    return scan, _hsl_report(R, base, N, e_max, results[d::-1])
+
+
+def _scan_or_tower(R: QuotientRing, task, fseq: FilterSequence, N: int,
+                   e_max: int, window: int):
+    """A task of scan_and_hsl: the tower of degree task when it is an int,
+    else the scan sample it describes."""
+    if isinstance(task, int):
+        return _hsl_tower(R, task, fseq, N, e_max)
+    return _run_sample(R, task, e_max, window)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,16 @@ one pass/fail line per criterion.
 """
 
 import math
+import multiprocessing
+import os
 import sys
 import time
 
+import pytest
+
 import frobex.groebner as groebner_module
 from frobex.algebra import MonomialOrder, PolyRing, PrimeField, frobenius_raise
+from frobex.cli import main
 from frobex.corpus import corpus_labels, load_corpus_ring
 from frobex.filterreg import (
     is_filter_regular_sequence,
@@ -17,6 +22,7 @@ from frobex.filterreg import (
     random_filter_regular_sop,
 )
 from frobex.frobenius import (
+    InconsistencyError,
     frobenius_closure,
     frobenius_power,
     fte_of_ideal,
@@ -215,17 +221,18 @@ def test_criterion_7_monomial_preimage_oracle():
         assert got.equals(want), f"p={p}, e={e}, monomials {monos}"
 
 
-def test_criterion_8_invariant_suites(monkeypatch):
+def test_criterion_8_invariant_suites(monkeypatch, tmp_path):
     # seeded invariant batteries: termwise Frobenius arithmetic, closure
     # chain ascent/idempotence, tower commutation audits, and a Buchberger
-    # S-pair audit of every Groebner basis built while they run; the whole
-    # acceptance module must finish within 10 minutes
+    # S-pair audit of every Groebner basis built while they run, in pool
+    # workers too; the whole acceptance module must finish within 10 minutes
     rng = rng_for(42, "acceptance", "invariants")
 
     # buchberger_basis builds every basis (test_groebner checks that no other
     # module binds it), so auditing what it returns covers them all: every
     # S-pair and every input polynomial must reduce to zero modulo the basis
     audited = []  # (order kind, (caller, its caller), what failed or None)
+    log = tmp_path / "audited.log"  # "pid ok|failed", one line per basis
     build = groebner_module.buchberger_basis
 
     def audited_build(polys, order, p, caps):
@@ -239,6 +246,11 @@ def test_criterion_8_invariant_suites(monkeypatch):
         # matters is two frames up
         caller = (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name)
         audited.append((order.kind, caller, failed))
+        # a pool worker's list dies with it, so each build is also logged
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {'ok' if failed is None else 'failed'}\n")
+        if failed is not None:
+            raise InconsistencyError(f"basis fails its audit: {failed}")
         return basis, stats
 
     monkeypatch.setattr(groebner_module, "buchberger_basis", audited_build)
@@ -280,6 +292,17 @@ def test_criterion_8_invariant_suites(monkeypatch):
             system = limit_system(S, seq, i, N, audit=False)
             assert system.audit_commutation() is None, f"{label} i={i}"
 
+    # bases built in pool workers: a forked worker inherits the patched
+    # builder, and logs each basis it audits
+    forked = multiprocessing.get_start_method() == "fork"
+    if forked:
+        assert main(["verify-inequality", "--ring", "fermat-cubic-p2",
+                     "--jobs", "2", "--samples", "1"]) == 0
+        workers = [line.split()[1] for line in log.read_text().splitlines()
+                   if line.split()[0] != str(os.getpid())]
+        assert workers, "no basis was built in a pool worker"
+        assert workers.count("failed") == 0, f"{workers.count('failed')} worker bases fail"
+
     # every basis built above passes both checks, block-order tag
     # eliminations and the permuted grevlex bases of saturation included
     failures = [entry for entry in audited if entry[2] is not None]
@@ -289,3 +312,5 @@ def test_criterion_8_invariant_suites(monkeypatch):
                for kind, caller, _ in audited)
 
     assert time.perf_counter() - _T0 < 600, "acceptance module exceeded 10 minutes"
+    if not forked:
+        pytest.skip("pool workers inherit the audited builder only when forked")

@@ -14,6 +14,7 @@ import pytest
 import frobex.cli as cli_module
 import frobex.frobenius as frobenius_module
 import frobex.groebner as groebner_module
+import frobex.localcoh as localcoh_module
 from frobex.cli import main
 from frobex.groebner import IdealHandle, saturation
 
@@ -316,17 +317,22 @@ def test_each_command_shares_bases_only_within_itself(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, pools", [
-    (("verify-inequality", "--samples", "1", "--jobs", "2"), 1),  # scan, then towers
+    (("verify-inequality", "--samples", "1", "--jobs", "2"), 1),  # towers, then scan
     # no phase of ns-check is pooled, so it declares no --jobs
     (("ns-check", "--jobs", "2"), 0),
 ])
 def test_one_pool_per_command(capsys, monkeypatch, argv, pools):
     entered = []
+    mapped = []
 
     class CountingPool(frobenius_module.ProcessPoolExecutor):
         def __enter__(self):
             entered.append(self)
             return super().__enter__()
+
+        def map(self, *args, **kwargs):
+            mapped.append(self)
+            return super().map(*args, **kwargs)
 
     monkeypatch.setattr(frobenius_module, "ProcessPoolExecutor", CountingPool)
     code, doc, _ = run_json(capsys, *argv, "--ring", "depth-zero-f2", "--trunc", "4")
@@ -335,6 +341,29 @@ def test_one_pool_per_command(capsys, monkeypatch, argv, pools):
     else:
         assert code == 2 and doc["schema"] == "frobex/error/1"
     assert len(entered) == pools
+    # and one map on each pool: verify-inequality sends its towers and its
+    # scan samples together
+    assert len(mapped) == pools
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_inequality_checks_emax_before_any_task(capsys, monkeypatch, jobs):
+    # every task of the scan and the towers goes through map_tasks
+    mapped = []
+    map_tasks = frobenius_module.map_tasks
+
+    def counted_map_tasks(*args, **kwargs):
+        mapped.append(args)
+        return map_tasks(*args, **kwargs)
+
+    for module in (frobenius_module, localcoh_module):
+        monkeypatch.setattr(module, "map_tasks", counted_map_tasks)
+    code, doc, _ = run_json(capsys, "verify-inequality", "--ring", "two-planes-f2",
+                            "--emax", "0", "--jobs", jobs)
+    assert code == 1
+    assert doc["error"] == {"type": "AlgebraError", "message": "e_max must be >= 1"}
+    assert mapped == []
     assert multiprocessing.active_children() == []
 
 
@@ -388,6 +417,21 @@ def test_usage_error_under_json_is_the_error_document(capsys, argv):
     assert doc["schema"] == "frobex/error/1"
     assert doc["error"]["type"] == "RingSpecError"
     assert doc["exit_code"] == 2
+
+
+def test_flags_match_only_in_full(capsys):
+    # --jso is neither --json nor accepted, so it is a plain usage error
+    code, out, err = run(capsys, "gb", "--ring", "regular-f2-xy", "--ideal", "x", "--jso")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --jso" in err
+    # while --json, wherever it stands, still gives the error document
+    code, out, _ = run(capsys, "gb", "--ring", "regular-f2-xy", "--ideal", "x",
+                       "--json", "--bogus")
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["schema"] == "frobex/error/1"
+    assert "--bogus" in doc["error"]["message"]
 
 
 def test_help_exits_zero(capsys):

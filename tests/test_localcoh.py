@@ -22,8 +22,8 @@ from frobex.algebra import (
 )
 from frobex.corpus import load_corpus_ring
 from frobex.filterreg import is_filter_regular_sequence, make_sequence
-from frobex.frobenius import InconsistencyError, fte_scan, parameter_base
-from frobex.groebner import QuotientRing, ideal, saturation, std_monomials
+from frobex.frobenius import InconsistencyError, fte_scan, parameter_base, task_pool
+from frobex.groebner import QuotientRing, ideal, saturation, shared_bases, std_monomials
 from frobex.localcoh import (
     PROBE_STEP,
     LimitSystem,
@@ -39,6 +39,7 @@ from frobex.localcoh import (
     nilpotent_part,
     ns_consistency_check,
     prop34_check,
+    scan_and_hsl,
     torsion_quotient,
     verify_inequality,
 )
@@ -545,6 +546,25 @@ def test_every_pool_goes_through_frobenius(monkeypatch):
         if name.startswith("frobex") and name != "frobex.frobenius":
             assert not any(value is ProcessPoolExecutor
                            for value in vars(module).values()), name
+
+
+@pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
+                                   "regular-f2-xy", "regular-f3-xyz",
+                                   "two-planes-f2", "fermat-quintic-p2"])
+def test_scan_and_hsl_equals_scan_then_hsl(label):
+    # the one map of scan_and_hsl against its oracle, fte_scan followed by
+    # hsl_estimate on the scan's base, each under its own command's blocks
+    R = load_corpus_ring(label)
+    kw = dict(n_random=1, power_family_max=2)
+    for seed in (42, 1801):
+        for jobs in (1, 2):
+            with shared_bases(), task_pool():
+                scan = fte_scan(R, seed=seed, jobs=jobs, **kw)
+                hsl = hsl_estimate(R, scan.base, N=4, jobs=jobs)
+            with shared_bases(), task_pool():
+                one_scan, one_hsl = scan_and_hsl(R, seed=seed, N=4, jobs=jobs, **kw)
+            assert one_scan.to_dict() == scan.to_dict(), (seed, jobs)
+            assert one_hsl.to_dict() == hsl.to_dict(), (seed, jobs)
 
 
 def test_hsl_verifies_or_rejects_sequence():
