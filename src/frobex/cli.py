@@ -39,7 +39,6 @@ from .frobenius import (
     fte_of_ideal,
     fte_scan,
     qpower_preimage,
-    task_pool,
 )
 from .groebner import (
     GBConfig,
@@ -285,9 +284,6 @@ def cmd_hsl(args) -> int:
     R = _load_ring(args)
     if args.sequence:
         seq = make_sequence(R, _parse_polys(R, args.sequence))
-        ok, bad = is_filter_regular_sequence(seq)
-        if not ok:
-            raise AlgebraError(f"--sequence is not filter regular at position {bad}")
     else:
         seq = random_filter_regular_sop(R, derive_seed(args.seed, "hsl-sop"))
     report = hsl_estimate(R, seq, N=args.trunc, e_max=args.emax,
@@ -521,7 +517,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         _validate_flags(args)
-        with shared_bases(_gb_caps(args)), task_pool():
+        with shared_bases(_gb_caps(args)):
             return args.func(args)
     except ResourceCapExceeded as exc:
         _emit_error(args.json, exc, EXIT_RESOURCE)

@@ -60,7 +60,8 @@ def validate_ring_spec(data) -> dict:
     grading = data.get("grading")
     if grading is not None:
         if (not isinstance(grading, list) or len(grading) != len(variables)
-                or not all(isinstance(w, int) and w > 0 for w in grading)):
+                or not all(isinstance(w, int) and not isinstance(w, bool)
+                           and w > 0 for w in grading)):
             raise RingSpecError("grading must list one positive weight per variable")
     return data
 

@@ -27,8 +27,6 @@ against HSL numbers.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +48,6 @@ from .filterreg import (
     random_filter_regular_sop,
 )
 from .groebner import (
-    DEFAULT_GB_CONFIG,
     GBConfig,
     IdealHandle,
     QuotientRing,
@@ -61,7 +58,6 @@ from .groebner import (
     fresh_names,
     ideal,
     ring_fingerprint,
-    shared_bases,
 )
 from .seeding import derive_seed
 
@@ -377,76 +373,31 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSam
         return sample
 
 
-class _PoolBlock:
-    """The pool of one task_pool() block, started by the first map that
-    needs it and joined by the block's ExitStack."""
-
-    def __init__(self, stack: contextlib.ExitStack):
-        self.stack = stack
-        self.pool = None
-
-    def map(self, run, tasks: list, jobs: int) -> list:
-        if self.pool is None:
-            self.pool = self.stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks)), initializer=_start_worker))
-        return list(self.pool.map(run, tasks))
-
-
-# the pool of the innermost task_pool() block, None outside any block
-_TASK_POOL: contextvars.ContextVar[_PoolBlock | None] = \
-    contextvars.ContextVar("frobex_task_pool", default=None)
-
-
-@contextlib.contextmanager
-def task_pool():
-    """Share one process pool between the map_tasks calls inside the block.
-
-    The first call that pools starts it, with min(jobs, len(tasks))
-    workers, and later calls reuse those workers whatever their jobs.  The
-    block's exit joins the pool, so no worker outlives it.
-    """
-    with contextlib.ExitStack() as stack:
-        token = _TASK_POOL.set(_PoolBlock(stack))
-        try:
-            yield
-        finally:
-            _TASK_POOL.reset(token)
-
-
 def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
-    """[fn(R, task) for task in tasks], on the process pool of the enclosing
-    task_pool() block when jobs > 1 and there is more than one task (a
-    block of the call's own outside any block).
+    """[fn(R, task) for task in tasks], on a process pool of its own with
+    min(jobs, len(tasks)) workers when jobs > 1 and there is more than one
+    task; the pool is joined before the call returns.
 
     fn, R, the tasks and the results cross the pool pickled, so fn is a
     module-level function or a functools.partial of one.  A pooled task
     gets an unpickled copy of R, and runs under the caps in force at the
-    call, through its worker's basis memo: empty when the worker starts,
-    and shared by the tasks that worker runs until the block exits.  The
-    results are identical either way.
+    call, through its worker's basis memo (see _start_worker).  The results
+    are identical either way.
     """
     if jobs > 1 and len(tasks) > 1:
-        block = _TASK_POOL.get()
-        if block is None:
-            with task_pool():
-                return map_tasks(fn, R, tasks, jobs)
-        return block.map(functools.partial(_pooled, fn, R, caps_in_force()),
-                         tasks, jobs)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_start_worker,
+                                 initargs=(caps_in_force(),)) as pool:
+            return list(pool.map(functools.partial(fn, R), tasks))
     return [fn(R, task) for task in tasks]
 
 
-def _start_worker() -> None:
-    """Pool initializer: the worker's one basis memo, empty whatever the
-    start method copied from the parent, and kept until the pool is joined."""
-    _SHARED_BASES.set((DEFAULT_GB_CONFIG, {}))
-
-
-def _pooled(fn, R: QuotientRing, caps: GBConfig, task):
-    """Pool entry point of map_tasks: fn(R, task) under the caller's caps,
-    through the worker's memo (see _start_worker), so tasks on one worker
-    share their bases under those caps."""
-    with shared_bases(caps):
-        return fn(R, task)
+def _start_worker(caps: GBConfig) -> None:
+    """Pool initializer: the worker builds every basis under the caller's
+    caps, through one memo that is empty whatever the start method copied
+    from the parent, and that the tasks of this worker share until the
+    map's pool is joined."""
+    _SHARED_BASES.set((caps, {}))
 
 
 def parameter_base(R: QuotientRing, seed: int) -> FilterSequence:
@@ -479,7 +430,8 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     Per-sample failures (resource caps, exhausted searches) are recorded on
     the sample and the scan continues.  Requires dim(R) >= 1.
     """
-    base, tasks = _scan_tasks(R, n_random, power_family_max, seed)
+    base, tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max,
+                              window)
     samples = map_tasks(functools.partial(_run_sample, e_max=e_max, window=window),
                         R, tasks, jobs)
     return _scan_report(R, base, samples, n_random, power_family_max, seed,
@@ -487,11 +439,16 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
 
 
 def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
-               seed: int) -> tuple[FilterSequence, list[dict]]:
+               seed: int, e_max: int, window: int) -> tuple[FilterSequence, list[dict]]:
     """The base system of parameters of fte_scan and its sample tasks, each
-    run by _run_sample; raises unless dim(R) >= 1."""
+    run by _run_sample; raises unless dim(R) >= 1 and the closure chain's
+    e_max and window are >= 1, before any basis is built."""
     if R.dim < 1:
         raise AlgebraError("scan needs a ring of positive dimension")
+    if e_max < 1:
+        raise AlgebraError("e_max must be >= 1")
+    if window < 1:
+        raise AlgebraError("window must be >= 1")
     base = parameter_base(R, seed)
     tasks: list[dict] = []
     for k in range(n_random):

@@ -375,8 +375,8 @@ class IdealHandle:
     with the same generators, order and caps as an earlier one gets that
     basis without a rebuild; a pooled task of frobenius.map_tasks goes
     through its worker's memo instead, which starts empty and is shared by
-    the tasks of that worker, under the caller's caps.  The results are
-    identical either way.
+    the tasks that worker runs for one map, under the caller's caps.  The
+    results are identical either way.
     """
 
     def __init__(self, ring, gens=()):

@@ -551,7 +551,8 @@ def scan_and_hsl(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     for its slowest worker.  Both reports equal those of the two calls, and
     the checks of both run, in the same order, before any task does.
     """
-    base, sample_tasks = _scan_tasks(R, n_random, power_family_max, seed)
+    base, sample_tasks = _scan_tasks(R, n_random, power_family_max, seed,
+                                     e_max, window)
     _check_hsl_args(R, base, e_max)
     d = R.dim
     task = functools.partial(_scan_or_tower, fseq=base, N=N, e_max=e_max,

@@ -317,9 +317,11 @@ def test_each_command_shares_bases_only_within_itself(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, pools", [
-    (("verify-inequality", "--samples", "1", "--jobs", "2"), 1),  # towers, then scan
+    (("verify-inequality", "--samples", "1", "--trunc", "4", "--jobs", "2"), 1),
     # no phase of ns-check is pooled, so it declares no --jobs
-    (("ns-check", "--jobs", "2"), 0),
+    (("ns-check", "--trunc", "4", "--jobs", "2"), 0),
+    (("fte-scan", "--samples", "1", "--jobs", "2"), 1),
+    (("hsl", "--sequence", "y", "--trunc", "4", "--jobs", "2"), 1),
 ])
 def test_one_pool_per_command(capsys, monkeypatch, argv, pools):
     entered = []
@@ -335,7 +337,7 @@ def test_one_pool_per_command(capsys, monkeypatch, argv, pools):
             return super().map(*args, **kwargs)
 
     monkeypatch.setattr(frobenius_module, "ProcessPoolExecutor", CountingPool)
-    code, doc, _ = run_json(capsys, *argv, "--ring", "depth-zero-f2", "--trunc", "4")
+    code, doc, _ = run_json(capsys, *argv, "--ring", "depth-zero-f2")
     if pools:
         assert code == 0, doc
     else:
@@ -458,13 +460,27 @@ def test_bad_exponent_flag_is_usage(capsys, argv):
     assert doc["schema"] == "frobex/error/1"
 
 
-def test_hsl_emax_zero_is_check_failure(capsys):
+@pytest.mark.parametrize("argv", [
+    ("hsl", "--ring", "depth-zero-f2", "--sequence", "y", "--emax", "0"),
+    ("fte-scan", "--ring", "depth-zero-f2", "--emax", "0"),
+])
+def test_hsl_emax_zero_is_check_failure(capsys, monkeypatch, argv):
     # no Frobenius chain is read at depth 0, so no HSL number is witnessed
-    code, doc, _ = run_json(capsys, "hsl", "--ring", "depth-zero-f2",
-                            "--sequence", "y", "--emax", "0")
+    # and no closure is found: the command fails before any task runs
+    mapped = []
+    map_tasks = frobenius_module.map_tasks
+
+    def counted_map_tasks(*args, **kwargs):
+        mapped.append(args)
+        return map_tasks(*args, **kwargs)
+
+    for module in (frobenius_module, localcoh_module):
+        monkeypatch.setattr(module, "map_tasks", counted_map_tasks)
+    code, doc, _ = run_json(capsys, *argv)
     assert code == 1
     assert doc["error"] == {"type": "AlgebraError",
                             "message": "e_max must be >= 1"}
+    assert mapped == []
 
 
 def test_algebra_error_is_check_failure(capsys):

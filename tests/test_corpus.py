@@ -42,3 +42,9 @@ def test_corpus_rings_load(label):
     R = load_corpus_ring(label)
     assert R.label == label
     assert_pickles(R)
+
+
+def test_boolean_grading_weight_is_rejected():
+    # JSON true loads as a Python bool, which is an int equal to 1
+    with pytest.raises(RingSpecError, match="grading"):
+        ring_from_spec(spec(["x*y - z^2"], grading=[True, 1, 1]))

@@ -366,9 +366,9 @@ def _memo_around_one_basis(R, gen):
 def test_pool_workers_keep_one_memo_per_command():
     # a forked worker starts with a copy of its parent's memo; the pool's
     # initializer empties it, and the worker's tasks then share it, under the
-    # caps of the map, until the command's pool block exits.  A worker runs
-    # its tasks in the order they were mapped, so each task must see exactly
-    # the keys that the worker's earlier tasks of that command left.
+    # caps of the map, until the map's pool is joined.  A worker runs its
+    # tasks in the order they were mapped, so each task must see exactly the
+    # keys that the worker's earlier tasks of that map left.
     R = load_corpus_ring("regular-f2-xy")
     caps = GBConfig(max_pairs=7_000, max_degree=70)
     gens = ["x", "y", "x + y"]
@@ -377,15 +377,13 @@ def test_pool_workers_keep_one_memo_per_command():
                         for g in ideal(R, [gen]).generators))
                  for gen in gens}
     for _command in range(2):
-        with shared_bases(caps), frobenius_module.task_pool():
+        with shared_bases(caps):
             ideal(R, ["x"]).groebner_basis()  # a key the tasks build too
             load_corpus_ring("two-planes-f2")
             parent = set(groebner_module._SHARED_BASES.get()[1])
-            results = (
-                frobenius_module.map_tasks(_memo_around_one_basis, R,
-                                           ["x", "y", "x", "y"], jobs=2)
-                + frobenius_module.map_tasks(_memo_around_one_basis, R,
-                                             ["x + y", "x"], jobs=2))
+            results = frobenius_module.map_tasks(
+                _memo_around_one_basis, R, ["x", "y", "x", "y", "x + y", "x"],
+                jobs=2)
         assert parent - task_keys and parent & task_keys
         seen: dict[int, set] = {}
         for pid, task_caps, before, after in results:
@@ -393,9 +391,9 @@ def test_pool_workers_keep_one_memo_per_command():
             assert before == seen.get(pid, set())
             assert after <= task_keys  # every key carries the caps
             seen[pid] = after
-        # four tasks on at most two workers: a later task on one worker
-        # found the basis an earlier one built
-        assert any(before for _, _, before, _ in results[:4])
+        # six tasks on at most two workers: a later task on one worker saw
+        # the keys an earlier one left
+        assert any(before for _, _, before, _ in results)
 
 
 def test_every_frobex_exception_survives_pickle():
@@ -431,7 +429,7 @@ def _ring_summary(R, task):
     return R.grading, ring_fingerprint(R), R.dim
 
 
-def test_pooled_tasks_get_the_callers_ring():
+def test_pool_tasks_get_the_callers_ring():
     W = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (1, 2))
     R = QuotientRing(W, ["x^4 + y^2"])
     serial = frobenius_module.map_tasks(_ring_summary, R, [0, 1], jobs=1)

@@ -1,6 +1,7 @@
 """Torsion towers, Frobenius nilpotency, HSL numbers, consistency checks."""
 
 import dataclasses
+import multiprocessing
 import random
 import sys
 from collections import Counter
@@ -22,7 +23,7 @@ from frobex.algebra import (
 )
 from frobex.corpus import load_corpus_ring
 from frobex.filterreg import is_filter_regular_sequence, make_sequence
-from frobex.frobenius import InconsistencyError, fte_scan, parameter_base, task_pool
+from frobex.frobenius import InconsistencyError, fte_scan, parameter_base
 from frobex.groebner import QuotientRing, ideal, saturation, shared_bases, std_monomials
 from frobex.localcoh import (
     PROBE_STEP,
@@ -542,6 +543,8 @@ def test_every_pool_goes_through_frobenius(monkeypatch):
     assert len(entered) == 1
     hsl_estimate(R, verified(R, ["y"]), N=3, e_max=1, jobs=2)
     assert len(entered) == 2  # one pool for all towers, probes included
+    # called outside any command, each map joined its own pool
+    assert multiprocessing.active_children() == []
     for name, module in sys.modules.items():
         if name.startswith("frobex") and name != "frobex.frobenius":
             assert not any(value is ProcessPoolExecutor
@@ -553,15 +556,15 @@ def test_every_pool_goes_through_frobenius(monkeypatch):
                                    "two-planes-f2", "fermat-quintic-p2"])
 def test_scan_and_hsl_equals_scan_then_hsl(label):
     # the one map of scan_and_hsl against its oracle, fte_scan followed by
-    # hsl_estimate on the scan's base, each under its own command's blocks
+    # hsl_estimate on the scan's base, each under its own command's block
     R = load_corpus_ring(label)
     kw = dict(n_random=1, power_family_max=2)
     for seed in (42, 1801):
         for jobs in (1, 2):
-            with shared_bases(), task_pool():
+            with shared_bases():
                 scan = fte_scan(R, seed=seed, jobs=jobs, **kw)
                 hsl = hsl_estimate(R, scan.base, N=4, jobs=jobs)
-            with shared_bases(), task_pool():
+            with shared_bases():
                 one_scan, one_hsl = scan_and_hsl(R, seed=seed, N=4, jobs=jobs, **kw)
             assert one_scan.to_dict() == scan.to_dict(), (seed, jobs)
             assert one_hsl.to_dict() == hsl.to_dict(), (seed, jobs)
