@@ -127,7 +127,12 @@ def _parse_polys(R: QuotientRing, text: str) -> list[Polynomial]:
 
 
 def _require_jobs(args) -> int:
-    return args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    """--jobs, where 0 means one worker per CPU this process may run on."""
+    if args.jobs > 0:
+        return args.jobs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +417,7 @@ _FLAGS = {
     "--samples": (0, dict(type=int, default=5, metavar="K",
                           help="random parameter ideals per scan")),
     "--jobs": (0, dict(type=int, default=0, metavar="J",
-                       help="worker processes (0 = all cores)")),
+                       help="worker processes (0 = one per usable CPU)")),
     "--max-pairs": (1, dict(type=int, default=50_000)),
     "--max-degree": (1, dict(type=int, default=120)),
     "--ideal": (None, dict(required=True, help="comma-separated generators")),

@@ -107,6 +107,12 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     degree d.  Since K is m-primary some degree d has every image zero; then
     all of S_d, hence all of S_{>=d}, lies in the preimage, so the kernels
     below d plus the degree-d monomials generate it.
+
+    The images come degree by degree from _qpower_images.  Frobenius is
+    multiplicative and a reduced basis gives unique normal forms, so
+    NF_K(m^q) = NF_K(x_i^q * NF_K((m/x_i)^q)) with x_i the first variable
+    dividing m: each image is the previous degree's image of m/x_i, shifted
+    by x_i^q and reduced.  No raw power m^q is expanded.
     """
     ring = K.ambient
     n = ring.nvars
@@ -121,12 +127,10 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     # m-primary: some leading monomial is a pure power of each variable
     if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
         return None
-    p, q, order = ring.p, ring.p**e, ring.order
+    p = ring.p
     gens: list[Polynomial] = []
-    for d in itertools.count():
-        monos = monomials_of_weighted_degree(n, d, ring.weights)
-        images = [_nf_terms({tuple(q * a for a in m): 1}, reducers, p, order)[0]
-                  for m in monos]
+    for by_mono in _qpower_images(ring, reducers, p**e):
+        monos, images = list(by_mono), list(by_mono.values())
         if not any(images):
             return gens + [ring.monomial(m) for m in monos]
         rows = {t: r for r, t in enumerate({t for img in images for t in img})}
@@ -137,6 +141,27 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
         for vec in linalg.nullspace(matrix, p):
             gens.append(Polynomial(ring, {m: int(c)
                                           for m, c in zip(monos, vec) if c}))
+
+
+def _qpower_images(ring, reducers, q: int):
+    """Yield, for d = 0, 1, ..., the dict {m: NF(m^q)} over the degree-d
+    monomials m of the standard-graded ring, in the order of
+    monomials_of_weighted_degree, with normal forms as term dicts against
+    reducers, a reduced Groebner basis.  Each image of degree d > 0 is the
+    image of m/x_i from degree d - 1, x_i the first variable dividing m,
+    shifted by x_i^q and reduced (see _graded_preimage).
+    """
+    p, order = ring.p, ring.order
+    one = (0,) * ring.nvars
+    images = {one: _nf_terms({one: 1}, reducers, p, order)[0]}
+    for d in itertools.count(1):
+        yield images
+        below, images = images, {}
+        for m in monomials_of_weighted_degree(ring.nvars, d, ring.weights):
+            i = next(k for k, a in enumerate(m) if a)
+            start = {t[:i] + (t[i] + q,) + t[i + 1:]: c for t, c
+                     in below[m[:i] + (m[i] - 1,) + m[i + 1:]].items()}
+            images[m] = _nf_terms(start, reducers, p, order)[0]
 
 
 def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:

@@ -369,6 +369,23 @@ def test_verify_inequality_checks_emax_before_any_task(capsys, monkeypatch, jobs
     assert multiprocessing.active_children() == []
 
 
+def test_jobs_zero_counts_the_cpus_the_process_may_use(capsys, monkeypatch):
+    jobs = []
+    map_tasks = frobenius_module.map_tasks
+
+    def counted_map_tasks(fn, R, tasks, n):
+        jobs.append(n)
+        return map_tasks(fn, R, tasks, n)
+
+    monkeypatch.setattr(frobenius_module, "map_tasks", counted_map_tasks)
+    monkeypatch.setattr(cli_module.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    code, doc, _ = run_json(capsys, "fte-scan", "--ring", "regular-f2-xy",
+                            "--samples", "1", "--jobs", "0")
+    assert code == 0, doc
+    assert jobs == [1]
+
+
 def test_cap_trip_in_a_pool_worker_is_exit_three(capsys):
     runs = [run_json(capsys, "hsl", "--ring", "two-planes-f2",
                      "--max-pairs", "60", "--jobs", jobs)

@@ -209,6 +209,42 @@ def test_graded_preimage_matches_elimination_on_parameter_brackets(
                                          elimination_calls)
 
 
+def assert_images_match_raw_powers(K, e):
+    """Every image _qpower_images builds, degree by degree up to the first
+    degree where all vanish, equals NF(m^q) reduced from the raw power m^q."""
+    ring = K.ambient
+    reducers = K.reducers()
+    q = ring.p**e
+    for d, images in enumerate(frobenius_module._qpower_images(ring, reducers, q)):
+        assert list(images) == monomials_of_weighted_degree(ring.nvars, d,
+                                                            ring.weights)
+        for m, img in images.items():
+            raw = groebner_module._nf_terms({tuple(q * a for a in m): 1},
+                                            reducers, ring.p, ring.order)[0]
+            assert img == raw, (K, e, m)
+        if not any(images.values()):
+            return
+
+
+def test_qpower_images_match_raw_powers_on_random_forms():
+    rng = random.Random(42)
+    with shared_bases(GBConfig(max_pairs=50_000, max_degree=400)):
+        for p in (2, 3, 7):
+            for names in (("x", "y"), ("x", "y", "z")):
+                P = poly_ring(p, *names)
+                for _ in range(3):
+                    for e in (1, 2):
+                        assert_images_match_raw_powers(random_mprimary_K(rng, P, e),
+                                                       e)
+
+
+def test_qpower_images_match_raw_powers_on_p7_bracket():
+    # q = 49 over x^3 + y^3 + z^3: the reduction the images are built to save
+    R = load_corpus_ring("fermat-cubic-p7")
+    with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
+        assert_images_match_raw_powers(frobenius_power(ideal(R, "x^2", "y"), 2), 2)
+
+
 def weighted_K():
     P = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (1, 2))
     return ideal(P, "x^2 + y", "y^3")
@@ -241,6 +277,17 @@ def test_fte_on_p7_at_default_caps(elimination_calls):
         assert res.certified and res.stabilized_at == 0
         assert fte_of_ideal(I, res.closure) == 0
     assert [e for _, e in elimination_calls] == [2]
+
+
+@pytest.mark.parametrize("gens", [("x^2", "y"), ("x^3", "y")])
+def test_p7_closure_stays_graded_at_raised_caps(gens, elimination_calls):
+    # the closures the p7-closure benchmark times: under a degree cap of 300
+    # the q = 49 level stays on the graded path too
+    R = load_corpus_ring("fermat-cubic-p7")
+    with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
+        res = frobenius_closure(ideal(R, *gens))
+    assert elimination_calls == []
+    assert res.certified and res.stabilized_at == 0
 
 
 # --- closure and test exponent ---
