@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -452,7 +453,11 @@ def _command(sub, name: str, func, flags: str, help: str) -> argparse.ArgumentPa
     return sp
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The frobex parser, built once per process: main() may run many times
+    in one process, and argparse keeps no state between parse_args calls.
+    The handlers are bound when it is built."""
     parser = _Parser(
         prog="frobex",
         description="Frobenius closures, test exponents, and HSL numbers "

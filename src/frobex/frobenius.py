@@ -12,7 +12,13 @@ one of two ways.  When K is homogeneous and m-primary under the standard
 grading (as for every homogeneous parameter ideal), the degree-d part of the
 preimage is the kernel of the F_p-linear map m -> NF_K(m^q) on the degree-d
 monomials, linear because (sum c*m)^q = sum c*m^q over F_p; degrees are taken
-one at a time until every image vanishes.  Otherwise the preimage comes from
+one at a time until every image vanishes.  That kernel is the set of
+combinations whose q-th power lies in K, so it does not depend on the
+monomial order of the normal forms: when some grevlex order on a
+permutation of the variables makes K's generators lead with pure powers of
+distinct variables, they already form a Groebner basis in it, and the
+images are reduced by them instead of by K's basis in the ring's order.
+Otherwise the preimage comes from
 an elimination: in S[w_1..w_n] the membership x^q in K becomes linear algebra
 over the subring generated by the w_i = x_i^q, because g(x)^q = g(x^q) over
 F_p.  This preimage is genuinely different from the Frobenius root K^[1/q]
@@ -53,6 +59,7 @@ from .groebner import (
     QuotientRing,
     ResourceCapExceeded,
     _SHARED_BASES,
+    _basis,
     _nf_terms,
     caps_in_force,
     fresh_names,
@@ -103,34 +110,42 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     a resource cap.
 
     For homogeneous K the preimage is homogeneous, and its degree-d part is
-    the kernel of the F_p-linear map m -> NF_K(m^q) on the monomials of
-    degree d.  Since K is m-primary some degree d has every image zero; then
+    the kernel of the F_p-linear map m -> [m^q] from the monomials of degree
+    d to S/K.  Since K is m-primary some degree d has every image zero; then
     all of S_d, hence all of S_{>=d}, lies in the preimage, so the kernels
     below d plus the degree-d monomials generate it.
 
-    The images come degree by degree from _qpower_images.  Frobenius is
-    multiplicative and a reduced basis gives unique normal forms, so
-    NF_K(m^q) = NF_K(x_i^q * NF_K((m/x_i)^q)) with x_i the first variable
-    dividing m: each image is the previous degree's image of m/x_i, shifted
-    by x_i^q and reduced.  No raw power m^q is expanded.
+    The map is written down with normal forms NF_K under some monomial
+    order, degree by degree by _qpower_images.  Any order will do: a normal
+    form is zero exactly on K, so a combination sum c*m lies in the kernel
+    iff sum c*NF_K(m^q) = NF_K(sum c*m^q) vanishes, whatever the order.  The
+    matrices of two orders thus have one kernel, hence one row space and
+    one reduced echelon form, and the generators read off the kernel are
+    the same.  The order used is grevlex on the variables as ranked by
+    _coprime_ranking, when it finds a ranking under which K's generators
+    lead with pure powers of distinct variables: they are then a Groebner
+    basis already (every S-pair has coprime leading monomials), and the
+    Buchberger run only inter-reduces them.  Otherwise it is the ring's own
+    order, whose basis of K may be much larger.
     """
     ring = K.ambient
-    n = ring.nvars
+    n, p = ring.nvars, ring.p
     if any(w != 1 for w in ring.weights):
         return None
     if not all(g.is_homogeneous() for g in K.generators):
         return None
     try:
-        reducers = K.reducers()
+        frame = _normal_form_frame(K)
     except ResourceCapExceeded:
         return None
-    # m-primary: some leading monomial is a pure power of each variable
-    if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
+    if frame is None:
         return None
-    p = ring.p
+    rank, order, reducers = frame
     gens: list[Polynomial] = []
-    for by_mono in _qpower_images(ring, reducers, p**e):
-        monos, images = list(by_mono), list(by_mono.values())
+    for d, by_rank in enumerate(_qpower_images(n, p, order, reducers, p**e)):
+        # columns in the ring's own monomial order, whatever order rank gives
+        monos = monomials_of_weighted_degree(n, d, ring.weights)
+        images = [by_rank[tuple(m[v] for v in rank)] for m in monos]
         if not any(images):
             return gens + [ring.monomial(m) for m in monos]
         rows = {t: r for r, t in enumerate({t for img in images for t in img})}
@@ -143,21 +158,81 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
                                           for m, c in zip(monos, vec) if c}))
 
 
-def _qpower_images(ring, reducers, q: int):
-    """Yield, for d = 0, 1, ..., the dict {m: NF(m^q)} over the degree-d
-    monomials m of the standard-graded ring, in the order of
-    monomials_of_weighted_degree, with normal forms as term dicts against
-    reducers, a reduced Groebner basis.  Each image of degree d > 0 is the
-    image of m/x_i from degree d - 1, x_i the first variable dividing m,
-    shifted by x_i^q and reduced (see _graded_preimage).
+_GREVLEX = MonomialOrder("grevlex")
+
+
+def _normal_form_frame(K: IdealHandle):
+    """(rank, order, reducers) for the normal forms of _graded_preimage, or
+    None when K, homogeneous under the standard grading, is not m-primary.
+
+    rank lists the variable indices, highest first: the reducers, a reduced
+    Groebner basis of K under order, are written in coordinates where
+    position k holds the exponent of variable rank[k].  When _coprime_ranking
+    finds a ranking, the basis is the grevlex basis of K's generators so
+    permuted; else rank is the identity and the basis is K's own, in the
+    ring's order.  Raises ResourceCapExceeded when the basis trips a cap.
     """
-    p, order = ring.p, ring.order
-    one = (0,) * ring.nvars
+    ring = K.ambient
+    n = ring.nvars
+    rank = _coprime_ranking(K.generators, n)
+    if rank is None:
+        reducers = K.reducers()
+        # m-primary: some leading monomial is a pure power of each variable
+        if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
+            return None
+        return tuple(range(n)), ring.order, reducers
+    permuted = [{tuple(m[v] for v in rank): c for m, c in g.terms.items()}
+                for g in K.generators]
+    basis, _ = _basis(permuted, _GREVLEX, ring.p)
+    return rank, _GREVLEX, [(max(t, key=_GREVLEX.key), t) for t in basis]
+
+
+def _coprime_ranking(gens, n: int) -> tuple[int, ...] | None:
+    """A ranking of the n variables, highest first, under whose grevlex
+    order each of the homogeneous gens leads with a pure power of a variable
+    of its own, or None when there are not exactly n gens or no ranking
+    does.  The pure powers then form an m-primary monomial ideal.
+
+    In grevlex a pure power x_i^d leads a form of degree d exactly when each
+    other term involves a variable ranked below x_i.  So the ranking is
+    built from the bottom: the next variable up is x_i for any remaining
+    generator whose terms free of the variables placed so far are x_i^d
+    alone.  Placing it never blocks a ranking: that generator's other terms
+    all involve placed variables, so x_i^d is the only pure power it could
+    lead with in any ranking that extends the current one.
+    """
+    if len(gens) != n:
+        return None
+    below: list[int] = []
+    left = list(gens)
+    while left:
+        for k, g in enumerate(left):
+            free = [m for m in g.terms if not any(m[v] for v in below)]
+            if len(free) == 1 and sum(1 for a in free[0] if a) == 1:
+                below.append(next(v for v, a in enumerate(free[0]) if a))
+                del left[k]
+                break
+        else:
+            return None
+    return tuple(reversed(below))
+
+
+def _qpower_images(n: int, p: int, order: MonomialOrder, reducers, q: int):
+    """Yield, for d = 0, 1, ..., the dict {m: NF(m^q)} over the degree-d
+    monomials m of the standard-graded ring in n variables, in the order of
+    monomials_of_weighted_degree, with normal forms as term dicts against
+    reducers, a reduced Groebner basis under order.  Frobenius is
+    multiplicative and a reduced basis gives unique normal forms, so
+    NF(m^q) = NF(x_i^q * NF((m/x_i)^q)) with x_i the first variable dividing
+    m: each image of degree d > 0 is the image of m/x_i from degree d - 1,
+    shifted by x_i^q and reduced.  No raw power m^q is expanded.
+    """
+    one = (0,) * n
     images = {one: _nf_terms({one: 1}, reducers, p, order)[0]}
     for d in itertools.count(1):
         yield images
         below, images = images, {}
-        for m in monomials_of_weighted_degree(ring.nvars, d, ring.weights):
+        for m in monomials_of_weighted_degree(n, d, (1,) * n):
             i = next(k for k, a in enumerate(m) if a)
             start = {t[:i] + (t[i] + q,) + t[i + 1:]: c for t, c
                      in below[m[:i] + (m[i] - 1,) + m[i + 1:]].items()}

@@ -185,6 +185,18 @@ def test_fte_alias_matches_nested_command(capsys):
     assert without_timestamp(alias) == without_timestamp(nested)
 
 
+def test_fte_on_p7_quartic_family_at_raised_caps(capsys):
+    # the q = 49 bracket (x^196, y^147, x^3 + y^3 + z^3) is its own basis
+    # with z ranked first, so no Buchberger run spends the pair budget
+    code, doc, _ = run_json(capsys, "fte", "--ring", "fermat-cubic-p7",
+                            "--ideal", "x^4,y^3", "--max-pairs", "400000",
+                            "--max-degree", "300")
+    assert code == 0
+    assert doc["fte"] == 0
+    assert doc["closure"]["certified"]
+    assert doc["closure"]["stabilized_at"] == 0
+
+
 def test_fte_plain_output_line(capsys):
     code, out, _ = run(capsys, "fte", "--ring", "fermat-cubic-p2",
                        "--ideal", "y, z")

@@ -215,7 +215,8 @@ def assert_images_match_raw_powers(K, e):
     ring = K.ambient
     reducers = K.reducers()
     q = ring.p**e
-    for d, images in enumerate(frobenius_module._qpower_images(ring, reducers, q)):
+    for d, images in enumerate(frobenius_module._qpower_images(
+            ring.nvars, ring.p, ring.order, reducers, q)):
         assert list(images) == monomials_of_weighted_degree(ring.nvars, d,
                                                             ring.weights)
         for m, img in images.items():
@@ -243,6 +244,124 @@ def test_qpower_images_match_raw_powers_on_p7_bracket():
     R = load_corpus_ring("fermat-cubic-p7")
     with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
         assert_images_match_raw_powers(frobenius_power(ideal(R, "x^2", "y"), 2), 2)
+
+
+# --- the order of the graded normal forms ---
+
+def random_triangular_K(rng, R, e):
+    """An m-primary K with one generator per variable over R, whose
+    generators lead with pure powers of distinct variables under grevlex on
+    a random ranking of the variables: R's relation, if any, which is
+    x^d + y^d + ... and leads with x^d once x ranks highest, plus for each
+    other variable u either the bracket of a linear form u + (variables
+    below u) or a form c*u^a + (terms involving a variable below u)."""
+    P = R.ambient
+    n, q = P.nvars, P.p**e
+    top = len(R.relations.own_gens)
+    rank = list(range(top)) + rng.sample(range(top, n), n - top)
+    gens = []
+    for k in range(top, n):
+        below = rank[k + 1:]
+        u = rank[k]
+        if rng.random() < 0.5:
+            # I^[q] for a linear form u + (variables below u)
+            lin = {tuple(int(v == u) for v in range(n)): rng.randrange(1, P.p)}
+            for v in below:
+                lin[tuple(int(w == v) for w in range(n))] = rng.randrange(P.p)
+            gens.append(frobenius_raise(P.poly(lin), e))
+        else:
+            a = rng.randrange(1, 2 * q + 1)
+            terms = {tuple(a if v == u else 0 for v in range(n)): rng.randrange(1, P.p)}
+            for _ in range(rng.randrange(3) if below else 0):
+                m = [0] * n
+                m[rng.choice(below)] += 1
+                for _ in range(a - 1):
+                    m[rng.randrange(n)] += 1
+                terms[tuple(m)] = rng.randrange(1, P.p)
+            gens.append(P.poly(terms))
+    return ideal(R, gens)
+
+
+def fermat_type_rings(p):
+    yield QuotientRing(poly_ring(p, "x", "y"), [])
+    yield QuotientRing(poly_ring(p, "x", "y", "z"), ["x^3 + y^3 + z^3"])
+    yield QuotientRing(poly_ring(p, "x", "y", "z"), ["x^2 + y^2 + z^2"])
+    yield QuotientRing(poly_ring(p, "x", "y", "z", "w"), ["x^2 + y^2 + z^2 + w^2"])
+
+
+def assert_permuted_order_matches_ring_order(K, e, monkeypatch):
+    """The graded preimage reads off the same kernels, in the same column
+    order, whether its normal forms are taken in the permuted order of
+    _coprime_ranking or in the ring's order (the oracle); each permuted
+    image, mapped back to the ring's variables, is congruent to the
+    ring-order image modulo K."""
+    ring = K.ambient
+    n, p, q = ring.nvars, ring.p, ring.p**e
+    rank, order, reducers = frobenius_module._normal_form_frame(K)
+    assert rank == frobenius_module._coprime_ranking(K.generators, n), K
+    assert len(reducers) == n, K
+    got = frobenius_module._graded_preimage(K, e)
+    with monkeypatch.context() as m:
+        m.setattr(frobenius_module, "_coprime_ranking", lambda gens, n: None)
+        oracle_rank, oracle_order, oracle_reducers = \
+            frobenius_module._normal_form_frame(K)
+        want = frobenius_module._graded_preimage(K, e)
+    assert oracle_rank == tuple(range(n))
+    assert got == want, (K, e)
+    fast = frobenius_module._qpower_images(n, p, order, reducers, q)
+    slow = frobenius_module._qpower_images(n, p, oracle_order, oracle_reducers, q)
+    for d, (by_rank, by_mono) in enumerate(zip(fast, slow)):
+        for mono in monomials_of_weighted_degree(n, d, ring.weights):
+            img = by_rank[tuple(mono[v] for v in rank)]
+            back = {}
+            for t, c in img.items():
+                u = [0] * n
+                for k, v in enumerate(rank):
+                    u[v] = t[k]
+                back[tuple(u)] = c
+            nf = groebner_module._nf_terms(back, oracle_reducers, p, oracle_order)[0]
+            assert nf == by_mono[mono], (K, e, mono)
+        if not any(by_mono.values()):
+            break
+
+
+def test_permuted_order_matches_ring_order_on_random_K(monkeypatch):
+    rng = random.Random(1801)
+    fired = 0
+    with shared_bases(GBConfig(max_pairs=400_000, max_degree=400)):
+        for p in (2, 3, 7):
+            for R in fermat_type_rings(p):
+                for e in (1, 2):
+                    for _ in range(2):
+                        K = random_triangular_K(rng, R, e)
+                        rank = frobenius_module._coprime_ranking(
+                            K.generators, R.ambient.nvars)
+                        assert rank is not None, K
+                        fired += rank != tuple(range(R.ambient.nvars))
+                        assert_permuted_order_matches_ring_order(K, e, monkeypatch)
+    assert fired >= 20, fired
+
+
+def test_permuted_order_matches_ring_order_on_p7_bracket(monkeypatch):
+    # q = 49 over x^3 + y^3 + z^3: the cubic leads with z^3 once z ranks first
+    R = load_corpus_ring("fermat-cubic-p7")
+    K = frobenius_power(ideal(R, "x^2", "y"), 2)
+    assert frobenius_module._coprime_ranking(K.generators, 3)[0] == 2
+    with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
+        assert_permuted_order_matches_ring_order(K, 2, monkeypatch)
+
+
+def test_coprime_ranking_needs_one_pure_power_per_variable():
+    P = poly_ring(2, "x", "y", "z")
+    rank = frobenius_module._coprime_ranking
+    gens = [P.parse(g) for g in ("x^2 + y^2", "x^3 + y^3", "z^4")]
+    assert rank(gens, 3) is None  # x^2 needs y below x, and y^3 x below y
+    gens = [P.parse(g) for g in ("x^2 + y*z", "y^3 + x*z^2", "z^4")]
+    assert rank(gens, 3) == (1, 0, 2)
+    gens = [P.parse(g) for g in ("x^2 + x*y", "y^3 + y*z^2", "z^4")]
+    assert rank(gens, 3) == (0, 1, 2)
+    assert rank(gens[:2], 3) is None
+    assert rank(gens + [P.parse("x*y*z")], 3) is None
 
 
 def weighted_K():
@@ -277,6 +396,16 @@ def test_fte_on_p7_at_default_caps(elimination_calls):
         assert res.certified and res.stabilized_at == 0
         assert fte_of_ideal(I, res.closure) == 0
     assert [e for _, e in elimination_calls] == [2]
+
+
+def test_p7_square_family_closure_at_default_caps(elimination_calls):
+    # the (t = 2, n = 2) scan sample: at q = 49 the bracket's generators are
+    # their own basis with z ranked first, so it never reaches the degree cap
+    R = load_corpus_ring("fermat-cubic-p7")
+    with shared_bases(GBConfig()):
+        res = frobenius_closure(ideal(R, "x^2", "y^2"))
+    assert elimination_calls == []
+    assert res.certified and res.stabilized_at == 0
 
 
 @pytest.mark.parametrize("gens", [("x^2", "y"), ("x^3", "y")])
