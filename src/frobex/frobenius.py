@@ -14,16 +14,17 @@ preimage is the kernel of the F_p-linear map m -> NF_K(m^q) on the degree-d
 monomials, linear because (sum c*m)^q = sum c*m^q over F_p; degrees are taken
 one at a time until every image vanishes.  That kernel is the set of
 combinations whose q-th power lies in K, so it does not depend on the
-monomial order of the normal forms: when some grevlex order on a
-permutation of the variables makes K's generators lead with pure powers of
-distinct variables, they already form a Groebner basis in it, and the
-images are reduced by them instead of by K's basis in the ring's order.
-Otherwise the preimage comes from
-an elimination: in S[w_1..w_n] the membership x^q in K becomes linear algebra
-over the subring generated by the w_i = x_i^q, because g(x)^q = g(x^q) over
-F_p.  This preimage is genuinely different from the Frobenius root K^[1/q]
-(for K = (x^3), q = 2 the preimage is (x^2) while the root is (x)), so no
-basis-decomposition shortcut applies.
+monomial order of the normal forms.  They are taken in grevlex on the
+variables ranked so that K's generators lead with pure powers of distinct
+variables, when such a ranking exists: the generators then already form a
+Groebner basis, and the images are reduced by them instead of by K's
+grevlex basis in the variables' own ranking, which may be much larger.
+For any other K the preimage comes from an elimination: in S[w_1..w_n] the
+membership x^q in K becomes linear algebra over the subring generated by
+the w_i = x_i^q, because g(x)^q = g(x^q) over F_p.  This preimage is
+genuinely different from the Frobenius root K^[1/q] (for K = (x^3), q = 2
+the preimage is (x^2) while the root is (x)), so no basis-decomposition
+shortcut applies.
 
 The Frobenius test exponent of I is the least e with (closure)^[p^e] =
 I^[p^e]; scanning it over sampled parameter ideals gives the empirical lower
@@ -125,8 +126,9 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     _coprime_ranking, when it finds a ranking under which K's generators
     lead with pure powers of distinct variables: they are then a Groebner
     basis already (every S-pair has coprime leading monomials), and the
-    Buchberger run only inter-reduces them.  Otherwise it is the ring's own
-    order, whose basis of K may be much larger.
+    Buchberger run only inter-reduces them.  Otherwise the variables keep
+    their own ranking, and the basis is K's grevlex basis, whose memo entry
+    a grevlex ring's handle of K shares.
     """
     ring = K.ambient
     n, p = ring.nvars, ring.p
@@ -140,9 +142,9 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
         return None
     if frame is None:
         return None
-    rank, order, reducers = frame
+    rank, reducers = frame
     gens: list[Polynomial] = []
-    for d, by_rank in enumerate(_qpower_images(n, p, order, reducers, p**e)):
+    for d, by_rank in enumerate(_qpower_images(n, p, reducers, p**e)):
         # columns in the ring's own monomial order, whatever order rank gives
         monos = monomials_of_weighted_degree(n, d, ring.weights)
         images = [by_rank[tuple(m[v] for v in rank)] for m in monos]
@@ -162,29 +164,25 @@ _GREVLEX = MonomialOrder("grevlex")
 
 
 def _normal_form_frame(K: IdealHandle):
-    """(rank, order, reducers) for the normal forms of _graded_preimage, or
-    None when K, homogeneous under the standard grading, is not m-primary.
+    """(rank, reducers) for the normal forms of _graded_preimage, or None
+    when K, homogeneous under the standard grading, is not m-primary.
 
-    rank lists the variable indices, highest first: the reducers, a reduced
-    Groebner basis of K under order, are written in coordinates where
-    position k holds the exponent of variable rank[k].  When _coprime_ranking
-    finds a ranking, the basis is the grevlex basis of K's generators so
-    permuted; else rank is the identity and the basis is K's own, in the
-    ring's order.  Raises ResourceCapExceeded when the basis trips a cap.
+    rank lists the variable indices, highest first, as _coprime_ranking
+    finds them, or in their own order when it finds none.  The reducers are
+    the reduced grevlex basis of K's generators in coordinates where
+    position k holds the exponent of variable rank[k].  Raises
+    ResourceCapExceeded when the basis trips a cap.
     """
-    ring = K.ambient
-    n = ring.nvars
-    rank = _coprime_ranking(K.generators, n)
-    if rank is None:
-        reducers = K.reducers()
-        # m-primary: some leading monomial is a pure power of each variable
-        if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
-            return None
-        return tuple(range(n)), ring.order, reducers
+    n = K.ambient.nvars
+    rank = _coprime_ranking(K.generators, n) or tuple(range(n))
     permuted = [{tuple(m[v] for v in rank): c for m, c in g.terms.items()}
                 for g in K.generators]
-    basis, _ = _basis(permuted, _GREVLEX, ring.p)
-    return rank, _GREVLEX, [(max(t, key=_GREVLEX.key), t) for t in basis]
+    basis, _ = _basis(permuted, _GREVLEX, K.ambient.p)
+    reducers = [(max(t, key=_GREVLEX.key), t) for t in basis]
+    # m-primary: some leading monomial is a pure power of each variable
+    if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
+        return None
+    return rank, reducers
 
 
 def _coprime_ranking(gens, n: int) -> tuple[int, ...] | None:
@@ -217,18 +215,18 @@ def _coprime_ranking(gens, n: int) -> tuple[int, ...] | None:
     return tuple(reversed(below))
 
 
-def _qpower_images(n: int, p: int, order: MonomialOrder, reducers, q: int):
+def _qpower_images(n: int, p: int, reducers, q: int):
     """Yield, for d = 0, 1, ..., the dict {m: NF(m^q)} over the degree-d
     monomials m of the standard-graded ring in n variables, in the order of
     monomials_of_weighted_degree, with normal forms as term dicts against
-    reducers, a reduced Groebner basis under order.  Frobenius is
+    reducers, a reduced grevlex Groebner basis.  Frobenius is
     multiplicative and a reduced basis gives unique normal forms, so
     NF(m^q) = NF(x_i^q * NF((m/x_i)^q)) with x_i the first variable dividing
     m: each image of degree d > 0 is the image of m/x_i from degree d - 1,
     shifted by x_i^q and reduced.  No raw power m^q is expanded.
     """
     one = (0,) * n
-    images = {one: _nf_terms({one: 1}, reducers, p, order)[0]}
+    images = {one: _nf_terms({one: 1}, reducers, p, _GREVLEX)[0]}
     for d in itertools.count(1):
         yield images
         below, images = images, {}
@@ -236,7 +234,7 @@ def _qpower_images(n: int, p: int, order: MonomialOrder, reducers, q: int):
             i = next(k for k, a in enumerate(m) if a)
             start = {t[:i] + (t[i] + q,) + t[i + 1:]: c for t, c
                      in below[m[:i] + (m[i] - 1,) + m[i + 1:]].items()}
-            images[m] = _nf_terms(start, reducers, p, order)[0]
+            images[m] = _nf_terms(start, reducers, p, _GREVLEX)[0]
 
 
 def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
