@@ -3,11 +3,14 @@
 The engine uses sugar-strategy pair selection with the coprimality and chain
 criteria, full normal-form reduction, and produces the reduced (monic,
 auto-reduced, sorted) Groebner basis, which is the canonical form behind
-ideal equality tests everywhere else.  Colon and intersection are built on
-tag-variable eliminations.  Saturation by the maximal ideal of
-a standard-graded homogeneous ideal takes one reverse-lex basis per variable
-(Bayer-Stillman); other saturations iterate colons.  Resource caps turn
-runaway computations into explicit errors instead of hangs.
+ideal equality tests everywhere else.  Intersection is built on a
+tag-variable elimination.  For an ideal that is homogeneous under the
+standard grading, the colon and the saturation by one linear form are read
+off one reverse-lex basis in which that form is the last variable, and the
+saturation by the maximal ideal takes one such basis per variable
+(Bayer-Stillman).  Other colons take tag-variable eliminations, and other
+saturations iterate colons.  Resource caps turn runaway computations into
+explicit errors instead of hangs.
 
 Ideals are IdealHandle objects: generator lists over an ambient polynomial
 ring, optionally attached to a QuotientRing whose defining relations are
@@ -604,9 +607,27 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 
 
 def colon(I: IdealHandle, K: IdealHandle) -> IdealHandle:
-    """The colon ideal (I : K) = {r : r*K inside I}, over the same ring."""
+    """The colon ideal (I : K) = {r : r*K inside I}, over the same ring.
+
+    When K's own generators are one linear form and I is homogeneous under
+    the standard grading (quotient relations included), the colon is read
+    off one reverse-lex basis; see _colon_by_linear_form.  Otherwise each
+    (I : f) for f among K's own generators is I cap (f), divided by f, from
+    a tag-variable elimination, and the pieces are intersected; see
+    _colon_by_elimination.
+    """
     if I.ambient != K.ambient:
         raise RingMismatchError("ideals over different ambient rings")
+    if _linear_form_applies(I, K):
+        gens, _ = _colon_by_linear_form(I, K.own_gens[0], saturate=False)
+        return IdealHandle(I.ring, gens)
+    return _colon_by_elimination(I, K)
+
+
+def _colon_by_elimination(I: IdealHandle, K: IdealHandle) -> IdealHandle:
+    """(I : K) from one tag-variable elimination per own generator of K;
+    the general path of colon and the oracle its fast path is tested
+    against."""
     ring = I.ambient
     divisors = [g for g in K.own_gens if g]
     if not divisors:
@@ -626,24 +647,52 @@ def colon(I: IdealHandle, K: IdealHandle) -> IdealHandle:
     return result
 
 
+SATURATION_MAX_STEPS = 200
+
+
 def saturation(I: IdealHandle, K: IdealHandle,
-               max_steps: int = 200) -> tuple[IdealHandle, int]:
+               max_steps: int = SATURATION_MAX_STEPS) -> tuple[IdealHandle, int]:
     """Stable colon (I : K^infinity) along with the stabilization exponent s,
     the least s with (I : K^s) = (I : K^(s+1)).
 
-    When K is the maximal ideal (its reduced basis is the variables), the
-    grading is standard and I is homogeneous (quotient relations included),
-    the saturation is the intersection of the (I : x_i^infinity), each read
-    off one reverse-lex basis; see _saturation_by_variables.  Everything
-    else goes through the iterated colons of _saturation_by_colons.  Either
-    path raises ResourceCapExceeded when s would reach max_steps.
+    When the grading is standard and I is homogeneous (quotient relations
+    included), two kinds of K are read off reverse-lex bases
+    (Bayer-Stillman): one linear form as K's own generators takes one basis,
+    see _colon_by_linear_form, and the maximal ideal (K's reduced basis is
+    the variables) takes one basis per variable, see
+    _saturation_by_variables.  Everything else goes through the iterated
+    colons of _saturation_by_colons.  Every path raises ResourceCapExceeded
+    when s would reach max_steps.
     """
     ring = I.ambient
-    if (K.ambient == ring and all(w == 1 for w in ring.weights)
-            and all(g.is_homogeneous() for g in I.generators)
-            and _is_maximal_ideal(K)):
+    if _linear_form_applies(I, K):
+        gens, s = _colon_by_linear_form(I, K.own_gens[0], saturate=True)
+        if s >= max_steps:
+            raise ResourceCapExceeded(
+                f"saturation did not stabilize within {max_steps} steps", GBStats())
+        return (IdealHandle(I.ring, gens) if s else I), s
+    if K.ambient == ring and _is_graded(I) and _is_maximal_ideal(K):
         return _saturation_by_variables(I, max_steps)
     return _saturation_by_colons(I, K, max_steps)
+
+
+def is_linear_form(f: Polynomial) -> bool:
+    """Whether f is a nonzero form of degree 1 in the ambient variables."""
+    return bool(f.terms) and all(mono_degree(m) == 1 for m in f.terms)
+
+
+def _is_graded(I: IdealHandle) -> bool:
+    """Whether I, quotient relations included, is homogeneous under the
+    standard grading."""
+    return (all(w == 1 for w in I.ambient.weights)
+            and all(g.is_homogeneous() for g in I.generators))
+
+
+def _linear_form_applies(I: IdealHandle, K: IdealHandle) -> bool:
+    """Whether K's own generators are one linear form and I is graded, so
+    that (I : K) and (I : K^infinity) come from _colon_by_linear_form."""
+    return (K.ambient == I.ambient and len(K.own_gens) == 1
+            and is_linear_form(K.own_gens[0]) and _is_graded(I))
 
 
 def _is_maximal_ideal(K: IdealHandle) -> bool:
@@ -654,42 +703,97 @@ def _is_maximal_ideal(K: IdealHandle) -> bool:
                     for g in gb))
 
 
+def _substitute(terms: dict, k: int, image: Polynomial) -> dict:
+    """The terms with variable k replaced by the polynomial image."""
+    ring, p = image.ring, image.ring.p
+    powers = [ring.one().terms]
+    out: dict[Mono, int] = {}
+    for m, c in terms.items():
+        while len(powers) <= m[k]:
+            powers.append((Polynomial(ring, powers[-1]) * image).terms)
+        rest = m[:k] + (0,) + m[k + 1:]
+        for pm, pc in powers[m[k]].items():
+            t = mono_mul(rest, pm)
+            v = (out.get(t, 0) + c * pc) % p
+            if v:
+                out[t] = v
+            else:
+                out.pop(t, None)
+    return out
+
+
+def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
+                          saturate: bool) -> tuple[list[Polynomial], int]:
+    """Generators of (I : ell), or of (I : ell^infinity) when saturate is
+    set, over I's ambient ring, and the stabilization exponent s of
+    (I : ell^infinity).  I must be homogeneous under the standard grading
+    and ell a linear form.
+
+    Let x_k be the last variable in which ell has a nonzero coefficient.
+    The coordinates y with y_k = ell/c_k and y_j = x_j otherwise are
+    a linear change of variables, a plain permutation when ell is a
+    variable.  In a grevlex order with y_k last, a form is divisible by
+    y_k^a exactly when its leading monomial is (Bayer-Stillman; Eisenbud,
+    Prop. 15.12).  So dividing each element of the reduced basis of I by
+    y_k once, where it can, gives a basis of (I : ell), and by its full
+    power of y_k a basis of (I : ell^infinity); the largest such power is s,
+    since the reduced basis's leading monomials generate the initial ideal
+    minimally.  A grevlex ring whose last variable is ell starts from the
+    basis of I it has cached.
+    """
+    ring = I.ambient
+    n, p = ring.nvars, ring.p
+    k = max(m.index(1) for m in ell.terms)
+    x_k = ring.gen(k)
+    (unit,) = x_k.terms
+    ell = ell * pow(ell.terms[unit], -1, p)
+    moved_coords = len(ell.terms) > 1
+    perm = tuple(j for j in range(n) if j != k) + (k,)
+    grevlex = MonomialOrder("grevlex")
+    if not moved_coords and k == n - 1 and ring.order == grevlex:
+        basis = [g.terms for g in I.groebner_basis()]
+    else:
+        forward = x_k - (ell - x_k)  # x_k in the coordinates y
+        moved = []
+        for g in I.generators:
+            terms = _substitute(g.terms, k, forward) if moved_coords else g.terms
+            moved.append({tuple(m[j] for j in perm): c for m, c in terms.items()})
+        basis, _ = _basis(moved, grevlex, p)
+    powers = [min(m[-1] for m in terms) for terms in basis]
+    back = [perm.index(j) for j in range(n)]
+    gens = []
+    for terms, a in zip(basis, powers):
+        if not saturate:
+            a = min(a, 1)
+        stripped = {m[:-1] + (m[-1] - a,): c for m, c in terms.items()}
+        terms = {tuple(m[j] for j in back): c for m, c in stripped.items()}
+        if moved_coords:
+            terms = _substitute(terms, k, ell)
+        gens.append(Polynomial(ring, terms))
+    return gens, max(powers, default=0)
+
+
 def _saturation_by_variables(I: IdealHandle,
                              max_steps: int) -> tuple[IdealHandle, int]:
     """(I : m^infinity) and its exponent for homogeneous I under the
     standard grading (Bayer-Stillman; Eisenbud, Prop. 15.12).
 
-    With x_i the last variable of a grevlex order, dividing every element of
-    the reduced basis of I by its largest power of x_i gives a basis of
-    (I : x_i^infinity), and (I : m^infinity) is the intersection of these
-    over i; a piece that contains the running intersection, or lies inside
-    it, needs no tag elimination.  When no basis element has an x_i factor,
-    (I : x_i^infinity) = I, hence (I : m^infinity) = I and s = 0.  Otherwise
-    s is the largest, over the saturation's reduced basis, of the least k
-    with m^k * g inside I.  The variables are taken from the last one down,
-    so that a grevlex ring starts from the basis of I it has cached.
+    (I : m^infinity) is the intersection over the variables x_i of the
+    (I : x_i^infinity), each from one reverse-lex basis in which x_i is the
+    last variable (_colon_by_linear_form); a piece that contains the running
+    intersection, or lies inside it, needs no tag elimination.  When no
+    basis element has an x_i factor, (I : x_i^infinity) = I, hence
+    (I : m^infinity) = I and s = 0.  Otherwise s is the largest, over the
+    saturation's reduced basis, of the least k with m^k * g inside I.  The
+    variables are taken from the last one down, so that a grevlex ring
+    starts from the basis of I it has cached.
     """
     ring = I.ambient
-    n, p = ring.nvars, ring.p
-    grevlex = MonomialOrder("grevlex")
     pieces = []
-    for i in reversed(range(n)):
-        perm = tuple(j for j in range(n) if j != i) + (i,)
-        if i == n - 1 and ring.order == grevlex:
-            basis = [g.terms for g in I.groebner_basis()]
-        else:
-            moved = [{tuple(m[j] for j in perm): c for m, c in g.terms.items()}
-                     for g in I.generators]
-            basis, _ = _basis(moved, grevlex, p)
-        powers = [min(m[-1] for m in terms) for terms in basis]
-        if not any(powers):
+    for i in reversed(range(ring.nvars)):
+        gens, power = _colon_by_linear_form(I, ring.gen(i), saturate=True)
+        if not power:
             return I, 0
-        back = [perm.index(j) for j in range(n)]
-        gens = []
-        for terms, a in zip(basis, powers):
-            stripped = {m[:-1] + (m[-1] - a,): c for m, c in terms.items()}
-            gens.append(Polynomial(ring, {tuple(m[k] for k in back): c
-                                          for m, c in stripped.items()}))
         pieces.append(IdealHandle(ring, gens))
     sat = pieces[0]
     for piece in pieces[1:]:
@@ -715,8 +819,9 @@ def _kill_exponent(I: IdealHandle, g: Polynomial, max_steps: int) -> int:
         f"saturation did not stabilize within {max_steps} steps", GBStats())
 
 
-def _saturation_by_colons(I: IdealHandle, K: IdealHandle,
-                          max_steps: int = 200) -> tuple[IdealHandle, int]:
+def _saturation_by_colons(
+        I: IdealHandle, K: IdealHandle,
+        max_steps: int = SATURATION_MAX_STEPS) -> tuple[IdealHandle, int]:
     """(I : K^infinity) by iterated colons until two agree; the general path
     of saturation and the oracle its fast path is tested against."""
     current = I

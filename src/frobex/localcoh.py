@@ -9,10 +9,15 @@ finite-length torsion quotients
 
 with transition maps given by multiplication by (x_1 ... x_i) and a natural
 Frobenius action sending the class of a at level n to the class of a^p at
-level p*n.  Truncating at level N gives finite matrices for everything; the
-Frobenius-nilpotent part is scanned through kernels of composed Frobenius
-chains, filtered by survival under the transition maps so that truncation
-artifacts (classes that die in the limit) are never reported as witnesses.
+level p*n.  Powers of a filter regular sequence are filter regular, so for
+i < d the next element x_{i+1} is filter regular on R/(x_1^n, ..., x_i^n):
+it is a nonzerodivisor modulo the m-torsion, and the numerator above is
+((x_1^n, ..., x_i^n) : x_{i+1}^infinity).  For a linear form x_{i+1} that
+saturation takes a single reverse-lex basis.  Truncating at level N gives
+finite matrices for everything; the Frobenius-nilpotent part is scanned
+through kernels of composed Frobenius chains, filtered by survival under the
+transition maps so that truncation artifacts (classes that die in the limit)
+are never reported as witnesses.
 
 The HSL number of the ring is the maximum, over cohomological degrees, of
 the nilpotency orders seen this way; it is an experimental lower bound.  Each
@@ -51,10 +56,12 @@ from .frobenius import (
     power_family_ideal,
 )
 from .groebner import (
+    SATURATION_MAX_STEPS,
     IdealHandle,
     QuotientRing,
     dimension,
     ideal,
+    is_linear_form,
     ring_fingerprint,
     saturation,
     std_monomials,
@@ -104,13 +111,23 @@ class TorsionQuotientSnapshot:
         return cached
 
     def _vectorize(self, f: Polynomial) -> np.ndarray:
-        w = self.defining.normal_form(f)
+        # columns are standard monomials of the defining ideal, so a term on
+        # a column is its own normal form; only the rest is reduced
         vec = np.zeros(len(self.columns), dtype=np.int64)
         index = self._column_index()
-        for m, c in w.terms.items():
-            if m not in index:
-                raise TorsionSpanError(f"{f} is not m-torsion modulo the ideal")
-            vec[index[m]] = c
+        rest = {}
+        for m, c in f.terms.items():
+            if m in index:
+                vec[index[m]] = c
+            else:
+                rest[m] = c
+        if rest:
+            p = self.ring.p
+            w = self.defining.normal_form(Polynomial(f.ring, rest))
+            for m, c in w.terms.items():
+                if m not in index:
+                    raise TorsionSpanError(f"{f} is not m-torsion modulo the ideal")
+                vec[index[m]] = (vec[index[m]] + c) % p
         return vec
 
     def coordinates(self, f: Polynomial) -> np.ndarray:
@@ -140,7 +157,8 @@ def _empty_snapshot(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot:
     return TorsionQuotientSnapshot(R, Q, (), (), None, None, 0, False)
 
 
-def torsion_quotient(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot:
+def torsion_quotient(R: QuotientRing, Q: IdealHandle,
+                     regular: Polynomial | None = None) -> TorsionQuotientSnapshot:
     """Snapshot of (Q : m^infinity)/Q; Q is a handle over R.
 
     A homogeneous Q of dimension 0 under the standard grading needs no
@@ -149,18 +167,36 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot
     other Q is saturated, and for each g of the saturation's basis the
     classes of mono * g with deg(mono) = 0, 1, ... span the quotient up to
     the first degree where all of them vanish, which is g's kill exponent.
+
+    ``regular``, when given, must be filter regular on R/Q, as the next
+    element of a verified filter regular sequence is on the powers of its
+    prefix.  It is then a nonzerodivisor on R/(Q : m^infinity), so
+    (Q : regular) lies inside (Q : m^infinity), and
+    (Q : m^infinity) = (Q : regular^infinity).  For a linear form and a
+    homogeneous Q under the standard grading, that saturation takes one
+    reverse-lex basis.  Its exponent counts powers of ``regular``, not of m,
+    so there the kill exponents are bounded by the saturation step limit
+    instead; a class still alive at that limit is not m-torsion, which a
+    filter regular ``regular`` rules out.
     """
     if not Q.is_proper():
         return _empty_snapshot(R, Q)
     n = R.ambient.nvars
-    if (all(w == 1 for w in R.ambient.weights)
-            and all(g.is_homogeneous() for g in Q.generators)
-            and dimension(Q) == 0):
+    graded = (all(w == 1 for w in R.ambient.weights)
+              and all(g.is_homogeneous() for g in Q.generators))
+    if graded and dimension(Q) == 0:
         cols = tuple(std_monomials(Q))
-        basis = tuple(R.ambient.monomial(m) for m in cols)
+        basis = tuple(Polynomial(R.ambient, {m: 1}) for m in cols)
         kill = max(mono_degree(m) for m in cols) + 1
         return TorsionQuotientSnapshot(R, Q, basis, cols, None, None, kill, True)
-    saturated, s = saturation(Q, R.maximal_ideal())
+    if graded and regular is not None and is_linear_form(regular):
+        saturated, _ = saturation(Q, ideal(R, [regular]))
+        bound = SATURATION_MAX_STEPS - 1
+        overrun = (f"{regular} is not filter regular: a class of the saturation "
+                   f"is not m-torsion within {SATURATION_MAX_STEPS} steps")
+    else:
+        saturated, bound = saturation(Q, R.maximal_ideal())
+        overrun = "saturation exponent bound violated"
     if saturated.equals(Q):
         return _empty_snapshot(R, Q)
     p = R.p
@@ -169,9 +205,9 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot
     kill = 0
     for g in saturated.groebner_basis():
         for k in itertools.count():
-            if k > s:
-                raise InconsistencyError("saturation exponent bound violated")
-            forms = [Q.normal_form(R.ambient.monomial(a) * g).terms
+            if k > bound:
+                raise InconsistencyError(overrun)
+            forms = [Q.normal_form(Polynomial(R.ambient, {a: 1}) * g).terms
                      for a in monomials_of_weighted_degree(n, k, (1,) * n)]
             nonzero = [t for t in forms if t]
             if not nonzero:
@@ -287,6 +323,8 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
 
     For i > 0 fseq must be verified filter regular; levels run
     from 1 to N and Frobenius matrices exist for every n with p*n <= N.
+    When fseq is verified and i < len(fseq), every level is saturated by
+    the next element rather than by m (see torsion_quotient).
     """
     if not (0 <= i <= len(fseq)):
         raise AlgebraError(f"prefix length {i} out of range")
@@ -297,14 +335,15 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
     prefix = fseq.elements[:i]
     p = R.p
 
+    regular = fseq.elements[i] if fseq.verified and i < len(fseq) else None
     snapshots: list[TorsionQuotientSnapshot] = []
     if i == 0:
-        shared = torsion_quotient(R, ideal(R))
+        shared = torsion_quotient(R, ideal(R), regular)
         snapshots = [shared] * N
     else:
         for n in range(1, N + 1):
             Q = ideal(R, [f**n for f in prefix])
-            snapshots.append(torsion_quotient(R, Q))
+            snapshots.append(torsion_quotient(R, Q, regular))
 
     product = R.ambient.one()
     for f in prefix:

@@ -304,11 +304,12 @@ def test_criterion_8_invariant_suites(monkeypatch, tmp_path):
         assert workers.count("failed") == 0, f"{workers.count('failed')} worker bases fail"
 
     # every basis built above passes both checks, block-order tag
-    # eliminations and the permuted grevlex bases of saturation included
+    # eliminations and the reverse-lex bases of colons and saturations by a
+    # linear form included
     failures = [entry for entry in audited if entry[2] is not None]
     assert not failures, f"{len(failures)} of {len(audited)} bases fail: {failures[:3]}"
     assert any(kind == "block" for kind, _, _ in audited)
-    assert any(kind == "grevlex" and "_saturation_by_variables" in caller
+    assert any(kind == "grevlex" and "_colon_by_linear_form" in caller
                for kind, caller, _ in audited)
 
     assert time.perf_counter() - _T0 < 600, "acceptance module exceeded 10 minutes"

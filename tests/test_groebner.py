@@ -29,6 +29,8 @@ from frobex.groebner import (
     NotZeroDimensionalError,
     QuotientRing,
     ResourceCapExceeded,
+    _colon_by_elimination,
+    _colon_by_linear_form,
     _nf_terms,
     _saturation_by_colons,
     buchberger_basis,
@@ -469,6 +471,19 @@ def colon_saturations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def linear_form_runs(monkeypatch):
+    """Record every (I, ell, saturate) read off one reverse-lex basis."""
+    calls = []
+
+    def spy(I, ell, saturate):
+        calls.append((I, ell, saturate))
+        return _colon_by_linear_form(I, ell, saturate)
+
+    monkeypatch.setattr(groebner_module, "_colon_by_linear_form", spy)
+    return calls
+
+
 def assert_saturation_matches_oracle(I, K):
     """saturation and the colon loop agree on the reduced basis and on s;
     returns s."""
@@ -543,15 +558,30 @@ def weighted_saturation_input():
 
 @pytest.mark.parametrize("make_input", [
     lambda: (ideal(poly_ring(2, "x", "y"), "x^2*y", "x*y^2"),
-             ideal(poly_ring(2, "x", "y"), "x")),
+             ideal(poly_ring(2, "x", "y"), "x", "y^2")),
     weighted_saturation_input,
     lambda: (ideal(poly_ring(3, "x", "y"), "x^3 + y", "x*y"),
              ideal(poly_ring(3, "x", "y"), "x", "y")),
-], ids=["K-not-maximal", "weighted", "inhomogeneous"])
-def test_saturation_fallbacks_take_colons(make_input, colon_saturations):
+    lambda: (ideal(poly_ring(3, "x", "y"), "x^2*y", "x*y^2"),
+             ideal(poly_ring(3, "x", "y"), "x^2 + y^2")),
+    lambda: (ideal(poly_ring(3, "x", "y"), "x^2*y", "x*y^2"),
+             ideal(poly_ring(3, "x", "y"), "x + x^2")),
+    lambda: (ideal(poly_ring(3, "x", "y"), "x^3 + y", "x*y"),
+             ideal(poly_ring(3, "x", "y"), "x + y")),
+    lambda: (ideal(poly_ring(2, "x", "y", grading=(1, 2)), "x^4 + x^2*y", "x*y^2"),
+             ideal(poly_ring(2, "x", "y", grading=(1, 2)), "x")),
+], ids=["K-not-maximal", "weighted", "inhomogeneous", "K-nonlinear-form",
+        "K-inhomogeneous-form", "inhomogeneous-by-linear-form", "weighted-by-variable"])
+def test_saturation_fallbacks_take_colons(make_input, colon_saturations,
+                                          linear_form_runs):
     I, K = make_input()
     assert_saturation_matches_oracle(I, K)
     assert colon_saturations == [(I, K)]
+    assert (colon(I, K).groebner_basis()
+            == _colon_by_elimination(I, K).groebner_basis())
+    # neither I's colon nor its saturation was read off a reverse-lex basis;
+    # a colon inside the loop may be graded, and then it is
+    assert all(J is not I for J, _, _ in linear_form_runs)
 
 
 def test_saturated_ideal_exits_without_intersect(monkeypatch, colon_saturations):
@@ -587,6 +617,72 @@ def test_saturation_step_cap_is_a_resource_error():
     with pytest.raises(ResourceCapExceeded):
         _saturation_by_colons(J, m, max_steps=2)
     assert assert_saturation_matches_oracle(J, m) == 2
+    # and on the path in changed coordinates: in x + y, y, z the ideal is
+    # ((x + y)^3 * z), so s = 3
+    P3 = poly_ring(3, "x", "y", "z")
+    I3, K3 = ideal(P3, "x^3*z + y^3*z"), ideal(P3, "x + y")
+    with pytest.raises(ResourceCapExceeded):
+        saturation(I3, K3, max_steps=3)
+    got, s = saturation(I3, K3, max_steps=4)
+    assert s == 3 and got.equals(ideal(P3, "z"))
+
+
+# --- colon and saturation by a linear form ---
+
+def assert_linear_form_matches_oracles(monkeypatch, I, ell):
+    """colon(I, (ell)) equals the tag-elimination colon, and
+    saturation(I, (ell)) equals iterated elimination colons, in reduced
+    basis and in s; returns s."""
+    K = ideal(I.ring, [ell])
+    got, s = saturation(I, K)
+    with monkeypatch.context() as patched:
+        patched.setattr(groebner_module, "colon", _colon_by_elimination)
+        want, t = _saturation_by_colons(I, K)
+    assert got.groebner_basis() == want.groebner_basis(), (I, ell)
+    assert s == t, (I, ell)
+    assert (colon(I, K).groebner_basis()
+            == _colon_by_elimination(I, K).groebner_basis()), (I, ell)
+    return s
+
+
+LINEAR_FORM_KINDS = ("variable", "sparse", "dense", "non-unit")
+
+
+def random_linear_form(rng, P, kind):
+    """A variable, a form in two variables, a form in every variable, or a
+    form whose last variable has a coefficient other than 1."""
+    n, p = P.nvars, P.p
+    size = {"variable": 1, "sparse": 2, "dense": n,
+            "non-unit": rng.randrange(1, n + 1)}[kind]
+    support = rng.sample(range(n), size)
+    coeffs = {j: 1 if kind == "variable" else rng.randrange(1, p) for j in support}
+    if kind == "non-unit":
+        coeffs[max(support)] = rng.randrange(2, p)
+    return P.poly({tuple(int(i == j) for i in range(n)): c for j, c in coeffs.items()})
+
+
+def test_linear_form_colon_and_saturation_match_oracles(monkeypatch, colon_saturations,
+                                                        linear_form_runs):
+    rng = random.Random(1801)
+    rings = [poly_ring(p, *names) for p in (2, 3, 7)
+             for names in (("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w"))]
+    rings += [load_corpus_ring(label) for label in corpus_labels()]
+    positive = moved = 0
+    for R in rings:
+        P = R.ambient if isinstance(R, QuotientRing) else R
+        for kind in LINEAR_FORM_KINDS:
+            if kind == "non-unit" and P.p == 2:
+                continue
+            ell = random_linear_form(rng, P, kind)
+            I = random_torsion_ideal(rng, R)
+            linear_form_runs.clear()
+            positive += assert_linear_form_matches_oracles(monkeypatch, I, ell) > 0
+            moved += len(ell.terms) > 1
+            # the colon and the saturation each took one reverse-lex basis,
+            # and the oracles took none
+            assert [(J, f) for J, f, _ in linear_form_runs] == [(I, ell)] * 2
+        assert colon_saturations == []
+    assert positive >= 30 and moved >= 30
 
 
 def test_exact_divide():

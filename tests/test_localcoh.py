@@ -21,10 +21,21 @@ from frobex.algebra import (
     mono_degree,
     monomials_of_weighted_degree,
 )
-from frobex.corpus import load_corpus_ring
-from frobex.filterreg import is_filter_regular_sequence, make_sequence
+from frobex.corpus import corpus_labels, load_corpus_ring
+from frobex.filterreg import (
+    is_filter_regular_sequence,
+    make_sequence,
+    random_filter_regular_sop,
+)
 from frobex.frobenius import InconsistencyError, fte_scan, parameter_base
-from frobex.groebner import QuotientRing, ideal, saturation, shared_bases, std_monomials
+from frobex.groebner import (
+    SATURATION_MAX_STEPS,
+    QuotientRing,
+    ideal,
+    saturation,
+    shared_bases,
+    std_monomials,
+)
 from frobex.localcoh import (
     PROBE_STEP,
     LimitSystem,
@@ -174,6 +185,69 @@ def test_understated_saturation_exponent_is_an_inconsistency(monkeypatch):
     R = load_corpus_ring("regular-f2-xy")
     with pytest.raises(InconsistencyError, match="saturation exponent bound"):
         torsion_quotient(R, ideal(R, "x^2", "x*y"))
+
+
+def test_filter_regular_saturation_matches_maximal_ideal_on_corpus_towers(monkeypatch):
+    # every snapshot of every tower below the top, for the parameter base
+    # and a random filter regular sequence of each corpus ring, saturated by
+    # the next sequence element and by m
+    saturated_by = []
+
+    def spy(I, K, max_steps=SATURATION_MAX_STEPS):
+        saturated_by.append(len(K.own_gens))
+        return saturation(I, K, max_steps)
+
+    monkeypatch.setattr(localcoh_module, "saturation", spy)
+    nonempty = 0
+    for label in corpus_labels():
+        R = load_corpus_ring(label)
+        for seq in (parameter_base(R, 42), random_filter_regular_sop(R, 42)):
+            for i in range(R.dim):
+                for n in range(1, 11 if i else 2):
+                    Q = ideal(R, [f**n for f in seq.elements[:i]])
+                    by_next = torsion_quotient(R, Q, seq.elements[i])
+                    by_m = torsion_quotient(R, Q)
+                    assert by_next.basis == by_m.basis, (label, i, n)
+                    assert by_next.columns == by_m.columns, (label, i, n)
+                    assert by_next.kill_exponent == by_m.kill_exponent, (label, i, n)
+                    nonempty += by_next.length > 0
+    assert nonempty >= 4
+    assert saturated_by.count(1) >= 20
+
+
+@pytest.mark.parametrize("label,elements,by_next", [
+    ("two-planes-f2", ["x + u", "y + v"], True),
+    ("regular-f2-xy", ["x + x^2", "y"], False),   # inhomogeneous prefix
+    ("regular-f2-xy", ["x^2", "y^2"], False),     # non-linear elements
+])
+def test_limit_system_saturates_by_the_next_linear_element(monkeypatch, label,
+                                                           elements, by_next):
+    saturated_by = []
+
+    def spy(I, K, max_steps=SATURATION_MAX_STEPS):
+        saturated_by.append(K)
+        return saturation(I, K, max_steps)
+
+    monkeypatch.setattr(localcoh_module, "saturation", spy)
+    R = load_corpus_ring(label)
+    seq = verified(R, elements)
+    for i in range(len(elements)):
+        saturated_by.clear()
+        limit_system(R, seq, i, 3)
+        assert saturated_by, (label, i)
+        if by_next:
+            assert all(K.own_gens == (seq.elements[i],) for K in saturated_by)
+        else:
+            assert all(K.equals(R.maximal_ideal()) for K in saturated_by)
+
+
+def test_element_that_is_not_filter_regular_is_an_inconsistency():
+    # in k[x,y]/(x*y), (0 : x^infinity) = (y) while (0 : m^infinity) = 0:
+    # no power of m kills y, so x is not filter regular
+    R = QuotientRing(PolyRing(PrimeField(2), ("x", "y")), ["x*y"])
+    with pytest.raises(InconsistencyError, match="not filter regular"):
+        torsion_quotient(R, ideal(R), R.parse("x"))
+    assert torsion_quotient(R, ideal(R)).length == 0
 
 
 # --- limit systems ---
