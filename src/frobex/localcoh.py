@@ -59,6 +59,7 @@ from .groebner import (
     SATURATION_MAX_STEPS,
     IdealHandle,
     QuotientRing,
+    _is_graded,
     dimension,
     ideal,
     is_linear_form,
@@ -182,8 +183,7 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle,
     if not Q.is_proper():
         return _empty_snapshot(R, Q)
     n = R.ambient.nvars
-    graded = (all(w == 1 for w in R.ambient.weights)
-              and all(g.is_homogeneous() for g in Q.generators))
+    graded = _is_graded(Q)
     if graded and dimension(Q) == 0:
         cols = tuple(std_monomials(Q))
         basis = tuple(Polynomial(R.ambient, {m: 1}) for m in cols)
