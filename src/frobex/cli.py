@@ -29,6 +29,7 @@ from .corpus import (
     ring_from_spec,
 )
 from .filterreg import (
+    SequenceShapeError,
     is_filter_regular_sequence,
     is_system_of_parameters,
     make_sequence,
@@ -532,7 +533,7 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         _emit_error(args.json, exc, EXIT_RESOURCE)
         return EXIT_RESOURCE
-    except (RingSpecError, ParseError) as exc:
+    except (RingSpecError, ParseError, SequenceShapeError) as exc:
         _emit_error(args.json, exc, EXIT_USAGE)
         return EXIT_USAGE
     except AlgebraError as exc:

@@ -38,6 +38,11 @@ class SearchExhausted(AlgebraError):
     """Random search failed to find an admissible element."""
 
 
+class SequenceShapeError(AlgebraError):
+    """A sequence of the wrong length, or with an element outside the
+    maximal ideal: bad input rather than a failed check."""
+
+
 @dataclass
 class FilterSequence:
     """A sequence of elements of the maximal ideal m of R.
@@ -74,7 +79,7 @@ def filter_regular_failure(seq: FilterSequence) -> int | None:
     m = R.maximal_ideal()
     for f in seq.elements:
         if not m.contains(f):
-            raise AlgebraError("sequence element outside the maximal ideal")
+            raise SequenceShapeError("sequence element outside the maximal ideal")
     for i, f in enumerate(seq.elements):
         prefix = seq.prefix_ideal(i)
         quotient = colon(prefix, ideal(R, [f]))

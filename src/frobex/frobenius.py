@@ -72,7 +72,7 @@ from .seeding import derive_seed
 
 class InconsistencyError(AlgebraError):
     """An internal invariant failed (non-ascending chain, missing exponent,
-    a torsion kill exponent out of bounds)."""
+    a saturation by an element that is not filter regular)."""
 
 
 def frobenius_power(I: IdealHandle, e: int) -> IdealHandle:

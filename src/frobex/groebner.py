@@ -854,13 +854,7 @@ def dimension(I: IdealHandle) -> int:
 def std_monomials(I: IdealHandle) -> list[Mono]:
     """Monomials outside the initial ideal: a vector space basis of
     ambient/I, sorted by degree, then by the monomial order.  Requires I
-    zero-dimensional (finite staircase).
-
-    The staircase is walked one degree at a time: a monomial is standard
-    exactly when it is no leading monomial and lowering any one of its
-    nonzero exponents gives a standard monomial, so every candidate of the
-    next degree costs a few set lookups and no divisibility scan.
-    """
+    zero-dimensional (finite staircase); the walk is staircase(I)."""
     gb = I.groebner_basis()
     if any(mono_degree(g.leading_monomial()) == 0 for g in gb):
         return []
@@ -870,18 +864,43 @@ def std_monomials(I: IdealHandle) -> list[Mono]:
     if len(pure) < n:
         raise NotZeroDimensionalError(
             "no pure power of some variable in the initial ideal")
+    return [m for layer in staircase(I) for m in layer]
+
+
+def staircase(I: IdealHandle, S: IdealHandle | None = None):
+    """Yield, one degree at a time from degree 0, the monomials of in(S)
+    outside in(I), each degree sorted by the monomial order.  S must
+    contain I; it defaults to the unit ideal, which walks the standard
+    monomials of I.
+
+    A monomial lies outside in(I) exactly when it is no leading monomial of
+    I and lowering any one of its nonzero exponents gives a monomial outside
+    in(I): one the walk yielded a degree earlier, or one outside in(S).  The
+    candidates of the next degree are those yielded raised by one variable,
+    plus S's leading monomials of that degree, so each costs a few set
+    lookups, and a divisibility scan of S's leading monomials only for a
+    lowering the walk did not yield.  The walk ends at the first empty degree
+    at or past S's top leading monomial, since above it in(S) is generated
+    by the degree below; when S/I has infinite length it never ends.
+    """
+    n = I.ambient.nvars
+    lms = {g.leading_monomial() for g in I.groebner_basis()}
+    tops = ([(0,) * n] if S is None
+            else [g.leading_monomial() for g in S.groebner_basis()])
+    top = max((mono_degree(t) for t in tops), default=0)
     key = I.ambient.order.key
-    out: list[Mono] = []
-    layer = [(0,) * n]
-    while layer:
-        layer.sort(key=key)
-        out.extend(layer)
+    layer: list[Mono] = []
+    for d in itertools.count():
         below = set(layer)
         raised = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in layer for i in range(n)}
-        layer = [m for m in raised if m not in lms
-                 and all(m[:i] + (m[i] - 1,) + m[i + 1:] in below
-                         for i in range(n) if m[i])]
-    return out
+        raised.update(t for t in tops if mono_degree(t) == d)
+        layer = sorted((m for m in raised if m not in lms and all(
+            (u := m[:i] + (m[i] - 1,) + m[i + 1:]) in below
+            or not any(mono_divides(t, u) for t in tops)
+            for i in range(n) if m[i])), key=key)
+        if not layer and d >= top:
+            return
+        yield layer
 
 
 def std_monomials_of_weighted_degree(I: IdealHandle, degree: int) -> list[Mono]:

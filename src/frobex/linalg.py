@@ -79,18 +79,3 @@ def nullspace(a, p: int) -> np.ndarray:
             basis[k, pc] = (-int(red[r, fc])) % p
     return basis
 
-
-def solve_in_rowspace(red: np.ndarray, pivots: list[int], v: np.ndarray,
-                      p: int) -> np.ndarray | None:
-    """Coordinates of v as a combination of the RREF rows, or None when v is
-    outside the row space.  Because the rows are in reduced echelon form the
-    coordinates are just the pivot entries of v after elimination."""
-    v = as_modp(v, p).copy()
-    coords = np.zeros(red.shape[0], dtype=np.int64)
-    for r, c in enumerate(pivots):
-        if v[c]:
-            coords[r] = v[c]
-            v = (v - coords[r] * red[r]) % p
-    if np.any(v):
-        return None
-    return coords

@@ -13,7 +13,10 @@ level p*n.  Powers of a filter regular sequence are filter regular, so for
 i < d the next element x_{i+1} is filter regular on R/(x_1^n, ..., x_i^n):
 it is a nonzerodivisor modulo the m-torsion, and the numerator above is
 ((x_1^n, ..., x_i^n) : x_{i+1}^infinity).  For a linear form x_{i+1} that
-saturation takes a single reverse-lex basis.  Truncating at level N gives
+saturation takes a single reverse-lex basis.  Each L_n is read off the
+staircase of its numerator S: one basis element m - NF_S(m) for each
+monomial m of in(S) outside in(Q_n), and coordinates are the coefficients
+of those monomials in a normal form modulo Q_n.  Truncating at level N gives
 finite matrices for everything; the Frobenius-nilpotent part is scanned
 through kernels of composed Frobenius chains, filtered by survival under the
 transition maps so that truncation artifacts (classes that die in the limit)
@@ -42,9 +45,13 @@ from .algebra import (
     frobenius_raise,
     mono_degree,
     mono_weighted_degree,
-    monomials_of_weighted_degree,
 )
-from .filterreg import FilterSequence, is_filter_regular_sequence, make_sequence
+from .filterreg import (
+    FilterSequence,
+    SequenceShapeError,
+    is_filter_regular_sequence,
+    make_sequence,
+)
 from .frobenius import (
     FteScanReport,
     InconsistencyError,
@@ -65,6 +72,7 @@ from .groebner import (
     is_linear_form,
     ring_fingerprint,
     saturation,
+    staircase,
     std_monomials,
     std_monomials_of_weighted_degree,
 )
@@ -80,25 +88,24 @@ class TorsionSpanError(AlgebraError):
 
 @dataclass
 class TorsionQuotientSnapshot:
-    """Vector space basis of (Q : m^infinity)/Q over F_p.
+    """Vector space basis of (Q : m^infinity)/Q over F_p, Q the defining
+    ideal, read off the staircase of S = (Q : m^infinity).
 
-    Basis elements are normal-form representatives; their coordinate rows
-    over ``columns`` (monomials sorted by degree then monomial order) are in
-    reduced row echelon form, so coordinates of arbitrary elements resolve
-    by pivot elimination.  When Q is homogeneous and m-primary under the
-    standard grading the whole quotient R/Q is m-torsion and the basis is
-    exactly the standard monomial basis (monomial_basis flag); kill_exponent
-    is the least k with m^k * basis inside Q.
+    The columns are the monomials of in(S) outside in(Q), sorted by degree
+    then monomial order; S/Q has finite length, so they are finitely many.
+    The basis element of column m is m - NF_S(m), which lies in S and whose
+    other terms are standard for S, hence on no column: the reduced echelon
+    form of S/Q read with the columns descending.  The coordinates of
+    an element are the column coefficients of its normal form modulo Q; an
+    element of S leaves nothing once those basis elements are subtracted.
+    When Q is homogeneous and m-primary under the standard grading, S is the
+    unit ideal and the basis is the standard monomials of Q.
     """
 
     ring: QuotientRing
     defining: IdealHandle
     basis: tuple[Polynomial, ...]
     columns: tuple[Mono, ...]
-    matrix: np.ndarray | None
-    pivots: tuple[int, ...] | None
-    kill_exponent: int
-    monomial_basis: bool
 
     @property
     def length(self) -> int:
@@ -107,43 +114,33 @@ class TorsionQuotientSnapshot:
     def _column_index(self) -> dict:
         cached = getattr(self, "_index", None)
         if cached is None:
-            cached = {m: i for i, m in enumerate(self.columns)}
+            cached = {m: (i, b.terms)
+                      for i, (m, b) in enumerate(zip(self.columns, self.basis))}
             self._index = cached
         return cached
-
-    def _vectorize(self, f: Polynomial) -> np.ndarray:
-        # columns are standard monomials of the defining ideal, so a term on
-        # a column is its own normal form; only the rest is reduced
-        vec = np.zeros(len(self.columns), dtype=np.int64)
-        index = self._column_index()
-        rest = {}
-        for m, c in f.terms.items():
-            if m in index:
-                vec[index[m]] = c
-            else:
-                rest[m] = c
-        if rest:
-            p = self.ring.p
-            w = self.defining.normal_form(Polynomial(f.ring, rest))
-            for m, c in w.terms.items():
-                if m not in index:
-                    raise TorsionSpanError(f"{f} is not m-torsion modulo the ideal")
-                vec[index[m]] = (vec[index[m]] + c) % p
-        return vec
 
     def coordinates(self, f: Polynomial) -> np.ndarray:
         """Coordinates of f's class in the basis; raises TorsionSpanError
         when the class lies outside the torsion submodule."""
         p = self.ring.p
-        vec = self._vectorize(f)
-        if self.monomial_basis:
-            return vec
-        if self.matrix is None:
-            # empty snapshot: _vectorize already rejected anything nonzero
-            return np.zeros(0, dtype=np.int64)
-        coords = linalg.solve_in_rowspace(self.matrix, list(self.pivots), vec, p)
-        if coords is None:
-            raise TorsionSpanError(f"{f} is not in the torsion span")
+        index = self._column_index()
+        terms, rest = {}, {}
+        for m, c in f.terms.items():
+            (terms if m in index else rest)[m] = c
+        if rest:
+            # a term on a column is standard for Q, so only the rest is reduced
+            for m, c in self.defining.normal_form(Polynomial(f.ring, rest)).terms.items():
+                terms[m] = (terms.get(m, 0) + c) % p
+        coords = np.zeros(len(self.columns), dtype=np.int64)
+        left = dict(terms)  # NF_Q(f) minus the basis elements of its columns
+        for m, c in terms.items():
+            if m in index:
+                i, basis_terms = index[m]
+                coords[i] = c
+                for t, a in basis_terms.items():
+                    left[t] = (left.get(t, 0) - c * a) % p
+        if any(left.values()):
+            raise TorsionSpanError(f"{f} is not m-torsion modulo the ideal")
         return coords
 
     def from_coordinates(self, coords) -> Polynomial:
@@ -154,20 +151,15 @@ class TorsionQuotientSnapshot:
         return out
 
 
-def _empty_snapshot(R: QuotientRing, Q: IdealHandle) -> TorsionQuotientSnapshot:
-    return TorsionQuotientSnapshot(R, Q, (), (), None, None, 0, False)
-
-
 def torsion_quotient(R: QuotientRing, Q: IdealHandle,
                      regular: Polynomial | None = None) -> TorsionQuotientSnapshot:
     """Snapshot of (Q : m^infinity)/Q; Q is a handle over R.
 
     A homogeneous Q of dimension 0 under the standard grading needs no
-    membership test: its standard monomials are a graded basis of R/Q, none
-    above degree top, so m^(top+1) lies inside Q and m^top does not.  Every
-    other Q is saturated, and for each g of the saturation's basis the
-    classes of mono * g with deg(mono) = 0, 1, ... span the quotient up to
-    the first degree where all of them vanish, which is g's kill exponent.
+    saturation: R/Q is m-torsion, S is the unit ideal, and the columns are
+    Q's standard monomials.  Every other Q is saturated by m, or by
+    ``regular`` as below, and the columns are walked up the staircase of
+    in(S) outside in(Q) (groebner.staircase).
 
     ``regular``, when given, must be filter regular on R/Q, as the next
     element of a verified filter regular sequence is on the powers of its
@@ -175,61 +167,34 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle,
     (Q : regular) lies inside (Q : m^infinity), and
     (Q : m^infinity) = (Q : regular^infinity).  For a linear form and a
     homogeneous Q under the standard grading, that saturation takes one
-    reverse-lex basis.  Its exponent counts powers of ``regular``, not of m,
-    so there the kill exponents are bounded by the saturation step limit
-    instead; a class still alive at that limit is not m-torsion, which a
-    filter regular ``regular`` rules out.
+    reverse-lex basis.  When ``regular`` is not filter regular, S/Q has
+    infinite length, and the walk is stopped SATURATION_MAX_STEPS degrees
+    past S's top leading monomial.
     """
     if not Q.is_proper():
-        return _empty_snapshot(R, Q)
-    n = R.ambient.nvars
+        return TorsionQuotientSnapshot(R, Q, (), ())
     graded = _is_graded(Q)
     if graded and dimension(Q) == 0:
-        cols = tuple(std_monomials(Q))
-        basis = tuple(Polynomial(R.ambient, {m: 1}) for m in cols)
-        kill = max(mono_degree(m) for m in cols) + 1
-        return TorsionQuotientSnapshot(R, Q, basis, cols, None, None, kill, True)
-    if graded and regular is not None and is_linear_form(regular):
-        saturated, _ = saturation(Q, ideal(R, [regular]))
-        bound = SATURATION_MAX_STEPS - 1
-        overrun = (f"{regular} is not filter regular: a class of the saturation "
-                   f"is not m-torsion within {SATURATION_MAX_STEPS} steps")
+        saturated, top = None, 0
     else:
-        saturated, bound = saturation(Q, R.maximal_ideal())
-        overrun = "saturation exponent bound violated"
-    if saturated.equals(Q):
-        return _empty_snapshot(R, Q)
-    p = R.p
-    order_key = R.ambient.order.key
-    rows: list[dict] = []
-    kill = 0
-    for g in saturated.groebner_basis():
-        for k in itertools.count():
-            if k > bound:
-                raise InconsistencyError(overrun)
-            forms = [Q.normal_form(Polynomial(R.ambient, {a: 1}) * g).terms
-                     for a in monomials_of_weighted_degree(n, k, (1,) * n)]
-            nonzero = [t for t in forms if t]
-            if not nonzero:
-                break
-            rows.extend(nonzero)
-        kill = max(kill, k)
-    if not rows:
-        return _empty_snapshot(R, Q)
-    support = sorted({m for t in rows for m in t},
-                     key=lambda m: (mono_degree(m), order_key(m)))
-    index = {m: i for i, m in enumerate(support)}
-    mat = np.zeros((len(rows), len(support)), dtype=np.int64)
-    for r, t in enumerate(rows):
-        for m, c in t.items():
-            mat[r, index[m]] = c
-    red, pivots = linalg.rref(mat, p)
+        if graded and regular is not None and is_linear_form(regular):
+            saturated, _ = saturation(Q, ideal(R, [regular]))
+        else:
+            saturated, _ = saturation(Q, R.maximal_ideal())
+        top = max((mono_degree(g.leading_monomial()) for g in saturated.groebner_basis()),
+                  default=0)
+    columns: list[Mono] = []
+    for d, layer in enumerate(staircase(Q, saturated)):
+        if d > top + SATURATION_MAX_STEPS:
+            raise InconsistencyError(
+                f"{regular} is not filter regular: the saturation has classes "
+                f"more than {SATURATION_MAX_STEPS} degrees above its generators")
+        columns.extend(layer)
     basis = []
-    for r in range(red.shape[0]):
-        terms = {support[c]: int(red[r, c]) for c in range(red.shape[1]) if red[r, c]}
-        basis.append(Polynomial(R.ambient, terms))
-    return TorsionQuotientSnapshot(R, Q, tuple(basis), tuple(support), red,
-                                   tuple(pivots), kill, False)
+    for m in columns:
+        b = Polynomial(R.ambient, {m: 1})
+        basis.append(b - saturated.normal_form(b) if saturated else b)
+    return TorsionQuotientSnapshot(R, Q, tuple(basis), tuple(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +509,7 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
 def _check_hsl_args(R: QuotientRing, fseq: FilterSequence, e_max: int) -> None:
     d = R.dim
     if len(fseq) != d:
-        raise AlgebraError(f"need a full system of parameters ({d} elements)")
+        raise SequenceShapeError(f"need a full system of parameters ({d} elements)")
     if e_max < 1:
         raise AlgebraError("e_max must be >= 1")
     if not fseq.verified:

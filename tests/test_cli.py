@@ -264,6 +264,23 @@ def test_hsl_rejects_bad_sequence(capsys):
     assert doc["schema"] == "frobex/error/1"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("hsl", "--ring", "regular-f2-xy", "--sequence", "x"),
+     "need a full system of parameters"),
+    (("hsl", "--ring", "regular-f2-xy", "--sequence", "x + 1, y"),
+     "outside the maximal ideal"),
+    (("prop34-check", "--ring", "fermat-cubic-p2", "--prefix", "y, z + 1"),
+     "outside the maximal ideal"),
+    (("filter-check", "--ring", "depth-zero-f2", "--elements", "y + 1"),
+     "outside the maximal ideal"),
+], ids=["hsl-length", "hsl-unit", "prop34-unit", "filter-check-unit"])
+def test_sequence_of_bad_shape_is_usage(capsys, argv, message):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["schema"] == "frobex/error/1"
+    assert message in doc["error"]["message"]
+
+
 def test_ns_check_regular(capsys):
     code, doc, _ = run_json(capsys, "ns-check", "--ring", "regular-f2-xy",
                             "--trunc", "4")

@@ -584,6 +584,7 @@ def test_every_frobex_exception_survives_pickle():
         algebra.ParseError("unexpected token", 4),
         corpus.RingSpecError("no such ring"),
         filterreg.SearchExhausted("no admissible element"),
+        filterreg.SequenceShapeError("sequence element outside the maximal ideal"),
         groebner_module.ResourceCapExceeded("pair budget exhausted: 60", stats),
         groebner_module.ImproperIdealError("unit ideal"),
         groebner_module.NotZeroDimensionalError("positive dimension"),

@@ -10,7 +10,6 @@ from frobex.linalg import (
     nullspace,
     rank,
     rref,
-    solve_in_rowspace,
     zeros,
 )
 from frobex.seeding import derive_seed, rng_for
@@ -124,27 +123,6 @@ def test_nullspace_is_the_kernel():
 
 def test_nullspace_full_rank_is_empty():
     assert nullspace(np.eye(3, dtype=np.int64), 2).shape[0] == 0
-
-
-def test_solve_in_rowspace_roundtrip():
-    rng = rng_for(42, "linalg", "solve")
-    p = 7
-    for _ in range(30):
-        a = random_matrix(rng, rng.randrange(1, 5), rng.randrange(2, 5), p)
-        red, pivots = rref(a, p)
-        # combinations of rows must come back with exact coordinates
-        coeffs = np.array([rng.randrange(p) for _ in range(red.shape[0])], dtype=np.int64)
-        v = matmul(coeffs.reshape(1, -1), red, p)[0]
-        got = solve_in_rowspace(red, pivots, v, p)
-        assert got is not None
-        assert got.tolist() == coeffs.tolist()
-
-
-def test_solve_in_rowspace_rejects_outside_vector():
-    p = 3
-    red, pivots = rref([[1, 0, 1]], p)
-    assert solve_in_rowspace(red, pivots, np.array([0, 1, 0]), p) is None
-    assert solve_in_rowspace(red, pivots, np.array([2, 0, 2]), p).tolist() == [2]
 
 
 def test_derive_seed_is_stable_and_path_sensitive():

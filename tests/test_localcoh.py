@@ -1,6 +1,7 @@
 """Torsion towers, Frobenius nilpotency, HSL numbers, consistency checks."""
 
 import dataclasses
+import itertools
 import multiprocessing
 import random
 import sys
@@ -31,10 +32,10 @@ from frobex.frobenius import InconsistencyError, fte_scan, parameter_base
 from frobex.groebner import (
     SATURATION_MAX_STEPS,
     QuotientRing,
+    dimension,
     ideal,
     saturation,
     shared_bases,
-    std_monomials,
 )
 from frobex.localcoh import (
     PROBE_STEP,
@@ -69,9 +70,8 @@ def verified(R, elements):
 def test_snapshot_m_primary_uses_monomial_basis():
     R = load_corpus_ring("regular-f2-xy")
     snap = torsion_quotient(R, ideal(R, "x^2", "y^2"))
-    assert snap.monomial_basis
+    assert snap.basis == tuple(R.ambient.monomial(m) for m in snap.columns)
     assert snap.length == 4
-    assert snap.kill_exponent == 3
     assert Counter(b.weighted_degree() for b in snap.basis) == {0: 1, 1: 2, 2: 1}
     v = snap.coordinates(R.parse("x + y"))
     assert snap.from_coordinates(v) == R.parse("x + y")
@@ -91,7 +91,6 @@ def test_snapshot_depth_zero_torsion():
     # (0 : m^inf) = (x) in k[x,y]/(x^2, x*y)
     R = load_corpus_ring("depth-zero-f2")
     snap = torsion_quotient(R, ideal(R))
-    assert not snap.monomial_basis
     assert snap.length == 1
     assert [str(b) for b in snap.basis] == ["x"]
     assert Counter(b.weighted_degree() for b in snap.basis) == {1: 1}
@@ -113,20 +112,20 @@ def test_snapshot_inhomogeneous_zero_dimensional_away_from_origin():
     snap = torsion_quotient(R, ideal(R, "x + x^2", "y"))
     assert snap.length == 1
     assert [str(b) for b in snap.basis] == ["x+1"]
-    assert snap.kill_exponent == 1
 
 
 def membership_loop_snapshot(R, Q):
-    """The m-primary snapshot by standard monomials and a kill exponent found
-    by testing every monomial of degree top + 1, top + 2, ... for membership:
-    the oracle for the graded shortcut and for the saturation path."""
-    n = R.ambient.nvars
-    cols = tuple(std_monomials(Q))
-    top = max(mono_degree(m) for m in cols)
-    kill = next(k for k in range(top + 1, top + 65)
-                if all(Q.contains(R.ambient.monomial(m))
-                       for m in monomials_of_weighted_degree(n, k, (1,) * n)))
-    return kill, tuple(R.ambient.monomial(m) for m in cols), cols
+    """The m-primary snapshot by testing every monomial of degree 0, 1, ...
+    for being its own normal form, up to the first degree where none is:
+    the oracle for the staircase walk."""
+    P = R.ambient
+    cols = []
+    for k in itertools.count():
+        layer = [m for m in monomials_of_weighted_degree(P.nvars, k, (1,) * P.nvars)
+                 if Q.normal_form(P.monomial(m)) == P.monomial(m)]
+        if not layer:
+            return tuple(P.monomial(m) for m in cols), tuple(cols)
+        cols += sorted(layer, key=P.order.key)
 
 
 def random_form(rng, P, degree):
@@ -148,8 +147,7 @@ def random_mprimary_ideal(rng, R):
 
 def assert_snapshot_matches_membership_loop(R, Q):
     snap = torsion_quotient(R, Q)
-    kill, basis, cols = membership_loop_snapshot(R, Q)
-    assert (snap.kill_exponent, snap.basis, snap.columns) == (kill, basis, cols), Q
+    assert (snap.basis, snap.columns) == membership_loop_snapshot(R, Q), Q
 
 
 def test_homogeneous_m_primary_snapshot_matches_membership_loop():
@@ -159,32 +157,16 @@ def test_homogeneous_m_primary_snapshot_matches_membership_loop():
         R = load_corpus_ring(label)
         for _ in range(4):
             Q = random_mprimary_ideal(rng, R)
-            assert torsion_quotient(R, Q).monomial_basis
             assert_snapshot_matches_membership_loop(R, Q)
 
 
 def test_weighted_m_primary_snapshot_matches_membership_loop():
-    # a weighted Q is saturated to the unit ideal; its rows are the normal
-    # forms of every monomial below the kill exponent, an identity matrix
+    # a weighted Q is saturated to the unit ideal, whose normal forms are 0,
+    # so the basis is the standard monomials of Q
     P = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (3, 2))
     R = QuotientRing(P, ["x^2 + y^3"], label="cusp")
     for gens in (["y^2"], ["x", "y^3"], ["x*y", "y^3"], ["x^3", "y^4"]):
-        Q = ideal(R, *gens)
-        assert not torsion_quotient(R, Q).monomial_basis
-        assert_snapshot_matches_membership_loop(R, Q)
-
-
-def test_understated_saturation_exponent_is_an_inconsistency(monkeypatch):
-    # the kill-exponent search is bounded by saturation's s; an s that is
-    # too small is an internal bug, not a failed check
-    def understated(I, K):
-        sat, s = saturation(I, K)
-        return sat, s - 1
-
-    monkeypatch.setattr(localcoh_module, "saturation", understated)
-    R = load_corpus_ring("regular-f2-xy")
-    with pytest.raises(InconsistencyError, match="saturation exponent bound"):
-        torsion_quotient(R, ideal(R, "x^2", "x*y"))
+        assert_snapshot_matches_membership_loop(R, ideal(R, *gens))
 
 
 def test_filter_regular_saturation_matches_maximal_ideal_on_corpus_towers(monkeypatch):
@@ -209,7 +191,6 @@ def test_filter_regular_saturation_matches_maximal_ideal_on_corpus_towers(monkey
                     by_m = torsion_quotient(R, Q)
                     assert by_next.basis == by_m.basis, (label, i, n)
                     assert by_next.columns == by_m.columns, (label, i, n)
-                    assert by_next.kill_exponent == by_m.kill_exponent, (label, i, n)
                     nonempty += by_next.length > 0
     assert nonempty >= 4
     assert saturated_by.count(1) >= 20
@@ -248,6 +229,131 @@ def test_element_that_is_not_filter_regular_is_an_inconsistency():
     with pytest.raises(InconsistencyError, match="not filter regular"):
         torsion_quotient(R, ideal(R), R.parse("x"))
     assert torsion_quotient(R, ideal(R)).length == 0
+
+
+def kill_exponent_rows(R, Q):
+    """The saturation of Q by m, and the rows of the construction the
+    staircase snapshot replaced: each element g of the saturation's basis
+    times every monomial of degree 0, 1, ..., up to the first degree where
+    all those products lie in Q (g's kill exponent), as nonzero normal
+    forms modulo Q."""
+    P = R.ambient
+    saturated, _ = saturation(Q, R.maximal_ideal())
+    rows = []
+    for g in saturated.groebner_basis():
+        for k in range(SATURATION_MAX_STEPS):
+            forms = [Q.normal_form(P.monomial(a) * g)
+                     for a in monomials_of_weighted_degree(P.nvars, k, (1,) * P.nvars)]
+            if not any(forms):
+                break
+            rows += [f for f in forms if f]
+        else:
+            raise AssertionError(f"no kill exponent for {g}")
+    return saturated, rows
+
+
+def ascending_echelon(R, polys):
+    """The monomials of the polynomials in ascending degree, then monomial
+    order, and the reduced echelon form of their coefficient rows over
+    them: one pair per row space."""
+    key = R.ambient.order.key
+    support = sorted({m for f in polys for m in f.terms},
+                     key=lambda m: (mono_degree(m), key(m)))
+    index = {m: i for i, m in enumerate(support)}
+    mat = np.zeros((len(polys), len(support)), dtype=np.int64)
+    for r, f in enumerate(polys):
+        for m, c in f.terms.items():
+            mat[r, index[m]] = c
+    return support, linalg.rref(mat, R.p)[0]
+
+
+def assert_matches_kill_exponent_rows(R, Q, regular, rng):
+    """The snapshot of Q (saturated by regular when given) has the length
+    and row space of the kill-exponent construction, and its coordinates
+    round-trip on seeded elements of the saturation."""
+    snap = torsion_quotient(R, Q, regular)
+    saturated, rows = kill_exponent_rows(R, Q)
+    support, red = ascending_echelon(R, rows)
+    assert snap.length == red.shape[0], Q
+    got_support, got = ascending_echelon(R, list(snap.basis))
+    assert got_support == support and np.array_equal(got, red), Q
+    P = R.ambient
+    for _ in range(3):
+        f = P.zero()
+        for g in saturated.groebner_basis():
+            a = rng.choice(monomials_of_weighted_degree(P.nvars, rng.randrange(3),
+                                                        (1,) * P.nvars))
+            f = f + rng.randrange(P.p) * P.monomial(a) * g
+        assert snap.from_coordinates(snap.coordinates(f)) == Q.normal_form(f), (Q, f)
+    return snap
+
+
+def test_snapshot_matches_kill_exponent_rows_on_corpus_towers():
+    rng = random.Random(1801)
+    nonempty = 0
+    for label in corpus_labels():
+        R = load_corpus_ring(label)
+        for seq in (parameter_base(R, 42), random_filter_regular_sop(R, 42)):
+            for i in range(R.dim):
+                for n in range(1, 11 if i else 2):
+                    Q = ideal(R, [f**n for f in seq.elements[:i]])
+                    snap = assert_matches_kill_exponent_rows(R, Q, seq.elements[i], rng)
+                    nonempty += snap.length > 0
+    assert nonempty >= 4
+
+
+def test_snapshot_matches_kill_exponent_rows_on_six_variable_ring():
+    # the Segre product of the Fermat cubic cone with k[s,t] over F_2, a
+    # non-Cohen-Macaulay ring of dimension 3
+    R = QuotientRing(
+        PolyRing(PrimeField(2), ("a", "b", "c", "d", "e", "g")),
+        ["a*d + b*c", "a*g + b*e", "c*g + d*e", "a^3+c^3+e^3", "b^3+d^3+g^3",
+         "a^2*b+c^2*d+e^2*g", "a*b^2+c*d^2+e*g^2"])
+    seq = parameter_base(R, 42)
+    rng = random.Random(1801)
+    lengths = [assert_matches_kill_exponent_rows(
+        R, ideal(R, [f**n for f in seq.elements[:i]]), seq.elements[i], rng).length
+        for i in (1, 2) for n in (1, 2, 3)]
+    assert any(lengths), lengths
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_snapshot_matches_kill_exponent_rows_on_random_ideals(p):
+    # f times every monomial of degree 1 or 2, plus a random form h: V(f, h)
+    # is a curve, so Q is not m-primary, and f is m-torsion modulo Q
+    rng = random.Random(1801 + p)
+    R = QuotientRing(PolyRing(PrimeField(p), ("x", "y", "z")), [])
+    P = R.ambient
+    nonempty = 0
+    for _ in range(6):
+        f = random_form(rng, P, rng.randrange(1, 3))
+        gens = [f * P.monomial(a)
+                for a in monomials_of_weighted_degree(3, rng.randrange(1, 3), (1, 1, 1))]
+        gens.append(random_form(rng, P, rng.randrange(1, 4)))
+        Q = ideal(R, gens)
+        assert dimension(Q) > 0, gens
+        nonempty += assert_matches_kill_exponent_rows(R, Q, None, rng).length > 0
+    assert nonempty >= 4
+
+
+def test_snapshot_matches_kill_exponent_rows_off_the_standard_grading():
+    rng = random.Random(1801)
+    R = load_corpus_ring("regular-f2-xy")
+    assert_matches_kill_exponent_rows(R, ideal(R, "x + x^2", "y"), None, rng)
+    P = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (3, 2))
+    R = QuotientRing(P, ["x^2 + y^3"], label="cusp")
+    for gens in (["y^2"], ["x", "y^3"], ["x*y", "y^3"], ["x^3", "y^4"]):
+        assert_matches_kill_exponent_rows(R, ideal(R, *gens), None, rng)
+
+
+def test_coordinates_reject_what_is_left_off_the_columns():
+    # (0 : m^infinity) = (x) in k[x,y]/(x^2, x*y): x is the one column and y
+    # is standard for the saturation, so x + y leaves y behind
+    R = load_corpus_ring("depth-zero-f2")
+    snap = torsion_quotient(R, ideal(R))
+    assert snap.columns == (R.parse("x").leading_monomial(),)
+    with pytest.raises(TorsionSpanError):
+        snap.coordinates(R.parse("x + y"))
 
 
 # --- limit systems ---
@@ -484,8 +590,8 @@ def synthetic_system(R, transitions, frobenius):
     of each level; nilpotent_part reads nothing else."""
     lengths = [transitions[0].shape[1]] + [t.shape[0] for t in transitions]
     snapshots = [TorsionQuotientSnapshot(
-        R, ideal(R), tuple(R.parse("x") ** k for k in range(length)), (),
-        None, None, 0, False) for length in lengths]
+        R, ideal(R), tuple(R.parse("x") ** k for k in range(length)), ())
+        for length in lengths]
     return LimitSystem(R, (), 0, len(lengths), snapshots, list(transitions),
                        frobenius)
 
