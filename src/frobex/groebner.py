@@ -867,7 +867,8 @@ def std_monomials(I: IdealHandle) -> list[Mono]:
     return [m for layer in staircase(I) for m in layer]
 
 
-def staircase(I: IdealHandle, S: IdealHandle | None = None):
+def staircase(I: IdealHandle, S: IdealHandle | None = None,
+              max_past_top: int | None = None):
     """Yield, one degree at a time from degree 0, the monomials of in(S)
     outside in(I), each degree sorted by the monomial order.  S must
     contain I; it defaults to the unit ideal, which walks the standard
@@ -881,7 +882,9 @@ def staircase(I: IdealHandle, S: IdealHandle | None = None):
     lookups, and a divisibility scan of S's leading monomials only for a
     lowering the walk did not yield.  The walk ends at the first empty degree
     at or past S's top leading monomial, since above it in(S) is generated
-    by the degree below; when S/I has infinite length it never ends.
+    by the degree below; when S/I has infinite length it never ends, unless
+    ``max_past_top`` is given: a walk that would go more than that many
+    degrees past S's top leading monomial raises ResourceCapExceeded.
     """
     n = I.ambient.nvars
     lms = {g.leading_monomial() for g in I.groebner_basis()}
@@ -900,6 +903,10 @@ def staircase(I: IdealHandle, S: IdealHandle | None = None):
             for i in range(n) if m[i])), key=key)
         if not layer and d >= top:
             return
+        if max_past_top is not None and d > top + max_past_top:
+            raise ResourceCapExceeded(
+                f"staircase runs more than {max_past_top} degrees past "
+                f"degree {top}", GBStats())
         yield layer
 
 

@@ -43,7 +43,6 @@ from .algebra import (
     Mono,
     Polynomial,
     frobenius_raise,
-    mono_degree,
     mono_weighted_degree,
 )
 from .filterreg import (
@@ -66,6 +65,7 @@ from .groebner import (
     SATURATION_MAX_STEPS,
     IdealHandle,
     QuotientRing,
+    ResourceCapExceeded,
     _is_graded,
     dimension,
     ideal,
@@ -168,28 +168,28 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle,
     (Q : m^infinity) = (Q : regular^infinity).  For a linear form and a
     homogeneous Q under the standard grading, that saturation takes one
     reverse-lex basis.  When ``regular`` is not filter regular, S/Q has
-    infinite length, and the walk is stopped SATURATION_MAX_STEPS degrees
-    past S's top leading monomial.
+    infinite length, so on that path alone the walk is stopped
+    SATURATION_MAX_STEPS degrees past S's top leading monomial and raises
+    InconsistencyError.  S taken by m, or the unit ideal, leaves S/Q of
+    finite length, and its walk ends by itself.
     """
     if not Q.is_proper():
         return TorsionQuotientSnapshot(R, Q, (), ())
     graded = _is_graded(Q)
+    cap = None  # S/Q has finite length unless S was taken by ``regular``
     if graded and dimension(Q) == 0:
-        saturated, top = None, 0
+        saturated = None
+    elif graded and regular is not None and is_linear_form(regular):
+        saturated, _ = saturation(Q, ideal(R, [regular]))
+        cap = SATURATION_MAX_STEPS
     else:
-        if graded and regular is not None and is_linear_form(regular):
-            saturated, _ = saturation(Q, ideal(R, [regular]))
-        else:
-            saturated, _ = saturation(Q, R.maximal_ideal())
-        top = max((mono_degree(g.leading_monomial()) for g in saturated.groebner_basis()),
-                  default=0)
-    columns: list[Mono] = []
-    for d, layer in enumerate(staircase(Q, saturated)):
-        if d > top + SATURATION_MAX_STEPS:
-            raise InconsistencyError(
-                f"{regular} is not filter regular: the saturation has classes "
-                f"more than {SATURATION_MAX_STEPS} degrees above its generators")
-        columns.extend(layer)
+        saturated, _ = saturation(Q, R.maximal_ideal())
+    try:
+        columns = [m for layer in staircase(Q, saturated, cap) for m in layer]
+    except ResourceCapExceeded as exc:
+        raise InconsistencyError(
+            f"{regular} is not filter regular: the saturation has classes "
+            f"more than {SATURATION_MAX_STEPS} degrees above its generators") from exc
     basis = []
     for m in columns:
         b = Polynomial(R.ambient, {m: 1})

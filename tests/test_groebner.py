@@ -43,6 +43,7 @@ from frobex.groebner import (
     ring_fingerprint,
     saturation,
     spairs_reduce_to_zero,
+    staircase,
     std_monomials,
     std_monomials_of_weighted_degree,
 )
@@ -829,3 +830,15 @@ def test_quotient_data_grading_survives():
 def test_fresh_names_avoid_collisions():
     assert fresh_names(("t0", "x"), "t", 2) == ["t1", "t2"]
     assert fresh_names(("x", "y"), "w", 2) == ["w0", "w1"]
+
+
+def test_staircase_of_infinite_length_stops_at_its_cap():
+    # in(S) = (x) outside in(I) = (x*y) is x, x^2, ...: one monomial a degree
+    P = poly_ring(2, "x", "y")
+    I, S = ideal(P, "x*y"), ideal(P, "x")
+    walk = staircase(I, S)
+    assert [next(walk) for _ in range(4)] == [[], [(1, 0)], [(2, 0)], [(3, 0)]]
+    with pytest.raises(ResourceCapExceeded, match="more than 5 degrees past degree 1"):
+        list(staircase(I, S, max_past_top=5))
+    assert [m for layer in staircase(ideal(P, "x^3", "y"), max_past_top=2)
+            for m in layer] == [(0, 0), (1, 0), (2, 0)]

@@ -31,6 +31,7 @@ from frobex.filterreg import (
 from frobex.frobenius import InconsistencyError, fte_scan, parameter_base
 from frobex.groebner import (
     SATURATION_MAX_STEPS,
+    GBConfig,
     QuotientRing,
     dimension,
     ideal,
@@ -229,6 +230,20 @@ def test_element_that_is_not_filter_regular_is_an_inconsistency():
     with pytest.raises(InconsistencyError, match="not filter regular"):
         torsion_quotient(R, ideal(R), R.parse("x"))
     assert torsion_quotient(R, ideal(R)).length == 0
+
+
+@pytest.mark.parametrize("gens,regular,length", [
+    (("x^202", "y"), None, 202),   # m-primary: S = (1), walked to degree 201
+    (("x^202", "y"), "x", 202),    # the same, with a sequence element given
+])
+def test_finite_length_snapshot_walks_past_the_filter_regular_cap(gens, regular, length):
+    # the SATURATION_MAX_STEPS cap bounds only a walk above a saturation by
+    # a sequence element; above the unit ideal, S/Q has finite length
+    R = load_corpus_ring("regular-f2-xy")
+    with shared_bases(GBConfig(max_degree=2 * SATURATION_MAX_STEPS)):
+        snap = torsion_quotient(R, ideal(R, *gens), regular and R.parse(regular))
+    assert snap.length == length
+    assert max(mono_degree(m) for m in snap.columns) > SATURATION_MAX_STEPS
 
 
 def kill_exponent_rows(R, Q):
