@@ -1,30 +1,40 @@
 """Filter regular sequences and random systems of parameters.
 
 A sequence x_1, ..., x_t in the maximal ideal m of R = S/J is filter regular
-when each x_i avoids every associated prime of (x_1, ..., x_{i-1}) except
-possibly m itself.  Rather than computing associated primes, each step is
-certified through the colon-saturation criterion
+when each x_i avoids every associated prime of I = (x_1, ..., x_{i-1}) except
+possibly m itself, that is, when (I : x_i)/I has finite length, or
 
-    ((x_1..x_{i-1}) : x_i)  is contained in  ((x_1..x_{i-1}) : m^infinity),
+    (I : x_i)  is contained in  (I : m^infinity):
 
-which says that multiples killed by x_i are m-torsion.  Over an infinite
-constant field a generic linear form works at every step; over a small F_p
-the candidate pool is finite, so the random search retries and reports
-exhaustion honestly.
+multiples killed by x_i are m-torsion.  For a linear form x_i over a prefix
+that is homogeneous under the standard grading (relations included), this
+is read off one reverse-lex basis of I in coordinates where x_i is the last
+variable y (Bayer-Stillman): in(I : y) = in(I) : y, and two ideals with
+equal initial ideals have equal Hilbert functions, so (I : y)/I has finite
+length exactly when in(I) : y does modulo in(I).  The same basis gives
+dim S/(I + x_i), since in(I + y) = in(I) + (y).  Other elements and weighted
+gradings take the colon and the saturation by m themselves.  Over an
+infinite constant field a generic linear form works at every step; over a
+small F_p the candidate pool is finite, so the random search retries and
+reports exhaustion honestly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, Polynomial
+from .algebra import AlgebraError, MonomialOrder, Polynomial
 from .groebner import (
     IdealHandle,
     ImproperIdealError,
     QuotientRing,
+    _is_graded,
+    _linear_form_basis,
     colon,
     dimension,
     ideal,
+    is_linear_form,
+    monomial_dimension,
     saturation,
 )
 from .seeding import rng_for
@@ -32,6 +42,8 @@ from .seeding import rng_for
 # random_filter_regular_sop: candidates per step, restarts of the search
 _MAX_TRIES = 60
 _RESTARTS = 25
+
+_GREVLEX = MonomialOrder("grevlex")
 
 
 class SearchExhausted(AlgebraError):
@@ -73,8 +85,10 @@ def make_sequence(R: QuotientRing, elements) -> FilterSequence:
 
 
 def filter_regular_failure(seq: FilterSequence) -> int | None:
-    """Index of the first element violating the colon-saturation criterion,
-    or None when the whole sequence is filter regular."""
+    """Index of the first element that is not filter regular on the ring
+    modulo its prefix, or None when the whole sequence is filter regular.
+    A linear element over a standard-graded prefix takes linear_form_test;
+    any other takes the colon and the saturation by m."""
     R = seq.ring
     m = R.maximal_ideal()
     for f in seq.elements:
@@ -82,11 +96,45 @@ def filter_regular_failure(seq: FilterSequence) -> int | None:
             raise SequenceShapeError("sequence element outside the maximal ideal")
     for i, f in enumerate(seq.elements):
         prefix = seq.prefix_ideal(i)
-        quotient = colon(prefix, ideal(R, [f]))
-        saturated, _ = saturation(prefix, m)
-        if not saturated.contains_ideal(quotient):
+        if is_linear_form(f) and _is_graded(prefix):
+            regular = linear_form_test(prefix, f)[1]
+        else:
+            quotient = colon(prefix, ideal(R, [f]))
+            saturated, _ = saturation(prefix, m)
+            regular = saturated.contains_ideal(quotient)
+        if not regular:
             return i
     return None
+
+
+def linear_form_test(prefix: IdealHandle, ell: Polynomial) -> tuple[int, bool]:
+    """(dim S/(I + ell), whether ell is filter regular on S/I) for I the
+    prefix, homogeneous under the standard grading with the relations, and
+    ell a linear form; both read off one basis.
+
+    In the reduced grevlex basis of I in coordinates where ell is the last
+    variable y (groebner._linear_form_basis), the leading monomials
+    generate in(I) minimally, and in(I + y) = in(I) + (y) gives the
+    dimension.  in(I : y) = in(I) : y is generated by in(I) and the h/y for
+    the leading monomials h divisible by y; such a g = h/y lies outside
+    in(I) by minimality.  (I : y)/I has finite length when each of these g
+    times some power of each variable x_i lies in in(I), that is, when some
+    leading monomial divides g in every exponent but that of x_i.  For
+    x_i = y, h itself does.
+    """
+    basis, _ = _linear_form_basis(prefix, ell)
+    lms = [max(terms, key=_GREVLEX.key) for terms in basis]
+    n = prefix.ambient.nvars
+    y = (0,) * (n - 1) + (1,)
+    dim = monomial_dimension([u for u in lms if not u[-1]] + [y], n)
+    for h in lms:
+        if not h[-1]:
+            continue
+        g = h[:-1] + (h[-1] - 1,)
+        for i in range(n - 1):
+            if not any(all(u[j] <= g[j] for j in range(n) if j != i) for u in lms):
+                return dim, False
+    return dim, True
 
 
 def is_filter_regular_sequence(seq: FilterSequence) -> tuple[bool, int | None]:
@@ -128,7 +176,6 @@ def random_filter_regular_sop(R: QuotientRing, seed: int) -> FilterSequence:
     every restart dead-ends.
     """
     d = R.dim
-    m = R.maximal_ideal()
     variables = R.ambient.gens()
     p = R.p
     last_fail = "step 1"
@@ -136,8 +183,7 @@ def random_filter_regular_sop(R: QuotientRing, seed: int) -> FilterSequence:
         rng = rng_for(seed, "sop", attempt)
         chosen: list[Polynomial] = []
         for step in range(d):
-            prefix = ideal(R, chosen)
-            saturated, _ = saturation(prefix, m)
+            admissible = _admissible(ideal(R, chosen), d - step - 1)
             found = None
             nv = len(variables)
             for _ in range(_MAX_TRIES):
@@ -152,17 +198,12 @@ def random_filter_regular_sop(R: QuotientRing, seed: int) -> FilterSequence:
                 for c, v in zip(coeffs, variables):
                     if c:
                         cand = cand + c * v
-                extended = ideal(R, chosen + [cand])
                 try:
-                    if dimension(extended) != d - step - 1:
-                        continue
+                    if admissible(cand):
+                        found = cand
+                        break
                 except ImproperIdealError:
                     continue  # the candidate made the unit ideal
-                quotient = colon(prefix, ideal(R, [cand]))
-                if not saturated.contains_ideal(quotient):
-                    continue
-                found = cand
-                break
             if found is None:
                 last_fail = f"step {step + 1}"
                 break
@@ -172,3 +213,24 @@ def random_filter_regular_sop(R: QuotientRing, seed: int) -> FilterSequence:
     raise SearchExhausted(
         f"no filter regular linear system of parameters after {_RESTARTS} "
         f"restarts of {_MAX_TRIES} tries (last failure at {last_fail})")
+
+
+def _admissible(prefix: IdealHandle, dim_after: int):
+    """The test of random_filter_regular_sop's candidates over the prefix:
+    a linear form passes when it leaves dimension dim_after and is filter
+    regular modulo the prefix.  Over a standard-graded prefix both come
+    from linear_form_test; otherwise the prefix is saturated by m once,
+    and each candidate takes a dimension and a colon."""
+    if _is_graded(prefix):
+        def admissible(ell: Polynomial) -> bool:
+            dim, regular = linear_form_test(prefix, ell)
+            return dim == dim_after and regular
+        return admissible
+    R = prefix.ring
+    saturated, _ = saturation(prefix, R.maximal_ideal())
+
+    def admissible(ell: Polynomial) -> bool:
+        if dimension(ideal(R, list(prefix.own_gens) + [ell])) != dim_after:
+            return False
+        return saturated.contains_ideal(colon(prefix, ideal(R, [ell])))
+    return admissible

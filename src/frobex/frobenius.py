@@ -132,10 +132,6 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     """
     ring = K.ambient
     n, p = ring.nvars, ring.p
-    if any(w != 1 for w in ring.weights):
-        return None
-    if not all(g.is_homogeneous() for g in K.generators):
-        return None
     try:
         frame = _normal_form_frame(K)
     except ResourceCapExceeded:
@@ -165,7 +161,8 @@ _GREVLEX = MonomialOrder("grevlex")
 
 def _normal_form_frame(K: IdealHandle):
     """(rank, reducers) for the normal forms of _graded_preimage, or None
-    when K, homogeneous under the standard grading, is not m-primary.
+    when K is not homogeneous (quotient relations included) and m-primary
+    under the standard grading.
 
     rank lists the variable indices, highest first, as _coprime_ranking
     finds them, or in their own order when it finds none.  The reducers are
@@ -173,11 +170,16 @@ def _normal_form_frame(K: IdealHandle):
     position k holds the exponent of variable rank[k].  Raises
     ResourceCapExceeded when the basis trips a cap.
     """
-    n = K.ambient.nvars
+    ring = K.ambient
+    if any(w != 1 for w in ring.weights):
+        return None
+    if not all(g.is_homogeneous() for g in K.generators):
+        return None
+    n = ring.nvars
     rank = _coprime_ranking(K.generators, n) or tuple(range(n))
     permuted = [{tuple(m[v] for v in rank): c for m, c in g.terms.items()}
                 for g in K.generators]
-    basis, _ = _basis(permuted, _GREVLEX, K.ambient.p)
+    basis, _ = _basis(permuted, _GREVLEX, ring.p)
     reducers = [(max(t, key=_GREVLEX.key), t) for t in basis]
     # m-primary: some leading monomial is a pure power of each variable
     if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
@@ -360,11 +362,30 @@ def fte_of_ideal(I: IdealHandle, closure: IdealHandle, e_max: int = 8) -> int:
     raised closure generators.  The bracket of the larger ideal always
     contains the bracket of the smaller, so one inclusion suffices."""
     for e in range(e_max + 1):
-        bracket = frobenius_power(I, e)
-        if all(bracket.contains(frobenius_raise(g, e))
-               for g in closure.own_gens):
+        contains = _bracket_membership(frobenius_power(I, e), e)
+        if all(contains(frobenius_raise(g, e)) for g in closure.own_gens):
             return e
     raise InconsistencyError(f"no Frobenius test exponent up to {e_max}")
+
+
+def _bracket_membership(bracket: IdealHandle, e: int):
+    """Membership in the bracket I^[p^e].  For e >= 1 a normal form against
+    the basis _normal_form_frame builds for the bracket's graded preimage,
+    which the closure chain has left in the memo; where no frame applies,
+    or for e = 0, the handle's own basis.  A cap tripped by the frame's
+    basis is raised: with a ranking of its own the frame starts from a
+    Groebner basis, and without one it is K's grevlex basis, which a
+    grevlex ring's handle would build too."""
+    frame = _normal_form_frame(bracket) if e else None
+    if frame is None:
+        return bracket.contains
+    rank, reducers = frame
+    p = bracket.ambient.p
+
+    def contains(f: Polynomial) -> bool:
+        permuted = {tuple(m[v] for v in rank): c for m, c in f.terms.items()}
+        return not _nf_terms(permuted, reducers, p, _GREVLEX)[0]
+    return contains
 
 
 def power_family_ideal(R: QuotientRing, base_elements, t: int, n: int) -> IdealHandle:

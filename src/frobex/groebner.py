@@ -722,24 +722,18 @@ def _substitute(terms: dict, k: int, image: Polynomial) -> dict:
     return out
 
 
-def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
-                          saturate: bool) -> tuple[list[Polynomial], int]:
-    """Generators of (I : ell), or of (I : ell^infinity) when saturate is
-    set, over I's ambient ring, and the stabilization exponent s of
-    (I : ell^infinity).  I must be homogeneous under the standard grading
-    and ell a linear form.
+def _linear_form_basis(I: IdealHandle, ell: Polynomial):
+    """(basis, restore): the reduced grevlex basis of I, as term dicts, in
+    coordinates y where the linear form ell is the last variable, and the
+    map that takes a term dict in those coordinates back to a polynomial
+    over I's ambient ring.
 
-    Let x_k be the last variable in which ell has a nonzero coefficient.
-    The coordinates y with y_k = ell/c_k and y_j = x_j otherwise are
+    Let x_k be the last variable in which ell has a nonzero coefficient
+    c_k.  The coordinates y with y_k = ell/c_k and y_j = x_j otherwise are
     a linear change of variables, a plain permutation when ell is a
-    variable.  In a grevlex order with y_k last, a form is divisible by
-    y_k^a exactly when its leading monomial is (Bayer-Stillman; Eisenbud,
-    Prop. 15.12).  So dividing each element of the reduced basis of I by
-    y_k once, where it can, gives a basis of (I : ell), and by its full
-    power of y_k a basis of (I : ell^infinity); the largest such power is s,
-    since the reduced basis's leading monomials generate the initial ideal
-    minimally.  A grevlex ring whose last variable is ell starts from the
-    basis of I it has cached.
+    variable; y_k is moved to the last position.  The basis is built
+    through _basis, so the memo and the caps in force apply; a grevlex ring
+    whose last variable is ell starts from the basis of I it has cached.
     """
     ring = I.ambient
     n, p = ring.nvars, ring.p
@@ -759,17 +753,37 @@ def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
             terms = _substitute(g.terms, k, forward) if moved_coords else g.terms
             moved.append({tuple(m[j] for j in perm): c for m, c in terms.items()})
         basis, _ = _basis(moved, grevlex, p)
-    powers = [min(m[-1] for m in terms) for terms in basis]
     back = [perm.index(j) for j in range(n)]
+
+    def restore(terms: dict) -> Polynomial:
+        terms = {tuple(m[j] for j in back): c for m, c in terms.items()}
+        return Polynomial(ring, _substitute(terms, k, ell) if moved_coords else terms)
+
+    return basis, restore
+
+
+def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
+                          saturate: bool) -> tuple[list[Polynomial], int]:
+    """Generators of (I : ell), or of (I : ell^infinity) when saturate is
+    set, over I's ambient ring, and the stabilization exponent s of
+    (I : ell^infinity).  I must be homogeneous under the standard grading
+    and ell a linear form.
+
+    _linear_form_basis gives the reduced grevlex basis of I in coordinates
+    where ell is the last variable y.  There a form is divisible by y^a
+    exactly when its leading monomial is (Bayer-Stillman; Eisenbud,
+    Prop. 15.12).  So dividing each basis element by y once, where it can,
+    gives a basis of (I : ell), and by its full power of y a basis of
+    (I : ell^infinity); the largest such power is s, since the reduced
+    basis's leading monomials generate the initial ideal minimally.
+    """
+    basis, restore = _linear_form_basis(I, ell)
+    powers = [min(m[-1] for m in terms) for terms in basis]
     gens = []
     for terms, a in zip(basis, powers):
         if not saturate:
             a = min(a, 1)
-        stripped = {m[:-1] + (m[-1] - a,): c for m, c in terms.items()}
-        terms = {tuple(m[j] for j in back): c for m, c in stripped.items()}
-        if moved_coords:
-            terms = _substitute(terms, k, ell)
-        gens.append(Polynomial(ring, terms))
+        gens.append(restore({m[:-1] + (m[-1] - a,): c for m, c in terms.items()}))
     return gens, max(powers, default=0)
 
 
@@ -837,12 +851,17 @@ def _saturation_by_colons(
 def dimension(I: IdealHandle) -> int:
     """Krull dimension of ambient/(I), computed from the initial ideal as the
     largest set of variables meeting no leading-monomial support."""
-    gb = I.groebner_basis()
-    if any(mono_degree(g.leading_monomial()) == 0 for g in gb):
+    return monomial_dimension([g.leading_monomial() for g in I.groebner_basis()],
+                              I.ambient.nvars)
+
+
+def monomial_dimension(monos, n: int) -> int:
+    """Krull dimension of the quotient of the ring in n variables by the
+    monomial ideal the given monomials generate: the largest set of
+    variables that contains the support of none of them."""
+    if any(mono_degree(m) == 0 for m in monos):
         raise ImproperIdealError("dimension of the zero ring")
-    supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-                for g in gb]
-    n = I.ambient.nvars
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monos]
     for size in range(n, 0, -1):
         for subset in itertools.combinations(range(n), size):
             s = set(subset)

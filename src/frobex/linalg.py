@@ -32,7 +32,9 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p.
 
     Returns (matrix, pivot_columns); zero rows are dropped and every pivot
-    entry is 1 with zeros above and below.
+    entry is 1 with zeros above and below.  Each pivot clears its column in
+    every other row with one array operation; the products stay below
+    (p-1)^2, which fits int64 for any p below 2^31.
     """
     m = as_modp(a, p).copy()
     if m.size == 0:
@@ -49,11 +51,11 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
         lead = r + int(nz[0])
         if lead != r:
             m[[r, lead]] = m[[lead, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        for other in range(rows):
-            if other != r and m[other, c]:
-                m[other] = (m[other] - m[other, c] * m[r]) % p
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        hit = np.nonzero(m[:, c])[0]
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m[:r], pivots
@@ -66,16 +68,17 @@ def rank(a, p: int) -> int:
 
 
 def nullspace(a, p: int) -> np.ndarray:
-    """Rows form a basis of the right kernel of a (mod p)."""
+    """Rows form a basis of the right kernel of a (mod p): one row per free
+    column, with 1 at that column and minus the reduced matrix's free
+    column at the pivot columns."""
     a = as_modp(a, p)
     rows, cols = a.shape if a.ndim == 2 else (1, a.shape[0])
     a = a.reshape(rows, cols)
     red, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = zeros(len(free), cols)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red[r, fc])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-red[:, free].T) % p
     return basis
-

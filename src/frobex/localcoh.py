@@ -67,6 +67,7 @@ from .groebner import (
     QuotientRing,
     ResourceCapExceeded,
     _is_graded,
+    _nf_terms,
     dimension,
     ideal,
     is_linear_form,
@@ -122,26 +123,35 @@ class TorsionQuotientSnapshot:
     def coordinates(self, f: Polynomial) -> np.ndarray:
         """Coordinates of f's class in the basis; raises TorsionSpanError
         when the class lies outside the torsion submodule."""
+        return self.coordinate_matrix([f])[:, 0]
+
+    def coordinate_matrix(self, polys) -> np.ndarray:
+        """The coordinates of each of the polynomials' classes, as the
+        columns of one array, filled in one sweep; raises TorsionSpanError
+        when a class lies outside the torsion submodule."""
         p = self.ring.p
+        order = self.ring.ambient.order
         index = self._column_index()
-        terms, rest = {}, {}
-        for m, c in f.terms.items():
-            (terms if m in index else rest)[m] = c
-        if rest:
-            # a term on a column is standard for Q, so only the rest is reduced
-            for m, c in self.defining.normal_form(Polynomial(f.ring, rest)).terms.items():
-                terms[m] = (terms.get(m, 0) + c) % p
-        coords = np.zeros(len(self.columns), dtype=np.int64)
-        left = dict(terms)  # NF_Q(f) minus the basis elements of its columns
-        for m, c in terms.items():
-            if m in index:
-                i, basis_terms = index[m]
-                coords[i] = c
-                for t, a in basis_terms.items():
-                    left[t] = (left.get(t, 0) - c * a) % p
-        if any(left.values()):
-            raise TorsionSpanError(f"{f} is not m-torsion modulo the ideal")
-        return coords
+        reducers = self.defining.reducers()
+        out = np.zeros((len(self.columns), len(polys)), dtype=np.int64)
+        for col, f in enumerate(polys):
+            terms, rest = {}, {}
+            for m, c in f.terms.items():
+                (terms if m in index else rest)[m] = c
+            if rest:
+                # a term on a column is standard for Q, so only the rest is reduced
+                for m, c in _nf_terms(rest, reducers, p, order)[0].items():
+                    terms[m] = (terms.get(m, 0) + c) % p
+            left = dict(terms)  # NF_Q(f) minus the basis elements of its columns
+            for m, c in terms.items():
+                if m in index:
+                    i, basis_terms = index[m]
+                    out[i, col] = c
+                    for t, a in basis_terms.items():
+                        left[t] = (left.get(t, 0) - c * a) % p
+            if any(left.values()):
+                raise TorsionSpanError(f"{f} is not m-torsion modulo the ideal")
+        return out
 
     def from_coordinates(self, coords) -> Polynomial:
         out = self.ring.ambient.zero()
@@ -314,24 +324,11 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
     for f in prefix:
         product = product * f
 
-    transitions: list[np.ndarray] = []
-    for n in range(1, N):
-        src, dst = snapshots[n - 1], snapshots[n]
-        mat = np.zeros((dst.length, src.length), dtype=np.int64)
-        for col, b in enumerate(src.basis):
-            image = b * product
-            mat[:, col] = dst.coordinates(image)
-        transitions.append(mat)
-
-    frobenius: dict[int, np.ndarray] = {}
-    for n in range(1, N + 1):
-        if p * n > N:
-            break
-        src, dst = snapshots[n - 1], snapshots[p * n - 1]
-        mat = np.zeros((dst.length, src.length), dtype=np.int64)
-        for col, b in enumerate(src.basis):
-            mat[:, col] = dst.coordinates(frobenius_raise(b, 1))
-        frobenius[n] = mat
+    transitions = [snapshots[n].coordinate_matrix(
+        [b * product for b in snapshots[n - 1].basis]) for n in range(1, N)]
+    frobenius = {n: snapshots[p * n - 1].coordinate_matrix(
+        [frobenius_raise(b, 1) for b in snapshots[n - 1].basis])
+        for n in range(1, N // p + 1)}
 
     system = LimitSystem(R, prefix, i, N, snapshots, transitions, frobenius)
     if audit:

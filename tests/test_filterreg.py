@@ -1,19 +1,36 @@
 """Filter regular sequences, parameter checks, and the random search."""
 
+import random
+
 import pytest
 
 import frobex.filterreg as filterreg_module
-from frobex.algebra import AlgebraError, MonomialOrder, PolyRing, PrimeField
-from frobex.corpus import load_corpus_ring
+from frobex.algebra import (
+    AlgebraError,
+    MonomialOrder,
+    PolyRing,
+    PrimeField,
+    monomials_of_weighted_degree,
+)
+from frobex.corpus import corpus_labels, load_corpus_ring, ring_from_spec
 from frobex.filterreg import (
     SearchExhausted,
     filter_regular_failure,
     is_filter_regular_sequence,
     is_system_of_parameters,
+    linear_form_test,
     make_sequence,
     random_filter_regular_sop,
 )
-from frobex.groebner import QuotientRing, ideal
+from frobex.frobenius import parameter_base
+from frobex.groebner import (
+    ImproperIdealError,
+    QuotientRing,
+    colon,
+    dimension,
+    ideal,
+    saturation,
+)
 
 
 def quotient(p, names, relations):
@@ -111,3 +128,130 @@ def test_random_sop_exhaustion_is_reported(monkeypatch):
     with pytest.raises(SearchExhausted) as err:
         random_filter_regular_sop(R, seed=1)
     assert "restarts" in str(err.value)
+
+
+# --- linear forms read off one reverse-lex basis, against colon and saturation ---
+
+SEGRE_SPEC = {
+    "label": "segre-fermat-cubic-p2", "characteristic": 2,
+    "variables": ["a", "b", "c", "d", "e", "g"],
+    "relations": ["a*d + b*c", "a*g + b*e", "c*g + d*e", "a^3+c^3+e^3",
+                  "b^3+d^3+g^3", "a^2*b+c^2*d+e^2*g", "a*b^2+c*d^2+e*g^2"]}
+QUINTIC_P3_SPEC = {
+    "label": "fermat-quintic-p3", "characteristic": 3,
+    "variables": ["x", "y", "z"], "relations": ["x^5 + y^5 + z^5"]}
+
+
+def oracle_pair(prefix, ell):
+    """(dim S/(I + ell), (I : ell) inside (I : m^infinity)) by the general
+    operations, with dimension None when I + ell is the unit ideal."""
+    R = prefix.ring
+    try:
+        dim = dimension(ideal(R, list(prefix.own_gens) + [ell]))
+    except ImproperIdealError:
+        dim = None
+    saturated, _ = saturation(prefix, R.maximal_ideal())
+    return dim, saturated.contains_ideal(colon(prefix, ideal(R, [ell])))
+
+
+def random_linear_form(rng, P, shape):
+    gens = P.gens()
+    if shape == "sparse":
+        support = rng.sample(range(len(gens)), rng.randrange(1, 3))
+    else:
+        support = range(len(gens))
+    form = P.zero()
+    for i in support:
+        c = rng.randrange(1, P.p) if shape == "non-unit" else 1
+        form = form + c * gens[i]
+    return form
+
+
+def random_form(rng, P, degree):
+    monos = monomials_of_weighted_degree(P.nvars, degree, P.weights)
+    return P.poly({m: rng.randrange(1, P.p)
+                   for m in rng.sample(monos, min(3, len(monos)))})
+
+
+def random_graded_prefix(rng, R):
+    """A few random forms of degree 1 to 3, and sometimes h * m^k, so the
+    prefix often has m-torsion or is not Cohen-Macaulay."""
+    P = R.ambient
+    gens = [random_form(rng, P, rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
+    if rng.random() < 0.5:
+        h = random_linear_form(rng, P, "sparse")
+        k = rng.randrange(1, 3)
+        gens += [h * P.monomial(a) for a in
+                 monomials_of_weighted_degree(P.nvars, k, P.weights)]
+    return ideal(R, gens)
+
+
+def assert_pair_matches_oracle(prefix, ell):
+    want = oracle_pair(prefix, ell)
+    assert linear_form_test(prefix, ell) == want, (prefix, ell)
+    return want
+
+
+def test_linear_form_test_matches_colon_and_saturation_on_random_prefixes():
+    rng = random.Random(2207)
+    seen = set()
+    for p in (2, 3, 7):
+        for names in (("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w")):
+            P = PolyRing(PrimeField(p), names, MonomialOrder("grevlex"))
+            for _ in range(12):
+                relations = [random_form(rng, P, rng.randrange(2, 4))
+                             for _ in range(rng.randrange(2))]
+                R = QuotientRing(P, relations)
+                prefix = random_graded_prefix(rng, R)
+                for shape in ("sparse", "dense", "non-unit"):
+                    ell = random_linear_form(rng, P, shape)
+                    seen.add(assert_pair_matches_oracle(prefix, ell)[1])
+    assert seen == {True, False}
+
+
+def test_linear_form_test_matches_colon_and_saturation_on_corpus_prefixes():
+    for label in corpus_labels():
+        R = load_corpus_ring(label)
+        seq = parameter_base(R, 42)
+        rng = random.Random(label)
+        for i in range(len(seq) + 1):
+            prefix = seq.prefix_ideal(i)
+            for shape in ("sparse", "dense", "non-unit"):
+                assert_pair_matches_oracle(prefix, random_linear_form(rng, R.ambient, shape))
+            for f in seq.elements[i:i + 1]:
+                assert assert_pair_matches_oracle(prefix, f)[1]
+
+
+@pytest.fixture
+def colon_path(monkeypatch):
+    """Send every filter regularity test of filterreg down the colon and
+    saturation path, the old search and the oracle of the one-basis test."""
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(filterreg_module, "_is_graded", lambda I: False)
+            return fn(*args)
+    return run
+
+
+def test_random_sop_matches_the_colon_search(colon_path):
+    rings = [load_corpus_ring(label) for label in corpus_labels()]
+    cases = [(R, range(40)) for R in rings if R.dim >= 1]
+    cases += [(ring_from_spec(QUINTIC_P3_SPEC), range(40)),
+              (ring_from_spec(SEGRE_SPEC), range(10))]
+    for R, seeds in cases:
+        for seed in seeds:
+            got = random_filter_regular_sop(R, seed).element_strings()
+            want = colon_path(random_filter_regular_sop, R, seed).element_strings()
+            assert got == want, (R.label, seed)
+
+
+def test_filter_regular_failure_matches_the_colon_path(colon_path):
+    R = quotient(2, ("x", "y"), ["x^2", "x*y"])
+    for elements in (["y"], ["x"], ["x + y"], ["y", "x"]):
+        seq = make_sequence(R, elements)
+        assert filter_regular_failure(seq) == colon_path(filter_regular_failure, seq)
+    for label in corpus_labels():
+        S = load_corpus_ring(label)
+        for seq in (parameter_base(S, 42), make_sequence(S, S.ambient.gens())):
+            assert (filter_regular_failure(seq)
+                    == colon_path(filter_regular_failure, seq)), (label, seq.elements)

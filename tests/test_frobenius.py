@@ -464,6 +464,37 @@ def test_fte_needs_enough_levels():
         fte_of_ideal(I, closure, e_max=0)
 
 
+def test_bracket_membership_matches_the_handle_basis():
+    # membership in I^[q] by the preimage frame's normal forms equals the
+    # handle's own, on brackets with and without a frame: power families of
+    # the corpus, an ideal that is not m-primary and an inhomogeneous one
+    rng = random.Random(1801)
+    cases = []
+    for label in ("fermat-cubic-p2", "two-planes-f2", "regular-f3-xyz",
+                  "depth-zero-f2"):
+        R = load_corpus_ring(label)
+        base = parameter_base(R, 42).elements
+        cases += [power_family_ideal(R, base, t, n)
+                  for t in range(1, len(base) + 1) for n in (1, 2)]
+    R = load_corpus_ring("regular-f2-xy")
+    cases += [ideal(R, "x"), ideal(R, "x + x^2", "y")]
+    framed = 0
+    for I in cases:
+        P = I.ambient
+        for e in (0, 1, 2):
+            bracket = frobenius_power(I, e)
+            framed += e > 0 and frobenius_module._normal_form_frame(bracket) is not None
+            contains = frobenius_module._bracket_membership(bracket, e)
+            members = [frobenius_raise(g, e) * P.monomial(m) for g in I.generators
+                       for m in monomials_of_weighted_degree(P.nvars, 1, P.weights)]
+            others = [P.poly({tuple(rng.randrange(2 * P.p) for _ in range(P.nvars)):
+                              rng.randrange(1, P.p) for _ in range(3)})
+                      for _ in range(10)]
+            for f in members + others:
+                assert contains(f) == bracket.contains(f), (I, e, f)
+    assert framed >= 20
+
+
 def test_closure_to_dict_shape():
     P = poly_ring(2, "x", "y")
     R = QuotientRing(P, [])

@@ -121,6 +121,77 @@ def test_nullspace_is_the_kernel():
             assert rank(basis, p) == basis.shape[0] if basis.shape[0] else True
 
 
+def row_loop_rref(a, p):
+    """Reduced row echelon form clearing one row at a time: the
+    construction rref replaces, kept as its oracle."""
+    m = as_modp(a, p).copy()
+    if m.size == 0:
+        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0), []
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        lead = r + int(nz[0])
+        if lead != r:
+            m[[r, lead]] = m[[lead, r]]
+        inv = pow(int(m[r, c]), -1, p)
+        m[r] = (m[r] * inv) % p
+        for other in range(rows):
+            if other != r and m[other, c]:
+                m[other] = (m[other] - m[other, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def loop_nullspace(a, p):
+    """Kernel basis filled entry by entry: the oracle of nullspace."""
+    a = as_modp(a, p)
+    rows, cols = a.shape if a.ndim == 2 else (1, a.shape[0])
+    red, pivots = row_loop_rref(a.reshape(rows, cols), p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = zeros(len(free), cols)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = (-int(red[r, fc])) % p
+    return basis
+
+
+def oracle_shapes(rng):
+    """Empty, all-zero, tall, square and wide shapes, and rank-deficient
+    matrices built as products."""
+    yield 0, 0
+    yield 0, 5
+    yield 3, 0
+    for _ in range(20):
+        yield rng.randrange(1, 7), rng.randrange(1, 7)
+    yield 2, 12
+    yield 12, 2
+
+
+def test_rref_and_nullspace_match_the_row_loop():
+    rng = rng_for(42, "linalg", "oracle")
+    for p in (2, 3, 7, 2**31 - 1):
+        for rows, cols in oracle_shapes(rng):
+            cases = [zeros(rows, cols), random_matrix(rng, rows, cols, p)]
+            if rows and cols:
+                k = rng.randrange(1, min(rows, cols) + 1)
+                cases.append(matmul(random_matrix(rng, rows, k, p),
+                                    random_matrix(rng, k, cols, p), p))
+            for a in cases:
+                red, pivots = rref(a, p)
+                want, want_pivots = row_loop_rref(a, p)
+                assert pivots == want_pivots, (p, a)
+                assert red.shape == want.shape and np.array_equal(red, want), (p, a)
+                assert np.array_equal(nullspace(a, p), loop_nullspace(a, p)), (p, a)
+
+
 def test_nullspace_full_rank_is_empty():
     assert nullspace(np.eye(3, dtype=np.int64), 2).shape[0] == 0
 

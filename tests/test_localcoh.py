@@ -19,6 +19,7 @@ from frobex.algebra import (
     MonomialOrder,
     PolyRing,
     PrimeField,
+    frobenius_raise,
     mono_degree,
     monomials_of_weighted_degree,
 )
@@ -973,3 +974,56 @@ def test_prop34_rejects_bad_prefix():
     R = load_corpus_ring("depth-zero-f2")
     with pytest.raises(AlgebraError):
         prop34_check(R, ["x"], n=1, e=1, N=3, e_max=2)
+
+
+def per_column_coordinates(snap, f):
+    """The coordinates of f's class one column at a time, by the handle's
+    normal form: the construction coordinate_matrix replaces."""
+    p = snap.ring.p
+    index = {m: i for i, m in enumerate(snap.columns)}
+    nf = snap.defining.normal_form(f).terms
+    coords = np.zeros(len(snap.columns), dtype=np.int64)
+    left = dict(nf)
+    for m, c in nf.items():
+        if m in index:
+            coords[index[m]] = c
+            for t, a in snap.basis[index[m]].terms.items():
+                left[t] = (left.get(t, 0) - c * a) % p
+    if any(left.values()):
+        raise TorsionSpanError(f"{f} is not m-torsion modulo the ideal")
+    return coords
+
+
+def test_limit_system_matrices_match_per_column_coordinates_on_corpus_towers():
+    # every transition and Frobenius matrix of every corpus tower, levels
+    # 1-10, against columns built one at a time from normal forms
+    checked = 0
+    for label in corpus_labels():
+        R = load_corpus_ring(label)
+        seq = parameter_base(R, 42)
+        for i in range(len(seq) + 1):
+            system = limit_system(R, seq, i, 10)
+            product = R.ambient.one()
+            for f in seq.elements[:i]:
+                product = product * f
+            snaps = system.snapshots
+            maps = [(snaps[n - 1], snaps[n], system.transitions[n - 1],
+                     lambda b: b * product) for n in range(1, 10)]
+            maps += [(snaps[n - 1], snaps[R.p * n - 1], mat,
+                      lambda b: frobenius_raise(b, 1))
+                     for n, mat in system.frobenius.items()]
+            for src, dst, mat, image in maps:
+                want = np.zeros((dst.length, src.length), dtype=np.int64)
+                for col, b in enumerate(src.basis):
+                    want[:, col] = per_column_coordinates(dst, image(b))
+                assert np.array_equal(mat, want), (label, i)
+                checked += mat.size > 0
+    assert checked >= 50
+
+
+def test_coordinate_matrix_rejects_a_class_outside_the_torsion():
+    R = load_corpus_ring("depth-zero-f2")
+    snap = torsion_quotient(R, ideal(R))
+    assert snap.coordinate_matrix([R.parse("x"), R.parse("0")]).tolist() == [[1, 0]]
+    with pytest.raises(TorsionSpanError):
+        snap.coordinate_matrix([R.parse("x"), R.parse("y")])
