@@ -213,6 +213,9 @@ class MonomialOrder:
         object.__setattr__(self, "heap_key", heap_key)
 
 
+GREVLEX = MonomialOrder("grevlex")
+
+
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
@@ -237,7 +240,7 @@ class PolyRing:
         for v in self.variables:
             if not _NAME_RE.match(v):
                 raise AlgebraError(f"bad variable name: {v!r}")
-        self.order = order if order is not None else MonomialOrder("grevlex")
+        self.order = order if order is not None else GREVLEX
         if grading is not None:
             grading = tuple(int(w) for w in grading)
             if len(grading) != len(self.variables):

@@ -12,8 +12,10 @@ is read off one reverse-lex basis of I in coordinates where x_i is the last
 variable y (Bayer-Stillman): in(I : y) = in(I) : y, and two ideals with
 equal initial ideals have equal Hilbert functions, so (I : y)/I has finite
 length exactly when in(I) : y does modulo in(I).  The same basis gives
-dim S/(I + x_i), since in(I + y) = in(I) + (y).  Other elements and weighted
-gradings take the colon and the saturation by m themselves.  Over an
+dim S/(I + x_i), since in(I + y) = in(I) + (y).  The random search tests its
+candidates this way; a sequence handed in to be checked
+(is_filter_regular_sequence), and every candidate over a prefix outside
+that case, takes the colon and the saturation by m themselves.  Over an
 infinite constant field a generic linear form works at every step; over a
 small F_p the candidate pool is finite, so the random search retries and
 reports exhaustion honestly.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, MonomialOrder, Polynomial
+from .algebra import GREVLEX, AlgebraError, Polynomial
 from .groebner import (
     IdealHandle,
     ImproperIdealError,
@@ -33,7 +35,6 @@ from .groebner import (
     colon,
     dimension,
     ideal,
-    is_linear_form,
     monomial_dimension,
     saturation,
 )
@@ -42,8 +43,6 @@ from .seeding import rng_for
 # random_filter_regular_sop: candidates per step, restarts of the search
 _MAX_TRIES = 60
 _RESTARTS = 25
-
-_GREVLEX = MonomialOrder("grevlex")
 
 
 class SearchExhausted(AlgebraError):
@@ -85,10 +84,10 @@ def make_sequence(R: QuotientRing, elements) -> FilterSequence:
 
 
 def filter_regular_failure(seq: FilterSequence) -> int | None:
-    """Index of the first element that is not filter regular on the ring
-    modulo its prefix, or None when the whole sequence is filter regular.
-    A linear element over a standard-graded prefix takes linear_form_test;
-    any other takes the colon and the saturation by m."""
+    """Index of the first element violating the colon-saturation criterion,
+    or None when the whole sequence is filter regular.  This is the
+    definition itself, kept apart from the random search's linear_form_test
+    so that a sequence handed in is certified independently of it."""
     R = seq.ring
     m = R.maximal_ideal()
     for f in seq.elements:
@@ -96,13 +95,9 @@ def filter_regular_failure(seq: FilterSequence) -> int | None:
             raise SequenceShapeError("sequence element outside the maximal ideal")
     for i, f in enumerate(seq.elements):
         prefix = seq.prefix_ideal(i)
-        if is_linear_form(f) and _is_graded(prefix):
-            regular = linear_form_test(prefix, f)[1]
-        else:
-            quotient = colon(prefix, ideal(R, [f]))
-            saturated, _ = saturation(prefix, m)
-            regular = saturated.contains_ideal(quotient)
-        if not regular:
+        quotient = colon(prefix, ideal(R, [f]))
+        saturated, _ = saturation(prefix, m)
+        if not saturated.contains_ideal(quotient):
             return i
     return None
 
@@ -123,7 +118,7 @@ def linear_form_test(prefix: IdealHandle, ell: Polynomial) -> tuple[int, bool]:
     x_i = y, h itself does.
     """
     basis, _ = _linear_form_basis(prefix, ell)
-    lms = [max(terms, key=_GREVLEX.key) for terms in basis]
+    lms = [max(terms, key=GREVLEX.key) for terms in basis]
     n = prefix.ambient.nvars
     y = (0,) * (n - 1) + (1,)
     dim = monomial_dimension([u for u in lms if not u[-1]] + [y], n)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import (
+    GREVLEX,
     AlgebraError,
     MonomialOrder,
     Polynomial,
@@ -61,6 +62,7 @@ from .groebner import (
     ResourceCapExceeded,
     _SHARED_BASES,
     _basis,
+    _is_graded,
     _nf_terms,
     caps_in_force,
     fresh_names,
@@ -156,9 +158,6 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
                                           for m, c in zip(monos, vec) if c}))
 
 
-_GREVLEX = MonomialOrder("grevlex")
-
-
 def _normal_form_frame(K: IdealHandle):
     """(rank, reducers) for the normal forms of _graded_preimage, or None
     when K is not homogeneous (quotient relations included) and m-primary
@@ -170,17 +169,14 @@ def _normal_form_frame(K: IdealHandle):
     position k holds the exponent of variable rank[k].  Raises
     ResourceCapExceeded when the basis trips a cap.
     """
-    ring = K.ambient
-    if any(w != 1 for w in ring.weights):
+    if not _is_graded(K):
         return None
-    if not all(g.is_homogeneous() for g in K.generators):
-        return None
-    n = ring.nvars
+    n = K.ambient.nvars
     rank = _coprime_ranking(K.generators, n) or tuple(range(n))
     permuted = [{tuple(m[v] for v in rank): c for m, c in g.terms.items()}
                 for g in K.generators]
-    basis, _ = _basis(permuted, _GREVLEX, ring.p)
-    reducers = [(max(t, key=_GREVLEX.key), t) for t in basis]
+    basis, _ = _basis(permuted, GREVLEX, K.ambient.p)
+    reducers = [(max(t, key=GREVLEX.key), t) for t in basis]
     # m-primary: some leading monomial is a pure power of each variable
     if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
         return None
@@ -228,7 +224,7 @@ def _qpower_images(n: int, p: int, reducers, q: int):
     shifted by x_i^q and reduced.  No raw power m^q is expanded.
     """
     one = (0,) * n
-    images = {one: _nf_terms({one: 1}, reducers, p, _GREVLEX)[0]}
+    images = {one: _nf_terms({one: 1}, reducers, p, GREVLEX)[0]}
     for d in itertools.count(1):
         yield images
         below, images = images, {}
@@ -236,7 +232,7 @@ def _qpower_images(n: int, p: int, reducers, q: int):
             i = next(k for k, a in enumerate(m) if a)
             start = {t[:i] + (t[i] + q,) + t[i + 1:]: c for t, c
                      in below[m[:i] + (m[i] - 1,) + m[i + 1:]].items()}
-            images[m] = _nf_terms(start, reducers, p, _GREVLEX)[0]
+            images[m] = _nf_terms(start, reducers, p, GREVLEX)[0]
 
 
 def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
@@ -384,7 +380,7 @@ def _bracket_membership(bracket: IdealHandle, e: int):
 
     def contains(f: Polynomial) -> bool:
         permuted = {tuple(m[v] for v in rank): c for m, c in f.terms.items()}
-        return not _nf_terms(permuted, reducers, p, _GREVLEX)[0]
+        return not _nf_terms(permuted, reducers, p, GREVLEX)[0]
     return contains
 
 

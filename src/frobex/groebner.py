@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra import (
+    GREVLEX,
     AlgebraError,
     Mono,
     MonomialOrder,
@@ -743,8 +744,7 @@ def _linear_form_basis(I: IdealHandle, ell: Polynomial):
     ell = ell * pow(ell.terms[unit], -1, p)
     moved_coords = len(ell.terms) > 1
     perm = tuple(j for j in range(n) if j != k) + (k,)
-    grevlex = MonomialOrder("grevlex")
-    if not moved_coords and k == n - 1 and ring.order == grevlex:
+    if not moved_coords and k == n - 1 and ring.order == GREVLEX:
         basis = [g.terms for g in I.groebner_basis()]
     else:
         forward = x_k - (ell - x_k)  # x_k in the coordinates y
@@ -752,7 +752,7 @@ def _linear_form_basis(I: IdealHandle, ell: Polynomial):
         for g in I.generators:
             terms = _substitute(g.terms, k, forward) if moved_coords else g.terms
             moved.append({tuple(m[j] for j in perm): c for m, c in terms.items()})
-        basis, _ = _basis(moved, grevlex, p)
+        basis, _ = _basis(moved, GREVLEX, p)
     back = [perm.index(j) for j in range(n)]
 
     def restore(terms: dict) -> Polynomial:

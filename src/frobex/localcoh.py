@@ -67,7 +67,6 @@ from .groebner import (
     QuotientRing,
     ResourceCapExceeded,
     _is_graded,
-    _nf_terms,
     dimension,
     ideal,
     is_linear_form,
@@ -130,9 +129,7 @@ class TorsionQuotientSnapshot:
         columns of one array, filled in one sweep; raises TorsionSpanError
         when a class lies outside the torsion submodule."""
         p = self.ring.p
-        order = self.ring.ambient.order
         index = self._column_index()
-        reducers = self.defining.reducers()
         out = np.zeros((len(self.columns), len(polys)), dtype=np.int64)
         for col, f in enumerate(polys):
             terms, rest = {}, {}
@@ -140,7 +137,7 @@ class TorsionQuotientSnapshot:
                 (terms if m in index else rest)[m] = c
             if rest:
                 # a term on a column is standard for Q, so only the rest is reduced
-                for m, c in _nf_terms(rest, reducers, p, order)[0].items():
+                for m, c in self.defining.normal_form(Polynomial(f.ring, rest)).terms.items():
                     terms[m] = (terms.get(m, 0) + c) % p
             left = dict(terms)  # NF_Q(f) minus the basis elements of its columns
             for m, c in terms.items():
