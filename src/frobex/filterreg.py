@@ -182,8 +182,8 @@ def random_filter_regular_sop(R: QuotientRing, seed: int) -> FilterSequence:
             found = None
             nv = len(variables)
             for _ in range(_MAX_TRIES):
-                # bias toward sparse forms: downstream Frobenius eliminations
-                # stay cheap, and sparse parameters are just as admissible
+                # bias toward sparse forms: in their frame the relations stay
+                # sparse, and sparse parameters are just as admissible
                 size = 1 + min(rng.randrange(nv), rng.randrange(nv))
                 support = rng.sample(range(nv), size)
                 coeffs = [0] * nv

@@ -12,13 +12,12 @@ one of two ways.  When K is homogeneous and m-primary under the standard
 grading (as for every homogeneous parameter ideal), the degree-d part of the
 preimage is the kernel of the F_p-linear map m -> NF_K(m^q) on the degree-d
 monomials, linear because (sum c*m)^q = sum c*m^q over F_p; degrees are taken
-one at a time until every image vanishes.  That kernel is the set of
-combinations whose q-th power lies in K, so it does not depend on the
-monomial order of the normal forms.  They are taken in grevlex on the
-variables ranked so that K's generators lead with pure powers of distinct
-variables, when such a ranking exists: the generators then already form a
-Groebner basis, and the images are reduced by them instead of by K's
-grevlex basis in the variables' own ranking, which may be much larger.
+one at a time until every image vanishes.  The same identity lets a linear
+change of coordinates commute with brackets, so both the kernels and the
+membership tests in brackets are taken in the frame where the linear forms
+that K's generators are powers of are the last variables: there those
+generators, and a hypersurface relation, lead with pure powers of distinct
+variables and are a Groebner basis already.
 For any other K the preimage comes from an elimination: in S[w_1..w_n] the
 membership x^q in K becomes linear algebra over the subring generated by
 the w_i = x_i^q, because g(x)^q = g(x^q) over F_p.  This preimage is
@@ -67,6 +66,7 @@ from .groebner import (
     caps_in_force,
     fresh_names,
     ideal,
+    linear_frame,
     ring_fingerprint,
 )
 from .seeding import derive_seed
@@ -93,9 +93,8 @@ def qpower_preimage(K: IdealHandle, e: int) -> IdealHandle:
     """The ideal { x : x^(p^e) lies in K }.
 
     For e >= 1 and K homogeneous (quotient relations included) under the
-    standard grading, with a pure power of every variable among the leading
-    monomials of its Groebner basis (K is m-primary), the preimage is built
-    degree by degree from kernels of m -> NF_K(m^q); see _graded_preimage.
+    standard grading and m-primary, the preimage is built degree by degree
+    from kernels of m -> NF_K(m^q) in K's frame; see _graded_preimage.
     Everything else -- e = 0, inhomogeneous or weighted input, K not
     m-primary, or K's basis tripping a resource cap -- goes through the
     tag-variable elimination of _preimage_by_elimination.
@@ -118,99 +117,78 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     all of S_d, hence all of S_{>=d}, lies in the preimage, so the kernels
     below d plus the degree-d monomials generate it.
 
-    The map is written down with normal forms NF_K under some monomial
-    order, degree by degree by _qpower_images.  Any order will do: a normal
-    form is zero exactly on K, so a combination sum c*m lies in the kernel
-    iff sum c*NF_K(m^q) = NF_K(sum c*m^q) vanishes, whatever the order.  The
-    matrices of two orders thus have one kernel, hence one row space and
-    one reduced echelon form, and the generators read off the kernel are
-    the same.  The order used is grevlex on the variables as ranked by
-    _coprime_ranking, when it finds a ranking under which K's generators
-    lead with pure powers of distinct variables: they are then a Groebner
-    basis already (every S-pair has coprime leading monomials), and the
-    Buchberger run only inter-reduces them.  Otherwise the variables keep
-    their own ranking, and the basis is K's grevlex basis, whose memo entry
-    a grevlex ring's handle of K shares.
+    The map is written down in K's frame phi (see _normal_form_frame),
+    degree by degree by _qpower_images.  phi commutes with the q-th power
+    over F_p, so it carries the preimage of K onto that of phi(K), and each
+    kernel vector is mapped back by the frame.  The kernel does not depend
+    on the monomial order of the normal forms: a normal form is zero
+    exactly on K.
     """
     ring = K.ambient
     n, p = ring.nvars, ring.p
-    try:
-        frame = _normal_form_frame(K)
-    except ResourceCapExceeded:
+    found = _normal_form_frame(K, 0)
+    # m-primary: some leading monomial is a pure power of each variable
+    if found is None or not all(any(lm[i] == sum(lm) for lm, _ in found[1])
+                                for i in range(n)):
         return None
-    if frame is None:
-        return None
-    rank, reducers = frame
+    (_, back), reducers = found
     gens: list[Polynomial] = []
-    for d, by_rank in enumerate(_qpower_images(n, p, reducers, p**e)):
-        # columns in the ring's own monomial order, whatever order rank gives
-        monos = monomials_of_weighted_degree(n, d, ring.weights)
-        images = [by_rank[tuple(m[v] for v in rank)] for m in monos]
-        if not any(images):
+    for images in _qpower_images(n, p, reducers, p**e):
+        monos = list(images)
+        if not any(images.values()):
+            # every monomial of this degree, in any coordinates
             return gens + [ring.monomial(m) for m in monos]
-        rows = {t: r for r, t in enumerate({t for img in images for t in img})}
+        rows = {t: r for r, t in enumerate({t for img in images.values() for t in img})}
         matrix = linalg.zeros(len(rows), len(monos))
-        for col, img in enumerate(images):
+        for col, img in enumerate(images.values()):
             for t, c in img.items():
                 matrix[rows[t], col] = c
         for vec in linalg.nullspace(matrix, p):
-            gens.append(Polynomial(ring, {m: int(c)
-                                          for m, c in zip(monos, vec) if c}))
+            kernel = {m: int(c) for m, c in zip(monos, vec) if c}
+            gens.append(Polynomial(ring, back(kernel)))
 
 
-def _normal_form_frame(K: IdealHandle):
-    """(rank, reducers) for the normal forms of _graded_preimage, or None
-    when K is not homogeneous (quotient relations included) and m-primary
-    under the standard grading.
+def _normal_form_frame(I: IdealHandle, e: int):
+    """((forward, back), reducers) for normal forms modulo the bracket
+    I^[p^e] + J, or None when I is not homogeneous (quotient relations
+    included) under the standard grading or the basis trips a resource cap.
 
-    rank lists the variable indices, highest first, as _coprime_ranking
-    finds them, or in their own order when it finds none.  The reducers are
-    the reduced grevlex basis of K's generators in coordinates where
-    position k holds the exponent of variable rank[k].  Raises
-    ResourceCapExceeded when the basis trips a cap.
+    The frame phi, with maps forward and back on term dicts, is
+    groebner.linear_frame of the forms that I's own
+    generators are powers of, which are the bracket's too: a unit times a
+    pure power of x_i gives x_i, and sum c_i x_i^(p^a) gives sum c_i x_i.
+    The bracket's generators go over as phi(g)^[p^e] = phi(g^[p^e]).  When
+    the forms are parameters, a relation leads with a pure power of a
+    variable before them, as it does not vanish where they do, so the
+    generators are often a basis already.  The reducers are their reduced
+    grevlex basis from groebner._basis, as (leading monomial, terms).
     """
-    if not _is_graded(K):
+    if not _is_graded(I):
         return None
-    n = K.ambient.nvars
-    rank = _coprime_ranking(K.generators, n) or tuple(range(n))
-    permuted = [{tuple(m[v] for v in rank): c for m, c in g.terms.items()}
-                for g in K.generators]
-    basis, _ = _basis(permuted, GREVLEX, K.ambient.p)
-    reducers = [(max(t, key=GREVLEX.key), t) for t in basis]
-    # m-primary: some leading monomial is a pure power of each variable
-    if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
+    ring = I.ambient
+    forward, back = linear_frame(ring, _frame_forms(I.own_gens))
+    q = ring.p**e
+    gens = [{tuple(q * a for a in m): c for m, c in forward(g.terms).items()}
+            for g in I.own_gens]
+    if I.quotient is not None:
+        gens += [forward(g.terms) for g in I.quotient.relations.own_gens]
+    try:
+        basis, _ = _basis(gens, GREVLEX, ring.p)
+    except ResourceCapExceeded:
         return None
-    return rank, reducers
+    return (forward, back), [(max(t, key=GREVLEX.key), t) for t in basis]
 
 
-def _coprime_ranking(gens, n: int) -> tuple[int, ...] | None:
-    """A ranking of the n variables, highest first, under whose grevlex
-    order each of the homogeneous gens leads with a pure power of a variable
-    of its own, or None when there are not exactly n gens or no ranking
-    does.  The pure powers then form an m-primary monomial ideal.
-
-    In grevlex a pure power x_i^d leads a form of degree d exactly when each
-    other term involves a variable ranked below x_i.  So the ranking is
-    built from the bottom: the next variable up is x_i for any remaining
-    generator whose terms free of the variables placed so far are x_i^d
-    alone.  Placing it never blocks a ranking: that generator's other terms
-    all involve placed variables, so x_i^d is the only pure power it could
-    lead with in any ranking that extends the current one.
-    """
-    if len(gens) != n:
-        return None
-    below: list[int] = []
-    left = list(gens)
-    while left:
-        for k, g in enumerate(left):
-            free = [m for m in g.terms if not any(m[v] for v in below)]
-            if len(free) == 1 and sum(1 for a in free[0] if a) == 1:
-                below.append(next(v for v, a in enumerate(free[0]) if a))
-                del left[k]
-                break
-        else:
-            return None
-    return tuple(reversed(below))
+def _frame_forms(gens) -> tuple[Polynomial, ...]:
+    """The linear forms of _normal_form_frame, in the order of gens."""
+    forms = []
+    for g in gens:
+        d = g.degree()
+        if (d > 0 and all(sum(a // d for a in m) == 1 for m in g.terms)
+                and (len(g.terms) == 1 or pow(g.ring.p, d, d) == 0)):
+            forms.append(Polynomial(g.ring, {tuple(a // d for a in m): c
+                                             for m, c in g.terms.items()}))
+    return tuple(forms)
 
 
 def _qpower_images(n: int, p: int, reducers, q: int):
@@ -251,20 +229,13 @@ def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
     if e == 0:
         return IdealHandle(K.ring, K.own_gens)
     ring = K.ambient
-    p = ring.p
-    q = p**e
-    n = ring.nvars
+    p, n, q = ring.p, ring.nvars, ring.p**e
     tags = fresh_names(ring.variables, "w", n)
     ext = ring.extended(tuple(tags), MonomialOrder("block", tuple(range(n))))
     gens = []
     for g in K.generators:
-        terms = {}
-        for m, c in g.terms.items():
-            lo = tuple(x % q for x in m)
-            hi = tuple(x // q for x in m)
-            mono = lo + hi
-            terms[mono] = (terms.get(mono, 0) + c) % p
-        gens.append(ext.poly(terms))
+        gens.append(ext.poly({tuple(x % q for x in m) + tuple(x // q for x in m): c
+                              for m, c in g.terms.items()}))
     zero = (0,) * n
     if K.quotient is not None:
         # freshman's dream: g^q raises termwise, so each quotient relation g
@@ -279,10 +250,8 @@ def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
         gens.append(ext.poly({wi: 1, xi_q: p - 1}))
     work = IdealHandle(ext, gens)
     gb = work.groebner_basis()
-    out = []
-    for g in gb:
-        if all(all(m[i] == 0 for i in range(n)) for m in g.terms):
-            out.append(Polynomial(ring, {m[n:]: c for m, c in g.terms.items()}))
+    out = [Polynomial(ring, {m[n:]: c for m, c in g.terms.items()}) for g in gb
+           if not any(any(m[:n]) for m in g.terms)]
     return IdealHandle(K.ring, out)
 
 
@@ -357,30 +326,41 @@ def fte_of_ideal(I: IdealHandle, closure: IdealHandle, e_max: int = 8) -> int:
     """Least e with closure^[p^e] = I^[p^e], checked by membership of the
     raised closure generators.  The bracket of the larger ideal always
     contains the bracket of the smaller, so one inclusion suffices."""
+    e = _bracket_exponent(I, closure.own_gens, e_max)
+    if e is None:
+        raise InconsistencyError(f"no Frobenius test exponent up to {e_max}")
+    return e
+
+
+def _bracket_exponent(I: IdealHandle, gens, e_max: int) -> int | None:
+    """Least e <= e_max with g^[p^e] in I^[p^e] + J for every g in gens."""
     for e in range(e_max + 1):
-        contains = _bracket_membership(frobenius_power(I, e), e)
-        if all(contains(frobenius_raise(g, e)) for g in closure.own_gens):
+        contains = _bracket_membership(I, e)
+        if all(contains(g) for g in gens):
             return e
-    raise InconsistencyError(f"no Frobenius test exponent up to {e_max}")
+    return None
 
 
-def _bracket_membership(bracket: IdealHandle, e: int):
-    """Membership in the bracket I^[p^e].  For e >= 1 a normal form against
-    the basis _normal_form_frame builds for the bracket's graded preimage,
-    which the closure chain has left in the memo; where no frame applies,
-    or for e = 0, the handle's own basis.  A cap tripped by the frame's
-    basis is raised: with a ranking of its own the frame starts from a
-    Groebner basis, and without one it is K's grevlex basis, which a
-    grevlex ring's handle would build too."""
-    frame = _normal_form_frame(bracket) if e else None
-    if frame is None:
-        return bracket.contains
-    rank, reducers = frame
-    p = bracket.ambient.p
+def _bracket_membership(I: IdealHandle, e: int):
+    """The test g -> (g^[p^e] lies in I^[p^e] + J).
 
-    def contains(f: Polynomial) -> bool:
-        permuted = {tuple(m[v] for v in rank): c for m, c in f.terms.items()}
-        return not _nf_terms(permuted, reducers, p, GREVLEX)[0]
+    For e >= 1 a normal form of phi(g)^[p^e] against the basis
+    _normal_form_frame builds in I's frame, the one the graded preimage of
+    the bracket builds too, so the closure chain has left it in the memo.
+    Where no frame applies (I not standard-graded), at e = 0, or when the
+    frame's basis trips a cap, the bracket's own basis in ring coordinates,
+    which may stay under the caps."""
+    found = _normal_form_frame(I, e) if e else None
+    if found is None:
+        bracket = frobenius_power(I, e)
+        return lambda g: bracket.contains(frobenius_raise(g, e))
+    (forward, _), reducers = found
+    p = I.ambient.p
+    q = p**e
+
+    def contains(g: Polynomial) -> bool:
+        raised = {tuple(q * a for a in m): c for m, c in forward(g.terms).items()}
+        return not _nf_terms(raised, reducers, p, GREVLEX)[0]
     return contains
 
 
@@ -519,8 +499,8 @@ def parameter_base(R: QuotientRing, seed: int) -> FilterSequence:
     """Base system of parameters for the power families.
 
     Coordinate variables are preferred when some dim(R)-subset of them is a
-    filter regular system of parameters (sparse generators keep the
-    elimination steps of the closure chain cheap); otherwise a seeded
+    filter regular system of parameters (their frame only reorders the
+    variables, so the relations keep their sparsity); otherwise a seeded
     random search runs.
     """
     d = R.dim

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import heapq
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import (
     GREVLEX,
@@ -38,6 +40,7 @@ from .algebra import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    frobenius_raise,
     mono_degree,
     mono_div,
     mono_divides,
@@ -568,23 +571,12 @@ def intersect(I: IdealHandle, K: IdealHandle) -> IdealHandle:
     for g in I.generators:
         gens.append(Polynomial(tagged, _append_tag(g.terms, 1)))
     for g in K.generators:
-        lifted = _append_tag(g.terms, 0)
-        minus_t = _append_tag(g.terms, 1)
-        p = ring.p
-        combined = dict(lifted)
-        for m, c in minus_t.items():
-            v = (combined.get(m, 0) - c) % p
-            if v:
-                combined[m] = v
-            elif m in combined:
-                del combined[m]
-        gens.append(Polynomial(tagged, combined))
+        gens.append(Polynomial(tagged, _append_tag(g.terms, 0))
+                    - Polynomial(tagged, _append_tag(g.terms, 1)))
     work = IdealHandle(tagged, gens)
     gb = work.groebner_basis()
-    out = []
-    for g in gb:
-        if all(m[n] == 0 for m in g.terms):
-            out.append(Polynomial(ring, {m[:n]: c for m, c in g.terms.items()}))
+    out = [Polynomial(ring, {m[:n]: c for m, c in g.terms.items()}) for g in gb
+           if all(m[n] == 0 for m in g.terms)]
     home = I.ring if (I.quotient is not None and I.quotient == K.quotient) else ring
     return IdealHandle(home, out)
 
@@ -704,62 +696,100 @@ def _is_maximal_ideal(K: IdealHandle) -> bool:
                     for g in gb))
 
 
-def _substitute(terms: dict, k: int, image: Polynomial) -> dict:
-    """The terms with variable k replaced by the polynomial image."""
-    ring, p = image.ring, image.ring.p
-    powers = [ring.one().terms]
-    out: dict[Mono, int] = {}
-    for m, c in terms.items():
-        while len(powers) <= m[k]:
-            powers.append((Polynomial(ring, powers[-1]) * image).terms)
-        rest = m[:k] + (0,) + m[k + 1:]
-        for pm, pc in powers[m[k]].items():
-            t = mono_mul(rest, pm)
-            v = (out.get(t, 0) + c * pc) % p
-            if v:
-                out[t] = v
-            else:
-                out.pop(t, None)
-    return out
+def _linear_substitution(images: list, ring: PolyRing) -> Callable[[dict], dict]:
+    """The map on term dicts that replaces each variable x_j by the linear
+    form images[j], a term dict.  A variable whose image is a variable is
+    moved there, and the other images are multiplied in.  Over F_p a p-th
+    power raises term by term, so x_j^a is built from x_j^(a/p) when p
+    divides a, and a bracket power sum c*x^q costs no more than its form."""
+    p, n = ring.p, ring.nvars
+    moved = {j: next(iter(img)).index(1) for j, img in enumerate(images)
+             if list(img.values()) == [1]}
+    if len(moved) == n:
+        source = sorted(moved, key=moved.get)
+        return lambda terms: {tuple(m[j] for j in source): c for m, c in terms.items()}
+
+    @functools.lru_cache(maxsize=None)
+    def power(j: int, a: int) -> Polynomial:
+        if a % p:
+            return (power(j, a - 1) if a > 1 else ring.one()) * Polynomial(ring, images[j])
+        return frobenius_raise(power(j, a // p), 1)
+
+    def substitute(terms: dict) -> dict:
+        out: dict[Mono, int] = {}
+        for m, c in terms.items():
+            base = [0] * n
+            for j, k in moved.items():
+                base[k] = m[j]
+            term = {tuple(base): c}
+            for j, a in enumerate(m):
+                if a and j not in moved:
+                    term = (Polynomial(ring, term) * power(j, a)).terms
+            for t, v in term.items():
+                out[t] = (out.get(t, 0) + v) % p
+        return {t: v for t, v in out.items() if v}
+    return substitute
+
+
+@functools.lru_cache(maxsize=256)
+def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], ...]:
+    """(forward, back): the maps on term dicts to the frame whose last
+    variables are the linear forms, in order, that do not depend on those
+    before them, and back.  The other variables come first, in the ring's
+    order.  Each form is reduced on the pivots of the forms kept before it;
+    its pivot, which the frame drops, is the last variable of the reduced
+    form, and the form is divided by that coefficient.  So a frame of one
+    form drops its last variable, and a frame of variables is a reindexing.
+    Frames recur (the same element saturates tower after tower), so the
+    recent ones are kept, with the powers their maps have built."""
+    n, p = ring.nvars, ring.p
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    pivots: list[tuple[int, list[int]]] = []  # (pivot, reduced form)
+    rows: list[list[int]] = []
+    for ell in forms:
+        row = reduced = [ell.terms.get(u, 0) for u in units]
+        for k, other in pivots:
+            c = reduced[k]
+            reduced = [(a - c * b) % p for a, b in zip(reduced, other)]
+        if any(reduced):
+            k = max(j for j in range(n) if reduced[j])
+            inv = pow(reduced[k], -1, p)
+            pivots.append((k, [a * inv % p for a in reduced]))
+            rows.append([a * inv % p for a in row])
+    dropped = {k for k, _ in pivots}
+    y_of_x = [list(units[j]) for j in range(n) if j not in dropped] + rows
+    if all(sum(r) == 1 for r in y_of_x):  # a reindexing, inverted by transposing
+        x_of_y = [list(c) for c in zip(*y_of_x)]
+    else:
+        # Gauss-Jordan on (y_of_x | identity), in pure Python, since for a
+        # handful of variables numpy's cost per call would dominate
+        work = [r + list(u) for r, u in zip(y_of_x, units)]
+        for c in range(n):
+            r = next(r for r in range(c, n) if work[r][c])
+            work[c], work[r] = work[r], work[c]
+            inv = pow(work[c][c], -1, p)
+            work[c] = [a * inv % p for a in work[c]]
+            for r in range(n):
+                f = work[r][c]
+                if r != c and f:
+                    work[r] = [(a - f * b) % p for a, b in zip(work[r], work[c])]
+        x_of_y = [r[n:] for r in work]
+    return tuple(_linear_substitution([{u: c for u, c in zip(units, r) if c} for r in m], ring)
+                 for m in (x_of_y, y_of_x))
 
 
 def _linear_form_basis(I: IdealHandle, ell: Polynomial):
     """(basis, restore): the reduced grevlex basis of I, as term dicts, in
-    coordinates y where the linear form ell is the last variable, and the
-    map that takes a term dict in those coordinates back to a polynomial
-    over I's ambient ring.
-
-    Let x_k be the last variable in which ell has a nonzero coefficient
-    c_k.  The coordinates y with y_k = ell/c_k and y_j = x_j otherwise are
-    a linear change of variables, a plain permutation when ell is a
-    variable; y_k is moved to the last position.  The basis is built
-    through _basis, so the memo and the caps in force apply; a grevlex ring
-    whose last variable is ell starts from the basis of I it has cached.
-    """
+    the frame of ell, where ell is the last variable, and the map back to
+    polynomials over I's ambient ring.  The basis is built through _basis,
+    so the memo and the caps in force apply; when ell is the last variable,
+    a grevlex ring starts from the basis of I it has cached."""
     ring = I.ambient
-    n, p = ring.nvars, ring.p
-    k = max(m.index(1) for m in ell.terms)
-    x_k = ring.gen(k)
-    (unit,) = x_k.terms
-    ell = ell * pow(ell.terms[unit], -1, p)
-    moved_coords = len(ell.terms) > 1
-    perm = tuple(j for j in range(n) if j != k) + (k,)
-    if not moved_coords and k == n - 1 and ring.order == GREVLEX:
-        basis = [g.terms for g in I.groebner_basis()]
-    else:
-        forward = x_k - (ell - x_k)  # x_k in the coordinates y
-        moved = []
-        for g in I.generators:
-            terms = _substitute(g.terms, k, forward) if moved_coords else g.terms
-            moved.append({tuple(m[j] for j in perm): c for m, c in terms.items()})
-        basis, _ = _basis(moved, GREVLEX, p)
-    back = [perm.index(j) for j in range(n)]
-
-    def restore(terms: dict) -> Polynomial:
-        terms = {tuple(m[j] for j in back): c for m, c in terms.items()}
-        return Polynomial(ring, _substitute(terms, k, ell) if moved_coords else terms)
-
-    return basis, restore
+    if list(ell.terms) == [(0,) * (ring.nvars - 1) + (1,)] and ring.order == GREVLEX:
+        return [g.terms for g in I.groebner_basis()], lambda terms: Polynomial(ring, terms)
+    forward, back = linear_frame(ring, (ell,))
+    basis, _ = _basis([forward(g.terms) for g in I.generators], GREVLEX, ring.p)
+    return basis, lambda terms: Polynomial(ring, back(terms))
 
 
 def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,

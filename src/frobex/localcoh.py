@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,7 @@ from .filterreg import (
 from .frobenius import (
     FteScanReport,
     InconsistencyError,
+    _bracket_exponent,
     _run_sample,
     _scan_report,
     _scan_tasks,
@@ -842,17 +844,6 @@ class InequalityReport:
         }
 
 
-def _nilpotency_order_in_uniform_powers(R: QuotientRing, elements, a: Polynomial,
-                                        n: int, e_cap: int) -> int | None:
-    """Least e with a^(p^e) in (f_1^(n p^e), ..., f_d^(n p^e)) + J."""
-    for e in range(e_cap + 1):
-        q = R.p**e
-        target = ideal(R, [f**(n * q) for f in elements])
-        if target.contains(frobenius_raise(a, e)):
-            return e
-    return None
-
-
 def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport:
     """Check max sampled Frobenius test exponent >= witnessed HSL number.
 
@@ -886,10 +877,7 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
         t, n = sample.descriptor["t"], sample.descriptor["n"]
         family = power_family_ideal(R, base, t, n)
         uniform = ideal(R, [f**n for f in base])
-        tail = R.ambient.one()
-        for f in base[t:]:
-            tail = tail * f
-        push = tail**(n - 1)
+        push = math.prod(base[t:], start=R.ambient.one())**(n - 1)
         entry = {"t": t, "n": n, "fte": sample.fte, "classes": []}
         for a in sample.closure_gens or []:
             if family.contains(a):
@@ -900,8 +888,7 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
                 record["zero_class"] = True
                 entry["classes"].append(record)
                 continue
-            order = _nilpotency_order_in_uniform_powers(
-                R, base, pushed, n, max(sample.fte, 1))
+            order = _bracket_exponent(uniform, [pushed], max(sample.fte, 1))
             record["order"] = order
             record["zero_class"] = False
             if order is None or order > sample.fte:
@@ -982,7 +969,7 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     for g in closure.closure.groebner_basis():
         if Qn.contains(g):
             continue
-        order = _nilpotency_order_in_uniform_powers(R, prefix, g, n, e_max)
+        order = _bracket_exponent(Qn, [g], e_max)
         entry = {"gen": str(g), "order": order}
         if order is None or order > e:
             forward_ok = False

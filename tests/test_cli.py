@@ -5,6 +5,7 @@ import ast
 import functools
 import json
 import multiprocessing
+import os
 import re
 import shlex
 from pathlib import Path
@@ -195,6 +196,35 @@ def test_fte_on_p7_quartic_family_at_raised_caps(capsys):
     assert doc["fte"] == 0
     assert doc["closure"]["certified"]
     assert doc["closure"]["stabilized_at"] == 0
+
+
+def test_p7_scan_at_raised_caps_builds_only_small_bases(capsys, monkeypatch, tmp_path):
+    # each sample runs in the frame of its parameters, where the q = 49
+    # brackets of the random linear systems of parameters are their own
+    # Groebner bases; in ring coordinates they took up to 4,851 pairs
+    log = tmp_path / "pairs.log"  # "pid pairs", one line per Buchberger run
+    build = groebner_module.buchberger_basis
+
+    def logged_build(polys, order, p, caps):
+        basis, stats = build(polys, order, p, caps)
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {stats.pairs_processed}\n")
+        return basis, stats
+
+    monkeypatch.setattr(groebner_module, "buchberger_basis", logged_build)
+    docs = []
+    for jobs in ("1", "2"):
+        code, doc, _ = run_json(capsys, "fte-scan", "--ring", "fermat-cubic-p7",
+                                "--max-pairs", "400000", "--max-degree", "300",
+                                "--jobs", jobs)
+        assert code == 0 and not doc["any_failures"]
+        docs.append(without_timestamp(doc))
+    assert docs[0] == docs[1]
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert max(int(pairs) for _, pairs in runs) <= 100
+    if multiprocessing.get_start_method() == "fork":
+        # a forked worker inherits the logged builder
+        assert any(int(pid) != os.getpid() for pid, _ in runs)
 
 
 def test_fte_plain_output_line(capsys):

@@ -290,80 +290,110 @@ def fermat_type_rings(p):
     yield QuotientRing(poly_ring(p, "x", "y", "z", "w"), ["x^2 + y^2 + z^2 + w^2"])
 
 
-def assert_permuted_order_matches_ring_order(K, e, monkeypatch):
-    """The graded preimage reads off the same kernels, in the same column
-    order, whether its normal forms are taken in the permuted order of
-    _coprime_ranking or with the variables in their own ranking (the
-    oracle); each permuted image, mapped back to the ring's variables and
-    reduced by K's basis in the ring's order, is NF(m^q) of the raw power."""
-    ring = K.ambient
-    n, p, q = ring.nvars, ring.p, ring.p**e
-    rank, reducers = frobenius_module._normal_form_frame(K)
-    assert rank == frobenius_module._coprime_ranking(K.generators, n), K
-    assert len(reducers) == n, K
+def assert_frame_matches_ring_coordinates(K, e, monkeypatch):
+    """The graded preimage read off K's frame generates the same ideal as
+    the one read off ring coordinates (the identity frame, the oracle).
+    Returns whether the frame moved the coordinates."""
+    units = [{m: 1} for m in monomials_of_weighted_degree(K.ambient.nvars, 1,
+                                                          K.ambient.weights)]
+    (forward, _), _ = frobenius_module._normal_form_frame(K, 0)
     got = frobenius_module._graded_preimage(K, e)
     with monkeypatch.context() as m:
-        m.setattr(frobenius_module, "_coprime_ranking", lambda gens, n: None)
-        assert frobenius_module._normal_form_frame(K)[0] == tuple(range(n))
+        m.setattr(frobenius_module, "_frame_forms", lambda gens: ())
+        (oracle, _), _ = frobenius_module._normal_form_frame(K, 0)
+        assert [oracle(u) for u in units] == units
         want = frobenius_module._graded_preimage(K, e)
-    assert got == want, (K, e)
-    oracle = K.reducers()
-    for d, by_rank in enumerate(frobenius_module._qpower_images(n, p, reducers, q)):
-        vanished = True
-        for mono in monomials_of_weighted_degree(n, d, ring.weights):
-            img = by_rank[tuple(mono[v] for v in rank)]
-            back = {}
-            for t, c in img.items():
-                u = [0] * n
-                for k, v in enumerate(rank):
-                    u[v] = t[k]
-                back[tuple(u)] = c
-            nf = groebner_module._nf_terms(back, oracle, p, ring.order)[0]
-            raw = groebner_module._nf_terms({tuple(q * a for a in mono): 1},
-                                            oracle, p, ring.order)[0]
-            assert nf == raw, (K, e, mono)
-            vanished = vanished and not raw
-        if vanished:
-            break
+    assert got is not None and want is not None, K
+    assert ideal(K.ring, got).groebner_basis() == ideal(K.ring, want).groebner_basis(), (K, e)
+    return [forward(u) for u in units] != units
 
 
 def test_permuted_order_matches_ring_order_on_random_K(monkeypatch):
     rng = random.Random(1801)
-    fired = 0
+    moved = 0
     with shared_bases(GBConfig(max_pairs=400_000, max_degree=400)):
         for p in (2, 3, 7):
             for R in fermat_type_rings(p):
                 for e in (1, 2):
                     for _ in range(2):
                         K = random_triangular_K(rng, R, e)
-                        rank = frobenius_module._coprime_ranking(
-                            K.generators, R.ambient.nvars)
-                        assert rank is not None, K
-                        fired += rank != tuple(range(R.ambient.nvars))
-                        assert_permuted_order_matches_ring_order(K, e, monkeypatch)
-    assert fired >= 20, fired
+                        moved += assert_frame_matches_ring_coordinates(K, e, monkeypatch)
+    assert moved >= 20, moved
 
 
 def test_permuted_order_matches_ring_order_on_p7_bracket(monkeypatch):
-    # q = 49 over x^3 + y^3 + z^3: the cubic leads with z^3 once z ranks first
+    # q = 49 over x^3 + y^3 + z^3: in the frame of x and y, z comes first, the
+    # cubic leads with z^3, and the bracket's generators are their own basis
     R = load_corpus_ring("fermat-cubic-p7")
     K = frobenius_power(ideal(R, "x^2", "y"), 2)
-    assert frobenius_module._coprime_ranking(K.generators, 3)[0] == 2
     with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
-        assert_permuted_order_matches_ring_order(K, 2, monkeypatch)
+        _, reducers = frobenius_module._normal_form_frame(K, 0)
+        assert sorted(lm for lm, _ in reducers) == [(0, 0, 49), (0, 98, 0), (3, 0, 0)]
+        assert assert_frame_matches_ring_coordinates(K, 2, monkeypatch)
 
 
-def test_coprime_ranking_needs_one_pure_power_per_variable():
-    P = poly_ring(2, "x", "y", "z")
-    rank = frobenius_module._coprime_ranking
-    gens = [P.parse(g) for g in ("x^2 + y^2", "x^3 + y^3", "z^4")]
-    assert rank(gens, 3) is None  # x^2 needs y below x, and y^3 x below y
-    gens = [P.parse(g) for g in ("x^2 + y*z", "y^3 + x*z^2", "z^4")]
-    assert rank(gens, 3) == (1, 0, 2)
-    gens = [P.parse(g) for g in ("x^2 + x*y", "y^3 + y*z^2", "z^4")]
-    assert rank(gens, 3) == (0, 1, 2)
-    assert rank(gens[:2], 3) is None
-    assert rank(gens + [P.parse("x*y*z")], 3) is None
+def random_linear_form(rng, P):
+    """A variable, a form in two variables, a form in every variable, or
+    one of these with a coefficient other than 1."""
+    n, p = P.nvars, P.p
+    support = rng.sample(range(n), rng.choice((1, min(2, n), n)))
+    return P.poly({tuple(int(i == j) for i in range(n)): rng.randrange(1, p)
+                   for j in support})
+
+
+def random_linear_K(rng, R):
+    """I generated by random linear forms, one per variable over a
+    polynomial ring and one fewer over a hypersurface, some of them raised
+    to the bracket power f^[p] or replaced by a unit times a power of one of
+    their variables, plus a combination of the first two of the forms these
+    are powers of, which the frame must skip."""
+    P = R.ambient
+    n, p = P.nvars, P.p
+    count = n - len(R.relations.own_gens)
+    roots = [random_linear_form(rng, P) for _ in range(count)]
+    gens = []
+    for k, f in enumerate(roots):
+        kind = rng.randrange(3)
+        if kind == 1:
+            f = f**p
+        elif kind == 2:
+            roots[k] = P.monomial(next(iter(f.terms)))
+            f = (roots[k] * rng.randrange(1, p))**rng.randrange(1, 4)
+        gens.append(f)
+    if count > 1:
+        gens.append(roots[0] * rng.randrange(1, p) + roots[1])
+    return ideal(R, gens)
+
+
+def linear_rings(p):
+    for names in (("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w")):
+        yield QuotientRing(poly_ring(p, *names), [])
+    yield QuotientRing(poly_ring(p, "x", "y", "z"), ["x^3 + y^3 + z^3"])
+    yield QuotientRing(poly_ring(p, "x", "y", "z", "w"), ["x^2 + y^2 + z^2 + w^2"])
+
+
+def test_frames_of_random_linear_sequences_match_ring_coordinates(monkeypatch):
+    # preimages of the brackets equal the identity frame's, and membership
+    # in them equals the bracket handle's, on sparse, dense and non-unit
+    # forms over F_2, F_3 and F_7
+    rng = random.Random(42)
+    moved = 0
+    with shared_bases(GBConfig(max_pairs=50_000, max_degree=400)):
+        for p in (2, 3, 7):
+            for R in linear_rings(p):
+                for e in (1, 2, 1) if p < 7 else (1, 1):
+                    I = random_linear_K(rng, R)
+                    K = frobenius_power(I, e)
+                    if frobenius_module._graded_preimage(K, e) is not None:
+                        moved += assert_frame_matches_ring_coordinates(K, e, monkeypatch)
+                    P = R.ambient
+                    contains = frobenius_module._bracket_membership(I, e)
+                    members = [g * P.monomial(m) for g in I.generators
+                               for m in monomials_of_weighted_degree(P.nvars, 1, P.weights)]
+                    others = [random_form(rng, P, rng.randrange(1, 4)) for _ in range(5)]
+                    for g in members + others:
+                        assert contains(g) == K.contains(frobenius_raise(g, e)), (I, e, g)
+    assert moved >= 15, moved
 
 
 def weighted_K():
@@ -465,9 +495,9 @@ def test_fte_needs_enough_levels():
 
 
 def test_bracket_membership_matches_the_handle_basis():
-    # membership in I^[q] by the preimage frame's normal forms equals the
-    # handle's own, on brackets with and without a frame: power families of
-    # the corpus, an ideal that is not m-primary and an inhomogeneous one
+    # g^[q] in I^[q] by the frame's normal forms equals the bracket handle's
+    # own membership, on brackets with and without a frame: power families
+    # of the corpus, an ideal that is not m-primary and an inhomogeneous one
     rng = random.Random(1801)
     cases = []
     for label in ("fermat-cubic-p2", "two-planes-f2", "regular-f3-xyz",
@@ -483,15 +513,15 @@ def test_bracket_membership_matches_the_handle_basis():
         P = I.ambient
         for e in (0, 1, 2):
             bracket = frobenius_power(I, e)
-            framed += e > 0 and frobenius_module._normal_form_frame(bracket) is not None
-            contains = frobenius_module._bracket_membership(bracket, e)
-            members = [frobenius_raise(g, e) * P.monomial(m) for g in I.generators
+            framed += e > 0 and frobenius_module._normal_form_frame(I, e) is not None
+            contains = frobenius_module._bracket_membership(I, e)
+            members = [g * P.monomial(m) for g in I.generators
                        for m in monomials_of_weighted_degree(P.nvars, 1, P.weights)]
             others = [P.poly({tuple(rng.randrange(2 * P.p) for _ in range(P.nvars)):
                               rng.randrange(1, P.p) for _ in range(3)})
                       for _ in range(10)]
             for f in members + others:
-                assert contains(f) == bracket.contains(f), (I, e, f)
+                assert contains(f) == bracket.contains(frobenius_raise(f, e)), (I, e, f)
     assert framed >= 20
 
 

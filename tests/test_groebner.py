@@ -13,6 +13,7 @@ import frobex.cli as cli_module
 import frobex.filterreg as filterreg_module
 import frobex.groebner as groebner_module
 import frobex.localcoh as localcoh_module
+from frobex import linalg
 from frobex.algebra import (
     MonomialOrder,
     PolyRing,
@@ -40,6 +41,7 @@ from frobex.groebner import (
     fresh_names,
     ideal,
     intersect,
+    linear_frame,
     ring_fingerprint,
     saturation,
     spairs_reduce_to_zero,
@@ -684,6 +686,83 @@ def test_linear_form_colon_and_saturation_match_oracles(monkeypatch, colon_satur
             assert [(J, f) for J, f, _ in linear_form_runs] == [(I, ell)] * 2
         assert colon_saturations == []
     assert positive >= 30 and moved >= 30
+
+
+# --- linear frames ---
+
+def unit(n, j):
+    return tuple(int(i == j) for i in range(n))
+
+
+def frame_images(frame, n):
+    """Where the frame's forward and back maps send each variable."""
+    units = [{unit(n, j): 1} for j in range(n)]
+    return [[move(u) for u in units] for move in frame]
+
+
+def is_identity(frame, n):
+    forward, back = frame_images(frame, n)
+    return forward == back == [{unit(n, j): 1} for j in range(n)]
+
+
+def test_frame_of_one_form_pivots_on_its_last_variable():
+    # the coordinates of the colon by a linear form: (3x + 2y)/2 = 5x + y
+    # over F_7 replaces y and moves last, the other variables keep their order
+    P = poly_ring(7, "x", "y", "z", "w")
+    frame = linear_frame(P, (P.parse("3*x + 2*y"),))
+    forward, back = frame_images(frame, 4)
+    assert back == [{unit(4, 0): 1}, {unit(4, 2): 1}, {unit(4, 3): 1},
+                    {unit(4, 0): 5, unit(4, 1): 1}]
+    assert forward[1] == {unit(4, 3): 1, unit(4, 0): 2}
+    assert not is_identity(frame, 4)
+    assert is_identity(linear_frame(P, (P.parse("3*w"),)), 4)
+
+
+def test_frame_of_variables_is_a_reindexing():
+    P = poly_ring(3, "x", "y", "z", "w")
+    forward, back = linear_frame(P, (P.parse("y"), P.parse("x"), P.parse("2*y")))
+    f = P.parse("x^5*y + 2*z*w^9")
+    assert forward(f.terms) == {(0, 0, 1, 5): 1, (1, 9, 0, 0): 2}
+    assert back(forward(f.terms)) == f.terms
+    assert is_identity(linear_frame(P, (P.parse("z"), P.parse("w"))), 4)
+
+
+def random_linear_sequence(rng, P):
+    """Two to four independent-looking forms of the kinds of
+    LINEAR_FORM_KINDS (forms may still be dependent over tiny fields), then
+    a combination of the first two, which a frame must skip."""
+    kinds = [k for k in LINEAR_FORM_KINDS if k != "non-unit" or P.p > 2]
+    forms = [random_linear_form(rng, P, rng.choice(kinds))
+             for _ in range(rng.randrange(2, P.nvars + 1))]
+    dependent = forms[0] * rng.randrange(1, P.p) + forms[1]
+    return forms, dependent
+
+
+def test_frames_of_random_linear_sequences_invert_and_skip_dependent_forms():
+    rng = random.Random(1801)
+    framed = 0
+    for p in (2, 3, 7):
+        for n in (2, 3, 4):
+            P = poly_ring(p, *"xyzw"[:n])
+            for _ in range(6):
+                forms, dependent = random_linear_sequence(rng, P)
+                frame = linear_frame(P, (*forms, dependent))
+                assert frame_images(frame, n) == frame_images(linear_frame(P, tuple(forms)), n)
+                forward, back = frame
+                # the forms independent of those before them, in order, are
+                # the last variables of the frame, up to units
+                rows = [[f.terms.get(unit(n, j), 0) for j in range(n)] for f in forms]
+                kept = [f for k, f in enumerate(forms)
+                        if linalg.rank(rows[:k + 1], p) > linalg.rank(rows[:k], p)]
+                for k, f in enumerate(kept):
+                    (mono,) = forward(f.terms)
+                    assert mono == unit(n, n - len(kept) + k), (forms, f)
+                for _ in range(3):
+                    f = random_poly(rng, P, max_deg=4)
+                    assert back(forward(f.terms)) == f.terms, (forms, f)
+                    assert forward(back(f.terms)) == f.terms, (forms, f)
+                framed += not is_identity(frame, n)
+    assert framed >= 40
 
 
 def test_exact_divide():
