@@ -229,13 +229,20 @@ def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
     if e == 0:
         return IdealHandle(K.ring, K.own_gens)
     ring = K.ambient
-    p, n, q = ring.p, ring.nvars, ring.p**e
+    p = ring.p
+    q = p**e
+    n = ring.nvars
     tags = fresh_names(ring.variables, "w", n)
     ext = ring.extended(tuple(tags), MonomialOrder("block", tuple(range(n))))
     gens = []
     for g in K.generators:
-        gens.append(ext.poly({tuple(x % q for x in m) + tuple(x // q for x in m): c
-                              for m, c in g.terms.items()}))
+        terms = {}
+        for m, c in g.terms.items():
+            lo = tuple(x % q for x in m)
+            hi = tuple(x // q for x in m)
+            mono = lo + hi
+            terms[mono] = (terms.get(mono, 0) + c) % p
+        gens.append(ext.poly(terms))
     zero = (0,) * n
     if K.quotient is not None:
         # freshman's dream: g^q raises termwise, so each quotient relation g
@@ -250,8 +257,10 @@ def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
         gens.append(ext.poly({wi: 1, xi_q: p - 1}))
     work = IdealHandle(ext, gens)
     gb = work.groebner_basis()
-    out = [Polynomial(ring, {m[n:]: c for m, c in g.terms.items()}) for g in gb
-           if not any(any(m[:n]) for m in g.terms)]
+    out = []
+    for g in gb:
+        if all(all(m[i] == 0 for i in range(n)) for m in g.terms):
+            out.append(Polynomial(ring, {m[n:]: c for m, c in g.terms.items()}))
     return IdealHandle(K.ring, out)
 
 

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from . import linalg
 from .algebra import (
     GREVLEX,
     AlgebraError,
@@ -571,12 +572,23 @@ def intersect(I: IdealHandle, K: IdealHandle) -> IdealHandle:
     for g in I.generators:
         gens.append(Polynomial(tagged, _append_tag(g.terms, 1)))
     for g in K.generators:
-        gens.append(Polynomial(tagged, _append_tag(g.terms, 0))
-                    - Polynomial(tagged, _append_tag(g.terms, 1)))
+        lifted = _append_tag(g.terms, 0)
+        minus_t = _append_tag(g.terms, 1)
+        p = ring.p
+        combined = dict(lifted)
+        for m, c in minus_t.items():
+            v = (combined.get(m, 0) - c) % p
+            if v:
+                combined[m] = v
+            elif m in combined:
+                del combined[m]
+        gens.append(Polynomial(tagged, combined))
     work = IdealHandle(tagged, gens)
     gb = work.groebner_basis()
-    out = [Polynomial(ring, {m[:n]: c for m, c in g.terms.items()}) for g in gb
-           if all(m[n] == 0 for m in g.terms)]
+    out = []
+    for g in gb:
+        if all(m[n] == 0 for m in g.terms):
+            out.append(Polynomial(ring, {m[:n]: c for m, c in g.terms.items()}))
     home = I.ring if (I.quotient is not None and I.quotient == K.quotient) else ring
     return IdealHandle(home, out)
 
@@ -705,11 +717,8 @@ def _linear_substitution(images: list, ring: PolyRing) -> Callable[[dict], dict]
     p, n = ring.p, ring.nvars
     moved = {j: next(iter(img)).index(1) for j, img in enumerate(images)
              if list(img.values()) == [1]}
-    if len(moved) == n:
-        source = sorted(moved, key=moved.get)
-        return lambda terms: {tuple(m[j] for j in source): c for m, c in terms.items()}
 
-    @functools.lru_cache(maxsize=None)
+    @functools.lru_cache(maxsize=64)
     def power(j: int, a: int) -> Polynomial:
         if a % p:
             return (power(j, a - 1) if a > 1 else ring.one()) * Polynomial(ring, images[j])
@@ -741,7 +750,7 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
     form, and the form is divided by that coefficient.  So a frame of one
     form drops its last variable, and a frame of variables is a reindexing.
     Frames recur (the same element saturates tower after tower), so the
-    recent ones are kept, with the powers their maps have built."""
+    recent ones are kept, each map with the last 64 powers it has built."""
     n, p = ring.nvars, ring.p
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     pivots: list[tuple[int, list[int]]] = []  # (pivot, reduced form)
@@ -758,22 +767,9 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
             rows.append([a * inv % p for a in row])
     dropped = {k for k, _ in pivots}
     y_of_x = [list(units[j]) for j in range(n) if j not in dropped] + rows
-    if all(sum(r) == 1 for r in y_of_x):  # a reindexing, inverted by transposing
-        x_of_y = [list(c) for c in zip(*y_of_x)]
-    else:
-        # Gauss-Jordan on (y_of_x | identity), in pure Python, since for a
-        # handful of variables numpy's cost per call would dominate
-        work = [r + list(u) for r, u in zip(y_of_x, units)]
-        for c in range(n):
-            r = next(r for r in range(c, n) if work[r][c])
-            work[c], work[r] = work[r], work[c]
-            inv = pow(work[c][c], -1, p)
-            work[c] = [a * inv % p for a in work[c]]
-            for r in range(n):
-                f = work[r][c]
-                if r != c and f:
-                    work[r] = [(a - f * b) % p for a, b in zip(work[r], work[c])]
-        x_of_y = [r[n:] for r in work]
+    # (y_of_x | identity) reduces to (identity | x_of_y)
+    echelon, _ = linalg.rref([r + list(u) for r, u in zip(y_of_x, units)], p)
+    x_of_y = echelon[:, n:].tolist()
     return tuple(_linear_substitution([{u: c for u, c in zip(units, r) if c} for r in m], ring)
                  for m in (x_of_y, y_of_x))
 
@@ -782,11 +778,9 @@ def _linear_form_basis(I: IdealHandle, ell: Polynomial):
     """(basis, restore): the reduced grevlex basis of I, as term dicts, in
     the frame of ell, where ell is the last variable, and the map back to
     polynomials over I's ambient ring.  The basis is built through _basis,
-    so the memo and the caps in force apply; when ell is the last variable,
-    a grevlex ring starts from the basis of I it has cached."""
+    so the memo and the caps in force apply; when ell is the last variable
+    of a grevlex ring, that is the memo entry of I's own basis."""
     ring = I.ambient
-    if list(ell.terms) == [(0,) * (ring.nvars - 1) + (1,)] and ring.order == GREVLEX:
-        return [g.terms for g in I.groebner_basis()], lambda terms: Polynomial(ring, terms)
     forward, back = linear_frame(ring, (ell,))
     basis, _ = _basis([forward(g.terms) for g in I.generators], GREVLEX, ring.p)
     return basis, lambda terms: Polynomial(ring, back(terms))

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -877,7 +876,10 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
         t, n = sample.descriptor["t"], sample.descriptor["n"]
         family = power_family_ideal(R, base, t, n)
         uniform = ideal(R, [f**n for f in base])
-        push = math.prod(base[t:], start=R.ambient.one())**(n - 1)
+        tail = R.ambient.one()
+        for f in base[t:]:
+            tail = tail * f
+        push = tail**(n - 1)
         entry = {"t": t, "n": n, "fte": sample.fte, "classes": []}
         for a in sample.closure_gens or []:
             if family.contains(a):
