@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import linalg
 from .algebra import (
     GREVLEX,
     AlgebraError,
@@ -767,9 +766,20 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
             rows.append([a * inv % p for a in row])
     dropped = {k for k, _ in pivots}
     y_of_x = [list(units[j]) for j in range(n) if j not in dropped] + rows
-    # (y_of_x | identity) reduces to (identity | x_of_y)
-    echelon, _ = linalg.rref([r + list(u) for r, u in zip(y_of_x, units)], p)
-    x_of_y = echelon[:, n:].tolist()
+    # Gauss-Jordan on (y_of_x | identity), in pure Python rather than by
+    # linalg.rref: frames are cached, and rref's work counters should not
+    # depend on what the cache holds
+    work = [r + list(u) for r, u in zip(y_of_x, units)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if work[r][c])
+        work[c], work[r] = work[r], work[c]
+        inv = pow(work[c][c], -1, p)
+        work[c] = [a * inv % p for a in work[c]]
+        for r in range(n):
+            f = work[r][c]
+            if r != c and f:
+                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[c])]
+    x_of_y = [r[n:] for r in work]
     return tuple(_linear_substitution([{u: c for u, c in zip(units, r) if c} for r in m], ring)
                  for m in (x_of_y, y_of_x))
 
