@@ -147,14 +147,6 @@ def _grevlex_heap_key(m: Mono):
     return (-sum(m), m[::-1])
 
 
-def _lex_key(m: Mono):
-    return m
-
-
-def _lex_heap_key(m: Mono):
-    return tuple(map(operator.neg, m))
-
-
 @functools.lru_cache(maxsize=256)
 def _block_tail(block: tuple[int, ...], nvars: int) -> tuple[int, ...]:
     """Indices outside a block, in order; computed once per (block, nvars)
@@ -181,7 +173,7 @@ def _block_heap_key(block: tuple[int, ...], m: Mono):
 class MonomialOrder:
     """Monomial order on exponent tuples.
 
-    kind is one of "grevlex", "lex", "block".  A block order compares the
+    kind is one of "grevlex", "block".  A block order compares the
     projection onto ``block`` (a tuple of variable indices) by grevlex first,
     then the remaining variables by grevlex; this is an elimination order for
     the block variables.
@@ -200,8 +192,6 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind == "grevlex":
             key, heap_key = _grevlex_key, _grevlex_heap_key
-        elif self.kind == "lex":
-            key, heap_key = _lex_key, _lex_heap_key
         elif self.kind == "block":
             if not self.block:
                 raise AlgebraError("block order needs a nonempty variable block")

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GREVLEX, AlgebraError, Polynomial
+from .algebra import AlgebraError, Polynomial
 from .groebner import (
     IdealHandle,
     ImproperIdealError,
     QuotientRing,
+    _framed_basis,
     _is_graded,
-    _linear_form_basis,
     colon,
     dimension,
     ideal,
@@ -108,7 +108,7 @@ def linear_form_test(prefix: IdealHandle, ell: Polynomial) -> tuple[int, bool]:
     ell a linear form; both read off one basis.
 
     In the reduced grevlex basis of I in coordinates where ell is the last
-    variable y (groebner._linear_form_basis), the leading monomials
+    variable y (groebner._framed_basis), the leading monomials
     generate in(I) minimally, and in(I + y) = in(I) + (y) gives the
     dimension.  in(I : y) = in(I) : y is generated by in(I) and the h/y for
     the leading monomials h divisible by y; such a g = h/y lies outside
@@ -117,8 +117,7 @@ def linear_form_test(prefix: IdealHandle, ell: Polynomial) -> tuple[int, bool]:
     leading monomial divides g in every exponent but that of x_i.  For
     x_i = y, h itself does.
     """
-    basis, _ = _linear_form_basis(prefix, ell)
-    lms = [max(terms, key=GREVLEX.key) for terms in basis]
+    lms = [lm for lm, _ in _framed_basis(prefix, (ell,))[2]]
     n = prefix.ambient.nvars
     y = (0,) * (n - 1) + (1,)
     dim = monomial_dimension([u for u in lms if not u[-1]] + [y], n)

@@ -60,13 +60,12 @@ from .groebner import (
     QuotientRing,
     ResourceCapExceeded,
     _SHARED_BASES,
-    _basis,
+    _framed_basis,
     _is_graded,
     _nf_terms,
     caps_in_force,
     fresh_names,
     ideal,
-    linear_frame,
     ring_fingerprint,
 )
 from .seeding import derive_seed
@@ -128,10 +127,10 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     n, p = ring.nvars, ring.p
     found = _normal_form_frame(K, 0)
     # m-primary: some leading monomial is a pure power of each variable
-    if found is None or not all(any(lm[i] == sum(lm) for lm, _ in found[1])
+    if found is None or not all(any(lm[i] == sum(lm) for lm, _ in found[2])
                                 for i in range(n)):
         return None
-    (_, back), reducers = found
+    _, back, reducers = found
     gens: list[Polynomial] = []
     for images in _qpower_images(n, p, reducers, p**e):
         monos = list(images)
@@ -149,34 +148,21 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
 
 
 def _normal_form_frame(I: IdealHandle, e: int):
-    """((forward, back), reducers) for normal forms modulo the bracket
-    I^[p^e] + J, or None when I is not homogeneous (quotient relations
-    included) under the standard grading or the basis trips a resource cap.
-
-    The frame phi, with maps forward and back on term dicts, is
-    groebner.linear_frame of the forms that I's own
+    """groebner._framed_basis(I, forms, e) for the forms that I's own
     generators are powers of, which are the bracket's too: a unit times a
     pure power of x_i gives x_i, and sum c_i x_i^(p^a) gives sum c_i x_i.
-    The bracket's generators go over as phi(g)^[p^e] = phi(g^[p^e]).  When
-    the forms are parameters, a relation leads with a pure power of a
-    variable before them, as it does not vanish where they do, so the
-    generators are often a basis already.  The reducers are their reduced
-    grevlex basis from groebner._basis, as (leading monomial, terms).
+    None when I is not homogeneous (quotient relations included) under the
+    standard grading, or when the basis trips a resource cap.  When the
+    forms are parameters, a relation leads with a pure power of a variable
+    before them, as it does not vanish where they do, so the generators are
+    often a basis already.
     """
     if not _is_graded(I):
         return None
-    ring = I.ambient
-    forward, back = linear_frame(ring, _frame_forms(I.own_gens))
-    q = ring.p**e
-    gens = [{tuple(q * a for a in m): c for m, c in forward(g.terms).items()}
-            for g in I.own_gens]
-    if I.quotient is not None:
-        gens += [forward(g.terms) for g in I.quotient.relations.own_gens]
     try:
-        basis, _ = _basis(gens, GREVLEX, ring.p)
+        return _framed_basis(I, _frame_forms(I.own_gens), e)
     except ResourceCapExceeded:
         return None
-    return (forward, back), [(max(t, key=GREVLEX.key), t) for t in basis]
 
 
 def _frame_forms(gens) -> tuple[Polynomial, ...]:
@@ -363,7 +349,7 @@ def _bracket_membership(I: IdealHandle, e: int):
     if found is None:
         bracket = frobenius_power(I, e)
         return lambda g: bracket.contains(frobenius_raise(g, e))
-    (forward, _), reducers = found
+    forward, _, reducers = found
     p = I.ambient.p
     q = p**e
 

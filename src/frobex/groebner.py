@@ -18,7 +18,8 @@ appended to every Groebner computation.  A handle keeps its generators and
 its cached basis only.  Every Groebner run takes its caps from the
 enclosing shared_bases() block (the library defaults outside any block), and
 inside a block bases are shared between handles: a basis is built once per
-order, characteristic, caps and generator list.
+order, characteristic, caps and generator list.  The block's memo holds the
+linear frames of changed coordinates too, so they last exactly as long.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from . import linalg
 from .algebra import (
     GREVLEX,
     AlgebraError,
@@ -292,8 +294,9 @@ def shared_bases(caps: GBConfig = DEFAULT_GB_CONFIG):
     Inside the block, a basis is built once for each key (order, p, caps,
     generator term dicts in their given order); a repeat gets the stored
     basis and GBStats, exactly what a rebuild would return.  A run that
-    hits a cap is not stored.  A nested block sets its own caps and uses the
-    outermost block's memo.  Outside any block, bases are built under
+    hits a cap is not stored.  The memo also holds each linear_frame built
+    in the block.  A nested block sets its own caps and uses the outermost
+    block's memo.  Outside any block, bases are built under
     DEFAULT_GB_CONFIG and nothing is shared.
     """
     outer = _SHARED_BASES.get()
@@ -654,8 +657,7 @@ def _colon_by_elimination(I: IdealHandle, K: IdealHandle) -> IdealHandle:
 SATURATION_MAX_STEPS = 200
 
 
-def saturation(I: IdealHandle, K: IdealHandle,
-               max_steps: int = SATURATION_MAX_STEPS) -> tuple[IdealHandle, int]:
+def saturation(I: IdealHandle, K: IdealHandle) -> tuple[IdealHandle, int]:
     """Stable colon (I : K^infinity) along with the stabilization exponent s,
     the least s with (I : K^s) = (I : K^(s+1)).
 
@@ -666,18 +668,19 @@ def saturation(I: IdealHandle, K: IdealHandle,
     the variables) takes one basis per variable, see
     _saturation_by_variables.  Everything else goes through the iterated
     colons of _saturation_by_colons.  Every path raises ResourceCapExceeded
-    when s would reach max_steps.
+    when s would reach SATURATION_MAX_STEPS.
     """
     ring = I.ambient
     if _linear_form_applies(I, K):
         gens, s = _colon_by_linear_form(I, K.own_gens[0], saturate=True)
-        if s >= max_steps:
+        if s >= SATURATION_MAX_STEPS:
             raise ResourceCapExceeded(
-                f"saturation did not stabilize within {max_steps} steps", GBStats())
+                f"saturation did not stabilize within {SATURATION_MAX_STEPS} steps",
+                GBStats())
         return (IdealHandle(I.ring, gens) if s else I), s
     if K.ambient == ring and _is_graded(I) and _is_maximal_ideal(K):
-        return _saturation_by_variables(I, max_steps)
-    return _saturation_by_colons(I, K, max_steps)
+        return _saturation_by_variables(I)
+    return _saturation_by_colons(I, K)
 
 
 def is_linear_form(f: Polynomial) -> bool:
@@ -717,7 +720,7 @@ def _linear_substitution(images: list, ring: PolyRing) -> Callable[[dict], dict]
     moved = {j: next(iter(img)).index(1) for j, img in enumerate(images)
              if list(img.values()) == [1]}
 
-    @functools.lru_cache(maxsize=64)
+    @functools.cache
     def power(j: int, a: int) -> Polynomial:
         if a % p:
             return (power(j, a - 1) if a > 1 else ring.one()) * Polynomial(ring, images[j])
@@ -739,7 +742,6 @@ def _linear_substitution(images: list, ring: PolyRing) -> Callable[[dict], dict]
     return substitute
 
 
-@functools.lru_cache(maxsize=256)
 def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], ...]:
     """(forward, back): the maps on term dicts to the frame whose last
     variables are the linear forms, in order, that do not depend on those
@@ -748,8 +750,14 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
     its pivot, which the frame drops, is the last variable of the reduced
     form, and the form is divided by that coefficient.  So a frame of one
     form drops its last variable, and a frame of variables is a reindexing.
-    Frames recur (the same element saturates tower after tower), so the
-    recent ones are kept, each map with the last 64 powers it has built."""
+    Frames recur (the same element saturates tower after tower), so inside
+    a shared_bases() block the maps are built once and kept in its memo,
+    each with every power it has built; outside a block they are built
+    afresh."""
+    block = _SHARED_BASES.get()
+    key = ("frame", ring, forms)  # a basis key has four entries
+    if block is not None and key in block[1]:
+        return block[1][key]
     n, p = ring.nvars, ring.p
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     pivots: list[tuple[int, list[int]]] = []  # (pivot, reduced form)
@@ -766,34 +774,33 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
             rows.append([a * inv % p for a in row])
     dropped = {k for k, _ in pivots}
     y_of_x = [list(units[j]) for j in range(n) if j not in dropped] + rows
-    # Gauss-Jordan on (y_of_x | identity), in pure Python rather than by
-    # linalg.rref: frames are cached, and rref's work counters should not
-    # depend on what the cache holds
-    work = [r + list(u) for r, u in zip(y_of_x, units)]
-    for c in range(n):
-        r = next(r for r in range(c, n) if work[r][c])
-        work[c], work[r] = work[r], work[c]
-        inv = pow(work[c][c], -1, p)
-        work[c] = [a * inv % p for a in work[c]]
-        for r in range(n):
-            f = work[r][c]
-            if r != c and f:
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[c])]
-    x_of_y = [r[n:] for r in work]
-    return tuple(_linear_substitution([{u: c for u, c in zip(units, r) if c} for r in m], ring)
-                 for m in (x_of_y, y_of_x))
+    inverse, _ = linalg.rref([r + list(u) for r, u in zip(y_of_x, units)], p)
+    x_of_y = inverse[:, n:].tolist()
+    frame = tuple(_linear_substitution([{u: c for u, c in zip(units, r) if c} for r in m], ring)
+                  for m in (x_of_y, y_of_x))
+    if block is not None:
+        block[1][key] = frame
+    return frame
 
 
-def _linear_form_basis(I: IdealHandle, ell: Polynomial):
-    """(basis, restore): the reduced grevlex basis of I, as term dicts, in
-    the frame of ell, where ell is the last variable, and the map back to
-    polynomials over I's ambient ring.  The basis is built through _basis,
-    so the memo and the caps in force apply; when ell is the last variable
-    of a grevlex ring, that is the memo entry of I's own basis."""
+def _framed_basis(I: IdealHandle, forms: tuple, e: int = 0):
+    """(forward, back, reducers): the maps of linear_frame(ring, forms), phi
+    and its inverse, and the reduced grevlex basis of phi(g)^[p^e] for I's
+    own generators g and phi(h) for its quotient relations h, as the
+    (leading monomial, terms) pairs that _nf_terms reduces by.  Over F_p,
+    phi(g)^[p^e] = phi(g^[p^e]), so at e > 0 this is the basis of the
+    bracket I^[p^e] + J in the frame.  The basis is built through _basis,
+    so the memo and the caps in force apply; when the frame is the identity
+    of a grevlex ring and e = 0, that is the memo entry of I's own basis."""
     ring = I.ambient
-    forward, back = linear_frame(ring, (ell,))
-    basis, _ = _basis([forward(g.terms) for g in I.generators], GREVLEX, ring.p)
-    return basis, lambda terms: Polynomial(ring, back(terms))
+    forward, back = linear_frame(ring, forms)
+    q = ring.p**e
+    gens = [{tuple(q * a for a in m): c for m, c in forward(g.terms).items()}
+            for g in I.own_gens]
+    if I.quotient is not None:
+        gens += [forward(g.terms) for g in I.quotient.relations.own_gens]
+    basis, _ = _basis(gens, GREVLEX, ring.p)
+    return forward, back, [(max(t, key=GREVLEX.key), t) for t in basis]
 
 
 def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
@@ -803,7 +810,7 @@ def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
     (I : ell^infinity).  I must be homogeneous under the standard grading
     and ell a linear form.
 
-    _linear_form_basis gives the reduced grevlex basis of I in coordinates
+    _framed_basis gives the reduced grevlex basis of I in coordinates
     where ell is the last variable y.  There a form is divisible by y^a
     exactly when its leading monomial is (Bayer-Stillman; Eisenbud,
     Prop. 15.12).  So dividing each basis element by y once, where it can,
@@ -811,18 +818,18 @@ def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
     (I : ell^infinity); the largest such power is s, since the reduced
     basis's leading monomials generate the initial ideal minimally.
     """
-    basis, restore = _linear_form_basis(I, ell)
-    powers = [min(m[-1] for m in terms) for terms in basis]
+    _, back, basis = _framed_basis(I, (ell,))
+    powers = [min(m[-1] for m in terms) for _, terms in basis]
     gens = []
-    for terms, a in zip(basis, powers):
+    for (_, terms), a in zip(basis, powers):
         if not saturate:
             a = min(a, 1)
-        gens.append(restore({m[:-1] + (m[-1] - a,): c for m, c in terms.items()}))
+        gens.append(Polynomial(I.ambient,
+                               back({m[:-1] + (m[-1] - a,): c for m, c in terms.items()})))
     return gens, max(powers, default=0)
 
 
-def _saturation_by_variables(I: IdealHandle,
-                             max_steps: int) -> tuple[IdealHandle, int]:
+def _saturation_by_variables(I: IdealHandle) -> tuple[IdealHandle, int]:
     """(I : m^infinity) and its exponent for homogeneous I under the
     standard grading (Bayer-Stillman; Eisenbud, Prop. 15.12).
 
@@ -852,34 +859,32 @@ def _saturation_by_variables(I: IdealHandle,
         else:
             sat = intersect(sat, piece)
     sat = IdealHandle(I.ring, sat.own_gens)
-    s = max(_kill_exponent(I, g, max_steps) for g in sat.groebner_basis())
+    s = max(_kill_exponent(I, g) for g in sat.groebner_basis())
     return sat, s
 
 
-def _kill_exponent(I: IdealHandle, g: Polynomial, max_steps: int) -> int:
-    """Least k < max_steps with m^k * g inside I."""
+def _kill_exponent(I: IdealHandle, g: Polynomial) -> int:
+    """Least k < SATURATION_MAX_STEPS with m^k * g inside I."""
     ring = I.ambient
-    for k in range(max_steps):
+    for k in range(SATURATION_MAX_STEPS):
         monos = monomials_of_weighted_degree(ring.nvars, k, (1,) * ring.nvars)
         if all(I.contains(ring.monomial(a) * g) for a in monos):
             return k
     raise ResourceCapExceeded(
-        f"saturation did not stabilize within {max_steps} steps", GBStats())
+        f"saturation did not stabilize within {SATURATION_MAX_STEPS} steps", GBStats())
 
 
-def _saturation_by_colons(
-        I: IdealHandle, K: IdealHandle,
-        max_steps: int = SATURATION_MAX_STEPS) -> tuple[IdealHandle, int]:
+def _saturation_by_colons(I: IdealHandle, K: IdealHandle) -> tuple[IdealHandle, int]:
     """(I : K^infinity) by iterated colons until two agree; the general path
     of saturation and the oracle its fast path is tested against."""
     current = I
-    for s in range(max_steps):
+    for s in range(SATURATION_MAX_STEPS):
         nxt = colon(current, K)
         if nxt.equals(current):
             return current, s
         current = nxt
     raise ResourceCapExceeded(
-        f"saturation did not stabilize within {max_steps} steps", GBStats())
+        f"saturation did not stabilize within {SATURATION_MAX_STEPS} steps", GBStats())
 
 
 def dimension(I: IdealHandle) -> int:

@@ -231,7 +231,7 @@ def test_criterion_8_invariant_suites(monkeypatch, tmp_path):
     # buchberger_basis builds every basis (test_groebner checks that no other
     # module binds it), so auditing what it returns covers them all: every
     # S-pair and every input polynomial must reduce to zero modulo the basis
-    audited = []  # (order kind, (caller, its caller), what failed or None)
+    audited = []  # (order kind, (caller, its two callers), what failed or None)
     log = tmp_path / "audited.log"  # "pid ok|failed", one line per basis
     build = groebner_module.buchberger_basis
 
@@ -242,9 +242,10 @@ def test_criterion_8_invariant_suites(monkeypatch, tmp_path):
         reducers = [(max(g, key=order.key), g) for g in basis]
         if failed is None and any(_nf_terms(f, reducers, p, order)[0] for f in polys):
             failed = "an input does not reduce to zero"
-        # every build comes through groebner._basis, so the caller that
-        # matters is two frames up
-        caller = (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name)
+        # every build comes through groebner._basis, so the callers that
+        # matter are two and three frames up
+        caller = (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name,
+                  sys._getframe(3).f_code.co_name)
         audited.append((order.kind, caller, failed))
         # a pool worker's list dies with it, so each build is also logged
         with open(log, "a") as out:
@@ -309,7 +310,7 @@ def test_criterion_8_invariant_suites(monkeypatch, tmp_path):
     failures = [entry for entry in audited if entry[2] is not None]
     assert not failures, f"{len(failures)} of {len(audited)} bases fail: {failures[:3]}"
     assert any(kind == "block" for kind, _, _ in audited)
-    assert any(kind == "grevlex" and "_linear_form_basis" in caller
+    assert any(kind == "grevlex" and caller[1:] == ("_framed_basis", "_colon_by_linear_form")
                for kind, caller, _ in audited)
 
     assert time.perf_counter() - _T0 < 600, "acceptance module exceeded 10 minutes"

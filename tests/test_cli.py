@@ -2,12 +2,13 @@
 
 import argparse
 import ast
-import functools
 import json
 import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import frobex.frobenius as frobenius_module
 import frobex.groebner as groebner_module
 import frobex.localcoh as localcoh_module
 from frobex.cli import main
-from frobex.groebner import IdealHandle, saturation
+from frobex.groebner import IdealHandle
 
 
 def run(capsys, *argv):
@@ -125,8 +126,7 @@ def test_sat_prints_the_stabilization_exponent(capsys):
 
 def test_sat_step_cap_exits_3(monkeypatch, capsys):
     # (x^2*y : x^infinity) needs s = 2, so two colon steps are too few
-    monkeypatch.setattr(cli_module, "saturation",
-                        functools.partial(saturation, max_steps=2))
+    monkeypatch.setattr(groebner_module, "SATURATION_MAX_STEPS", 2)
     code, doc, _ = run_json(capsys, "sat", "--ring", "regular-f2-xy",
                             "--ideal", "x^2*y", "--by", "x")
     assert code == 3
@@ -344,6 +344,23 @@ def test_verify_inequality_same_document_for_every_jobs(capsys):
             for jobs in ("1", "2")]
     assert runs[0][0] == runs[1][0] == 0
     assert without_timestamp(runs[0][1]) == without_timestamp(runs[1][1])
+
+
+def test_repeated_command_matches_a_fresh_process(capsys):
+    # frames and bases built by an earlier command in the same process must
+    # not change a later one's output
+    argv = ["verify-inequality", "--ring", "two-planes-f2", "--jobs", "1"]
+    for _ in range(2):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from frobex.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv, "--json"],
+        env=env, capture_output=True, text=True, check=True)
+    assert without_timestamp(doc) == without_timestamp(json.loads(fresh.stdout))
 
 
 def test_each_command_shares_bases_only_within_itself(capsys, monkeypatch):

@@ -317,7 +317,7 @@ def _nf_terms_by_max_scan(fterms, reducers, p, order, track=False):
 
 
 def _orders_for(nvars):
-    return [MonomialOrder("grevlex"), MonomialOrder("lex"),
+    return [MonomialOrder("grevlex"),
             MonomialOrder("block", (0,)), MonomialOrder("block", (nvars - 1,)),
             MonomialOrder("block", tuple(range(0, nvars, 2)))]
 
@@ -328,8 +328,7 @@ def _random_terms(rng, nvars, p, nterms, max_deg):
 
 
 def _small_basis(rng, nvars, p, order):
-    # random ideals until one has a small basis; lex in four variables can
-    # run long
+    # random ideals until one has a basis within a small pair budget
     while True:
         gens = [_random_terms(rng, nvars, p, rng.randrange(2, 4), 2)
                 for _ in range(rng.randrange(2, 4))]
@@ -363,7 +362,7 @@ def test_heap_normal_form_matches_max_scan_oracle():
                             else:
                                 assert quots is None
                             compared += 1
-    assert compared == 3 * 3 * 5 * 3 * 3 * 2
+    assert compared == 3 * 3 * 4 * 3 * 3 * 2
 
 
 @pytest.mark.parametrize("order", _orders_for(4) + [MonomialOrder("block", (1, 2))],
@@ -466,9 +465,9 @@ def colon_saturations(monkeypatch):
     """Record every saturation that falls back to iterated colons."""
     calls = []
 
-    def spy(I, K, max_steps=200):
+    def spy(I, K):
         calls.append((I, K))
-        return _saturation_by_colons(I, K, max_steps)
+        return _saturation_by_colons(I, K)
 
     monkeypatch.setattr(groebner_module, "_saturation_by_colons", spy)
     return calls
@@ -536,10 +535,10 @@ def test_saturation_matches_colons_on_corpus_run(monkeypatch, colon_saturations)
     # corpus ring at seed 42
     recorded = {}
 
-    def spy(I, K, max_steps=200):
+    def spy(I, K):
         key = (I.quotient.label, tuple(I.generators), tuple(K.generators))
         recorded.setdefault(key, (I, K))
-        return saturation(I, K, max_steps)
+        return saturation(I, K)
 
     monkeypatch.setattr(localcoh_module, "saturation", spy)
     monkeypatch.setattr(filterreg_module, "saturation", spy)
@@ -605,28 +604,33 @@ def test_saturated_ideal_exits_without_intersect(monkeypatch, colon_saturations)
     assert _saturation_by_colons(I, m)[1] == 0
 
 
-def test_saturation_step_cap_is_a_resource_error():
+def test_saturation_step_cap_is_a_resource_error(monkeypatch):
+    def capped(steps, run, *args):
+        with monkeypatch.context() as m:
+            m.setattr(groebner_module, "SATURATION_MAX_STEPS", steps)
+            return run(*args)
+
     P = poly_ring(2, "x", "y")
     # (x^2*y : x) = (x*y), (x*y : x) = (y): s = 2 needs a third step
     I = ideal(P, "x^2*y")
     with pytest.raises(ResourceCapExceeded):
-        saturation(I, ideal(P, "x"), max_steps=2)
-    assert saturation(I, ideal(P, "x"), max_steps=3)[1] == 2
+        capped(2, saturation, I, ideal(P, "x"))
+    assert capped(3, saturation, I, ideal(P, "x"))[1] == 2
     # the same bound on the fast path: x*m^2 saturates to (x) with s = 2
     m = ideal(P, "x", "y")
     J = ideal(P, "x^3", "x^2*y", "x*y^2")
     with pytest.raises(ResourceCapExceeded):
-        saturation(J, m, max_steps=2)
+        capped(2, saturation, J, m)
     with pytest.raises(ResourceCapExceeded):
-        _saturation_by_colons(J, m, max_steps=2)
+        capped(2, _saturation_by_colons, J, m)
     assert assert_saturation_matches_oracle(J, m) == 2
     # and on the path in changed coordinates: in x + y, y, z the ideal is
     # ((x + y)^3 * z), so s = 3
     P3 = poly_ring(3, "x", "y", "z")
     I3, K3 = ideal(P3, "x^3*z + y^3*z"), ideal(P3, "x + y")
     with pytest.raises(ResourceCapExceeded):
-        saturation(I3, K3, max_steps=3)
-    got, s = saturation(I3, K3, max_steps=4)
+        capped(3, saturation, I3, K3)
+    got, s = capped(4, saturation, I3, K3)
     assert s == 3 and got.equals(ideal(P3, "z"))
 
 
@@ -725,6 +729,23 @@ def test_frame_of_variables_is_a_reindexing():
     assert forward(f.terms) == {(0, 0, 1, 5): 1, (1, 9, 0, 0): 2}
     assert back(forward(f.terms)) == f.terms
     assert is_identity(linear_frame(P, (P.parse("z"), P.parse("w"))), 4)
+
+
+def test_frames_are_built_once_per_block():
+    # a frame is kept in the enclosing block's memo beside the bases, and a
+    # new block, like a call outside any block, builds it again
+    P = poly_ring(7, "x", "y", "z")
+    forms = (P.parse("3*x + 2*y"),)
+    frames = []
+    for _ in range(2):
+        with groebner_module.shared_bases():
+            frames.append(linear_frame(P, forms))
+            assert linear_frame(P, forms) is frames[-1]
+            with groebner_module.shared_bases(GBConfig(max_pairs=100)):
+                assert linear_frame(P, forms) is frames[-1]
+    assert frames[0] is not frames[1]
+    assert frame_images(frames[0], 3) == frame_images(frames[1], 3)
+    assert linear_frame(P, forms) is not linear_frame(P, forms)
 
 
 def random_linear_sequence(rng, P):

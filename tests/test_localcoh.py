@@ -177,9 +177,9 @@ def test_filter_regular_saturation_matches_maximal_ideal_on_corpus_towers(monkey
     # the next sequence element and by m
     saturated_by = []
 
-    def spy(I, K, max_steps=SATURATION_MAX_STEPS):
+    def spy(I, K):
         saturated_by.append(len(K.own_gens))
-        return saturation(I, K, max_steps)
+        return saturation(I, K)
 
     monkeypatch.setattr(localcoh_module, "saturation", spy)
     nonempty = 0
@@ -207,9 +207,9 @@ def test_limit_system_saturates_by_the_next_linear_element(monkeypatch, label,
                                                            elements, by_next):
     saturated_by = []
 
-    def spy(I, K, max_steps=SATURATION_MAX_STEPS):
+    def spy(I, K):
         saturated_by.append(K)
-        return saturation(I, K, max_steps)
+        return saturation(I, K)
 
     monkeypatch.setattr(localcoh_module, "saturation", spy)
     R = load_corpus_ring(label)
