@@ -42,7 +42,6 @@ from .frobenius import (
     ScanSample,
     frobenius_closure,
     frobenius_power,
-    fte_of_ideal,
     fte_scan,
     power_family_ideal,
     qpower_preimage,
@@ -96,7 +95,7 @@ __all__ = [
     "FilterSequence", "SearchExhausted", "is_filter_regular_sequence",
     "is_system_of_parameters", "make_sequence", "random_filter_regular_sop",
     "ClosureResult", "FteScanReport", "InconsistencyError", "ScanSample",
-    "frobenius_closure", "frobenius_power", "fte_of_ideal", "fte_scan",
+    "frobenius_closure", "frobenius_power", "fte_scan",
     "power_family_ideal", "qpower_preimage",
     "DEFAULT_GB_CONFIG", "GBConfig", "GBStats", "IdealHandle",
     "ImproperIdealError", "NotZeroDimensionalError", "QuotientRing",

@@ -38,7 +38,6 @@ from .filterreg import (
 from .frobenius import (
     frobenius_closure,
     frobenius_power,
-    fte_of_ideal,
     fte_scan,
     qpower_preimage,
 )
@@ -265,10 +264,9 @@ def cmd_frobenius_fte(args) -> int:
     R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
     result = frobenius_closure(I, args.emax, args.window)
-    fte = fte_of_ideal(I, result.closure, args.emax)
     payload = {"ring_label": R.label, "ideal": [str(g) for g in I.own_gens],
-               "fte": fte, "closure": result.to_dict()}
-    _emit(args, "frobenius-fte", payload, [f"Fte = {fte}"])
+               "fte": result.fte, "closure": result.to_dict()}
+    _emit(args, "frobenius-fte", payload, [f"Fte = {result.fte}"])
     return EXIT_OK
 
 
@@ -280,7 +278,7 @@ def cmd_fte_scan(args) -> int:
     body = []
     for s in report.samples:
         body.append([s.kind, json.dumps(s.descriptor), str(s.fte),
-                     "yes" if s.nontrivial else "no", s.error or ""])
+                     "yes" if s.fte else "no", s.error or ""])
     lines = _rows(["kind", "descriptor", "fte", "nontrivial", "error"], body)
     lines.append(f"max_fte = {report.max_fte}")
     _emit(args, "fte-scan", payload, lines)

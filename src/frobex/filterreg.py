@@ -50,8 +50,9 @@ class SearchExhausted(AlgebraError):
 
 
 class SequenceShapeError(AlgebraError):
-    """A sequence of the wrong length, or with an element outside the
-    maximal ideal: bad input rather than a failed check."""
+    """A sequence of the wrong length, an element outside the maximal
+    ideal, or a ring of dimension 0 where a system of parameters is
+    needed: bad input rather than a failed check."""
 
 
 @dataclass

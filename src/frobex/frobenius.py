@@ -13,11 +13,10 @@ grading (as for every homogeneous parameter ideal), the degree-d part of the
 preimage is the kernel of the F_p-linear map m -> NF_K(m^q) on the degree-d
 monomials, linear because (sum c*m)^q = sum c*m^q over F_p; degrees are taken
 one at a time until every image vanishes.  The same identity lets a linear
-change of coordinates commute with brackets, so both the kernels and the
-membership tests in brackets are taken in the frame where the linear forms
-that K's generators are powers of are the last variables: there those
-generators, and a hypersurface relation, lead with pure powers of distinct
-variables and are a Groebner basis already.
+change of coordinates commute with brackets, so the kernels are taken in the
+frame where the linear forms that K's generators are powers of are the last
+variables: there those generators, and a hypersurface relation, lead with
+pure powers of distinct variables and are a Groebner basis already.
 For any other K the preimage comes from an elimination: in S[w_1..w_n] the
 membership x^q in K becomes linear algebra over the subring generated by
 the w_i = x_i^q, because g(x)^q = g(x^q) over F_p.  This preimage is
@@ -26,9 +25,11 @@ the preimage is (x^2) while the root is (x)), so no basis-decomposition
 shortcut applies.
 
 The Frobenius test exponent of I is the least e with (closure)^[p^e] =
-I^[p^e]; scanning it over sampled parameter ideals gives the empirical lower
-bound for the ring-level test exponent that the rest of the package compares
-against HSL numbers.
+I^[p^e].  Since g^[q] lies in I^[q] + J exactly when g lies in J_e, it is
+the level at which the chain last grew, and every such order is read off
+the chain's levels.  Scanning it over sampled parameter ideals gives the
+empirical lower bound for the ring-level test exponent that the rest of the
+package compares against HSL numbers.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .algebra import (
 )
 from .filterreg import (
     FilterSequence,
+    SequenceShapeError,
     is_filter_regular_sequence,
     is_system_of_parameters,
     make_sequence,
@@ -116,8 +118,9 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     all of S_d, hence all of S_{>=d}, lies in the preimage, so the kernels
     below d plus the degree-d monomials generate it.
 
-    The map is written down in K's frame phi (see _normal_form_frame),
-    degree by degree by _qpower_images.  phi commutes with the q-th power
+    The map is written down in K's frame phi, groebner._framed_basis of the
+    forms that K's own generators are powers of (see _frame_forms), degree
+    by degree by _qpower_images.  phi commutes with the q-th power
     over F_p, so it carries the preimage of K onto that of phi(K), and each
     kernel vector is mapped back by the frame.  The kernel does not depend
     on the monomial order of the normal forms: a normal form is zero
@@ -125,12 +128,15 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     """
     ring = K.ambient
     n, p = ring.nvars, ring.p
-    found = _normal_form_frame(K, 0)
-    # m-primary: some leading monomial is a pure power of each variable
-    if found is None or not all(any(lm[i] == sum(lm) for lm, _ in found[2])
-                                for i in range(n)):
+    if not _is_graded(K):
         return None
-    _, back, reducers = found
+    try:
+        _, back, reducers = _framed_basis(K, _frame_forms(K.own_gens))
+    except ResourceCapExceeded:
+        return None
+    # m-primary: some leading monomial is a pure power of each variable
+    if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
+        return None
     gens: list[Polynomial] = []
     for images in _qpower_images(n, p, reducers, p**e):
         monos = list(images)
@@ -147,26 +153,12 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
             gens.append(Polynomial(ring, back(kernel)))
 
 
-def _normal_form_frame(I: IdealHandle, e: int):
-    """groebner._framed_basis(I, forms, e) for the forms that I's own
-    generators are powers of, which are the bracket's too: a unit times a
-    pure power of x_i gives x_i, and sum c_i x_i^(p^a) gives sum c_i x_i.
-    None when I is not homogeneous (quotient relations included) under the
-    standard grading, or when the basis trips a resource cap.  When the
-    forms are parameters, a relation leads with a pure power of a variable
-    before them, as it does not vanish where they do, so the generators are
-    often a basis already.
-    """
-    if not _is_graded(I):
-        return None
-    try:
-        return _framed_basis(I, _frame_forms(I.own_gens), e)
-    except ResourceCapExceeded:
-        return None
-
-
 def _frame_forms(gens) -> tuple[Polynomial, ...]:
-    """The linear forms of _normal_form_frame, in the order of gens."""
+    """The linear forms that gens are powers of, in their order: a unit
+    times a pure power of x_i gives x_i, and sum c_i x_i^(p^a) gives
+    sum c_i x_i.  When the forms are parameters, a relation leads with a
+    pure power of a variable before them, as it does not vanish where they
+    do, so the generators are often a basis already."""
     forms = []
     for g in gens:
         d = g.degree()
@@ -252,22 +244,46 @@ def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
 
 @dataclass
 class ClosureResult:
-    """Outcome of a Frobenius closure chain computation.
+    """The closure chain J_0 = I, J_1, ..., J_L of frobenius_closure, and
+    fte, the last level at which it grew (0 when it never did).
 
-    stabilized_at is the first level e with J_e = J_{e+1} (None when the
-    chain was still moving at e_max).  certified is True only when the chain
-    never grew at all, in which case closure == I exactly by definition;
-    otherwise the reported closure is the stabilized chain value under the
-    window heuristic.
+    g^[p^e] lies in I^[p^e] + J exactly when g lies in J_e, so fte is the
+    least e with closure^[p^e] = I^[p^e]: the Frobenius test exponent of I
+    once the chain is stable, that is once window levels past fte equal
+    it.  stabilized_at is fte when some level past it was computed (None
+    when the chain grew at its last level).  certified is True only when
+    the chain is stable and never grew, in which case closure == I exactly
+    by definition; otherwise the reported closure is the stabilized chain
+    value under the window heuristic.
     """
 
-    closure: IdealHandle
-    stabilized_at: int | None
+    levels: list[IdealHandle]
+    fte: int
     window_checked: int
-    certified: bool
-    chain_lengths: list[int]
-    stable: bool
-    levels_computed: int
+
+    @property
+    def closure(self) -> IdealHandle:
+        return self.levels[-1]
+
+    @property
+    def levels_computed(self) -> int:
+        return len(self.levels) - 1
+
+    @property
+    def stabilized_at(self) -> int | None:
+        return self.fte if self.levels_computed > self.fte else None
+
+    @property
+    def stable(self) -> bool:
+        return self.levels_computed - self.fte >= self.window_checked
+
+    @property
+    def certified(self) -> bool:
+        return self.stable and self.fte == 0
+
+    @property
+    def chain_lengths(self) -> list[int]:
+        return [len(level.groebner_basis()) for level in self.levels]
 
     def to_dict(self) -> dict:
         return {
@@ -282,81 +298,38 @@ class ClosureResult:
 
 
 def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2) -> ClosureResult:
-    """Ascending chain of q-th power preimages until `window` consecutive
-    equalities are seen or e_max is reached."""
+    """The ascending chain J_e = qpower_preimage(I^[p^e], e) from J_0 = I,
+    until `window` consecutive levels equal the one before them or e_max
+    is reached."""
     if e_max < 1:
         raise AlgebraError("e_max must be >= 1")
     if window < 1:
         raise AlgebraError("window must be >= 1")
-    start = IdealHandle(I.ring, I.own_gens)
-    previous = start
-    lengths = [len(previous.groebner_basis())]
-    consecutive = 0
-    stabilized_at: int | None = None
-    levels = 0
+    levels = [IdealHandle(I.ring, I.own_gens)]
+    fte = 0
     for e in range(1, e_max + 1):
-        bracket = frobenius_power(I, e)
-        current = qpower_preimage(bracket, e)
-        levels = e
-        if not current.contains_ideal(previous):
+        current = qpower_preimage(frobenius_power(I, e), e)
+        if not current.contains_ideal(levels[-1]):
             raise InconsistencyError(f"closure chain not ascending at level {e}")
-        lengths.append(len(current.groebner_basis()))
-        if current.equals(previous):
-            consecutive += 1
-            if stabilized_at is None:
-                stabilized_at = e - 1
-        else:
-            consecutive = 0
-            stabilized_at = None
-        previous = current
-        if consecutive >= window:
+        if not current.equals(levels[-1]):
+            fte = e
+        levels.append(current)
+        if e - fte >= window:
             break
-    stable = consecutive >= window
-    certified = stable and previous.equals(start)
-    return ClosureResult(previous, stabilized_at, window, certified, lengths,
-                         stable, levels)
+    return ClosureResult(levels, fte, window)
 
 
-def fte_of_ideal(I: IdealHandle, closure: IdealHandle, e_max: int = 8) -> int:
-    """Least e with closure^[p^e] = I^[p^e], checked by membership of the
-    raised closure generators.  The bracket of the larger ideal always
-    contains the bracket of the smaller, so one inclusion suffices."""
-    e = _bracket_exponent(I, closure.own_gens, e_max)
-    if e is None:
-        raise InconsistencyError(f"no Frobenius test exponent up to {e_max}")
-    return e
-
-
-def _bracket_exponent(I: IdealHandle, gens, e_max: int) -> int | None:
-    """Least e <= e_max with g^[p^e] in I^[p^e] + J for every g in gens."""
+def chain_level(g: Polynomial, levels, e_max: int) -> int | None:
+    """The least e <= e_max with g in J_e, that is with g^[p^e] in
+    I^[p^e] + J, or None.  levels holds J_0 = I, J_1, ... as far as a
+    closure chain has built them (J_0 at least); a level past them is
+    built here, as qpower_preimage(I^[p^e], e)."""
     for e in range(e_max + 1):
-        contains = _bracket_membership(I, e)
-        if all(contains(g) for g in gens):
+        level = (levels[e] if e < len(levels)
+                 else qpower_preimage(frobenius_power(levels[0], e), e))
+        if level.contains(g):
             return e
     return None
-
-
-def _bracket_membership(I: IdealHandle, e: int):
-    """The test g -> (g^[p^e] lies in I^[p^e] + J).
-
-    For e >= 1 a normal form of phi(g)^[p^e] against the basis
-    _normal_form_frame builds in I's frame, the one the graded preimage of
-    the bracket builds too, so the closure chain has left it in the memo.
-    Where no frame applies (I not standard-graded), at e = 0, or when the
-    frame's basis trips a cap, the bracket's own basis in ring coordinates,
-    which may stay under the caps."""
-    found = _normal_form_frame(I, e) if e else None
-    if found is None:
-        bracket = frobenius_power(I, e)
-        return lambda g: bracket.contains(frobenius_raise(g, e))
-    forward, _, reducers = found
-    p = I.ambient.p
-    q = p**e
-
-    def contains(g: Polynomial) -> bool:
-        raised = {tuple(q * a for a in m): c for m, c in forward(g.terms).items()}
-        return not _nf_terms(raised, reducers, p, GREVLEX)[0]
-    return contains
 
 
 def power_family_ideal(R: QuotientRing, base_elements, t: int, n: int) -> IdealHandle:
@@ -370,32 +343,32 @@ def power_family_ideal(R: QuotientRing, base_elements, t: int, n: int) -> IdealH
 
 @dataclass
 class ScanSample:
-    """One scanned parameter ideal; closure_gens is the reduced basis of
-    its Frobenius closure, written out as strings by to_dict."""
+    """One scanned parameter ideal and its closure chain (None when the
+    sample failed before the chain was built).  to_dict writes out what it
+    reads off the chain, and not the chain itself."""
 
     kind: str
     descriptor: dict
     gens: list[str]
-    fte: int | None = None
-    closure_gens: list[Polynomial] | None = None
-    stabilized_at: int | None = None
-    certified: bool | None = None
-    nontrivial: bool | None = None
+    chain: ClosureResult | None = None
     error: str | None = None
 
+    @property
+    def fte(self) -> int | None:
+        return None if self.chain is None else self.chain.fte
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "descriptor": self.descriptor,
-            "gens": self.gens,
-            "fte": self.fte,
-            "closure_gens": (None if self.closure_gens is None
-                             else [str(g) for g in self.closure_gens]),
-            "stabilized_at": self.stabilized_at,
-            "certified": self.certified,
-            "nontrivial": self.nontrivial,
-            "error": self.error,
+        c = self.chain
+        read = dict.fromkeys(("fte", "closure_gens", "stabilized_at", "certified",
+                              "nontrivial")) if c is None else {
+            "fte": c.fte,
+            "closure_gens": [str(g) for g in c.closure.groebner_basis()],
+            "stabilized_at": c.stabilized_at,
+            "certified": c.certified,
+            "nontrivial": c.fte > 0,
         }
+        return {"kind": self.kind, "descriptor": self.descriptor, "gens": self.gens,
+                **read, "error": self.error}
 
 
 @dataclass
@@ -445,16 +418,9 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSam
                                         descriptor["n"])
             polys = list(handle.own_gens)
         gens = [str(g) for g in polys]
-        sample = ScanSample(kind, descriptor, gens)
-        I = ideal(R, polys)
-        closure = frobenius_closure(I, e_max, window)
-        fte = fte_of_ideal(I, closure.closure, e_max)
-        sample.fte = fte
-        sample.closure_gens = list(closure.closure.groebner_basis())
-        sample.stabilized_at = closure.stabilized_at
-        sample.certified = closure.certified
-        sample.nontrivial = not closure.closure.equals(I)
-        if not closure.stable:
+        sample = ScanSample(kind, descriptor, gens,
+                            frobenius_closure(ideal(R, polys), e_max, window))
+        if not sample.chain.stable:
             sample.error = "closure chain did not stabilize within e_max"
         return sample
     except AlgebraError as exc:
@@ -534,7 +500,7 @@ def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
     run by _run_sample; raises unless dim(R) >= 1 and the closure chain's
     e_max and window are >= 1, before any basis is built."""
     if R.dim < 1:
-        raise AlgebraError("scan needs a ring of positive dimension")
+        raise SequenceShapeError("scan needs a ring of positive dimension")
     if e_max < 1:
         raise AlgebraError("e_max must be >= 1")
     if window < 1:

@@ -783,23 +783,16 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
     return frame
 
 
-def _framed_basis(I: IdealHandle, forms: tuple, e: int = 0):
+def _framed_basis(I: IdealHandle, forms: tuple):
     """(forward, back, reducers): the maps of linear_frame(ring, forms), phi
-    and its inverse, and the reduced grevlex basis of phi(g)^[p^e] for I's
-    own generators g and phi(h) for its quotient relations h, as the
-    (leading monomial, terms) pairs that _nf_terms reduces by.  Over F_p,
-    phi(g)^[p^e] = phi(g^[p^e]), so at e > 0 this is the basis of the
-    bracket I^[p^e] + J in the frame.  The basis is built through _basis,
-    so the memo and the caps in force apply; when the frame is the identity
-    of a grevlex ring and e = 0, that is the memo entry of I's own basis."""
+    and its inverse, and the reduced grevlex basis of phi(g) for I's
+    generators g, quotient relations included, as the (leading monomial,
+    terms) pairs that _nf_terms reduces by.  The basis is built through
+    _basis, so the memo and the caps in force apply; when the frame is the
+    identity of a grevlex ring, that is the memo entry of I's own basis."""
     ring = I.ambient
     forward, back = linear_frame(ring, forms)
-    q = ring.p**e
-    gens = [{tuple(q * a for a in m): c for m, c in forward(g.terms).items()}
-            for g in I.own_gens]
-    if I.quotient is not None:
-        gens += [forward(g.terms) for g in I.quotient.relations.own_gens]
-    basis, _ = _basis(gens, GREVLEX, ring.p)
+    basis, _ = _basis([forward(g.terms) for g in I.generators], GREVLEX, ring.p)
     return forward, back, [(max(t, key=GREVLEX.key), t) for t in basis]
 
 

@@ -54,13 +54,12 @@ from .filterreg import (
 from .frobenius import (
     FteScanReport,
     InconsistencyError,
-    _bracket_exponent,
     _run_sample,
     _scan_report,
     _scan_tasks,
+    chain_level,
     frobenius_closure,
     map_tasks,
-    power_family_ideal,
 )
 from .groebner import (
     SATURATION_MAX_STEPS,
@@ -119,11 +118,6 @@ class TorsionQuotientSnapshot:
                       for i, (m, b) in enumerate(zip(self.columns, self.basis))}
             self._index = cached
         return cached
-
-    def coordinates(self, f: Polynomial) -> np.ndarray:
-        """Coordinates of f's class in the basis; raises TorsionSpanError
-        when the class lies outside the torsion submodule."""
-        return self.coordinate_matrix([f])[:, 0]
 
     def coordinate_matrix(self, polys) -> np.ndarray:
         """The coordinates of each of the polynomials' classes, as the
@@ -769,7 +763,11 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
 
     graded_ok = all(g.is_homogeneous() for g in R.relations.own_gens) and \
         all(f.is_homogeneous() for f in fseq_a.elements)
-    if graded_ok and d >= 1:
+    if not graded_ok:
+        notes.append("graded oracle skipped (non-homogeneous data)")
+    elif d == 0:
+        notes.append("graded oracle skipped (dimension 0)")
+    else:
         for n in NS_PROBES:
             if n > N:
                 continue
@@ -797,8 +795,6 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
                     if stabilized.get(i) is not None and total != stabilized[i]:
                         fail(f"oracle mismatch at i={i}, n={n}: koszul {total} "
                              f"vs stabilized tower {stabilized[i]}")
-    else:
-        notes.append("graded oracle skipped (non-homogeneous data)")
 
     return NsReport(
         fingerprint=ring_fingerprint(R),
@@ -850,7 +846,10 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
     family (f_1^n..f_t^n, f_{t+1}..f_d) with a nontrivial closure, each
     closure generator a is pushed to the uniform power family via
     a * (f_{t+1} ... f_d)^(n-1), and its Frobenius-nilpotency order there
-    must be bounded by the family's test exponent.
+    must be bounded by the family's test exponent.  That order is the
+    least level of the uniform family's closure chain holding the pushed
+    element, read off the chain of the scan's (d, n) sample, the (1, 1)
+    sample at n = 1; levels that chain lacks are built (chain_level).
     """
     fp = ring_fingerprint(R)
     notes: list = []
@@ -868,34 +867,34 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
     holds = scan.max_fte is not None and scan.max_fte >= hsl.overall
 
     base = scan.base.elements
+    families = {(s.descriptor["t"], s.descriptor["n"]): s
+                for s in scan.samples if s.kind == "power-family"}
     mechanism: list = []
     mechanism_ok = True
-    for sample in scan.samples:
-        if sample.kind != "power-family" or sample.error is not None:
+    for (t, n), sample in families.items():
+        if sample.error is not None:
             continue
-        t, n = sample.descriptor["t"], sample.descriptor["n"]
-        family = power_family_ideal(R, base, t, n)
-        uniform = ideal(R, [f**n for f in base])
+        uniform = families[(len(base) if n > 1 else 1, n)].chain
+        levels = uniform.levels if uniform else [ideal(R, [f**n for f in base])]
         tail = R.ambient.one()
         for f in base[t:]:
             tail = tail * f
         push = tail**(n - 1)
         entry = {"t": t, "n": n, "fte": sample.fte, "classes": []}
-        for a in sample.closure_gens or []:
-            if family.contains(a):
+        for a in sample.chain.closure.groebner_basis():
+            if sample.chain.levels[0].contains(a):
                 continue
             pushed = a * push
+            order = chain_level(pushed, levels, max(sample.fte, 1))
             record = {"gen": str(a), "pushed": str(pushed)}
-            if uniform.contains(pushed):
+            if order == 0:
                 record["zero_class"] = True
-                entry["classes"].append(record)
-                continue
-            order = _bracket_exponent(uniform, [pushed], max(sample.fte, 1))
-            record["order"] = order
-            record["zero_class"] = False
-            if order is None or order > sample.fte:
-                mechanism_ok = False
-                record["violating"] = True
+            else:
+                record["order"] = order
+                record["zero_class"] = False
+                if order is None or order > sample.fte:
+                    mechanism_ok = False
+                    record["violating"] = True
             entry["classes"].append(record)
         mechanism.append(entry)
     if not mechanism_ok and status == "pass":
@@ -964,14 +963,13 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     if not ok_seq:
         raise AlgebraError(f"prefix is not filter regular at index {bad}")
 
-    Qn = ideal(R, [f**n for f in prefix])
-    closure = frobenius_closure(Qn, e_max, 2)
+    closure = frobenius_closure(ideal(R, [f**n for f in prefix]), e_max, 2)
     forward: list = []
     forward_ok = True
     for g in closure.closure.groebner_basis():
-        if Qn.contains(g):
+        order = chain_level(g, closure.levels, e_max)
+        if order == 0:
             continue
-        order = _bracket_exponent(Qn, [g], e_max)
         entry = {"gen": str(g), "order": order}
         if order is None or order > e:
             forward_ok = False

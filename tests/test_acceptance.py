@@ -25,7 +25,6 @@ from frobex.frobenius import (
     InconsistencyError,
     frobenius_closure,
     frobenius_power,
-    fte_of_ideal,
     fte_scan,
     qpower_preimage,
 )
@@ -64,6 +63,15 @@ def _verified(R, elements):
     ok, bad = is_filter_regular_sequence(seq)
     assert ok, f"acceptance sequence not filter regular at {bad}"
     return seq
+
+
+def _bracket_test_exponent(I, closure, e_max=8):
+    """The least e with closure^[p^e] in I^[p^e], by each bracket's own
+    basis in ring coordinates: the definition of the Frobenius test
+    exponent that a closure chain's fte is read against."""
+    return next(e for e in range(e_max + 1)
+                if all(frobenius_power(I, e).contains(frobenius_raise(g, e))
+                       for g in closure.groebner_basis()))
 
 
 def _random_bounded_poly(rng, P, max_deg):
@@ -111,7 +119,7 @@ def test_criterion_2_fermat_cubic_closure():
     assert res.closure.equals(ideal(R, "y", "z", "x^2"))
     assert res.stabilized_at == 1
     assert res.stable
-    assert fte_of_ideal(I, res.closure) == 1
+    assert res.fte == 1
     assert time.perf_counter() - t0 < 30
 
 
@@ -149,6 +157,10 @@ def test_criterion_4_inequality_on_whole_corpus():
         assert rep.holds, f"{label}: {rep.max_fte} < {rep.hsl_overall}"
         assert rep.mechanism_ok, f"{label}: mechanism trace failed"
         assert not scan.any_failures, f"{label}: scan samples failed"
+        for s in scan.samples:
+            chain = s.chain
+            assert _bracket_test_exponent(chain.levels[0], chain.closure) == s.fte, (
+                f"{label}: {s.descriptor}")
         if label in _CM_LABELS:
             assert rep.max_fte == rep.hsl_overall, (
                 f"{label}: expected equality on a Cohen-Macaulay ring, got "
@@ -275,7 +287,7 @@ def test_criterion_8_invariant_suites(monkeypatch, tmp_path):
         assert res.stable
         assert res.closure.contains_ideal(I)
         assert all(a <= b for a, b in zip(res.chain_lengths, res.chain_lengths[1:]))
-        assert fte_of_ideal(I, res.closure) >= 0
+        assert _bracket_test_exponent(I, res.closure) == res.fte
         again = frobenius_closure(res.closure)
         assert again.certified
         assert again.closure.equals(res.closure)

@@ -346,6 +346,32 @@ def test_verify_inequality_same_document_for_every_jobs(capsys):
     assert without_timestamp(runs[0][1]) == without_timestamp(runs[1][1])
 
 
+@pytest.mark.parametrize("label", ["fermat-cubic-p2", "depth-zero-f2"])
+def test_pooled_mechanism_builds_no_basis_in_the_parent(capsys, monkeypatch, label):
+    # the scan samples come back from the pool with their closure chains,
+    # bases included, and the mechanism trace reads its orders off them
+    built, tracing = [], []
+    real_basis, real_verify = groebner_module.buchberger_basis, cli_module.verify_inequality
+
+    def basis(*args):
+        built.extend(tracing)
+        return real_basis(*args)
+
+    def verify(*args):
+        tracing.append(label)
+        try:
+            return real_verify(*args)
+        finally:
+            tracing.clear()
+
+    monkeypatch.setattr(groebner_module, "buchberger_basis", basis)
+    monkeypatch.setattr(cli_module, "verify_inequality", verify)
+    code, doc, _ = run_json(capsys, "verify-inequality", "--ring", label, "--jobs", "2")
+    assert code == 0
+    assert any(m["classes"] for m in doc["mechanism"])
+    assert built == []
+
+
 def test_repeated_command_matches_a_fresh_process(capsys):
     # frames and bases built by an earlier command in the same process must
     # not change a later one's output
@@ -625,6 +651,27 @@ def test_ring_spec_file_loading(tmp_path, capsys):
     assert doc["dimension"] == 1
     path.write_text("{not json")
     assert run_json(capsys, "dim", "--ring", str(path))[0] == 2
+
+
+def _artinian_spec(tmp_path):
+    path = tmp_path / "artinian.json"
+    path.write_text(json.dumps({"label": "artinian-f2", "characteristic": 2,
+                                "variables": ["x", "y"], "relations": ["x^2", "y^2"]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["fte-scan", "verify-inequality"])
+def test_scan_of_a_zero_dimensional_ring_is_usage(capsys, tmp_path, command):
+    code, doc, _ = run_json(capsys, command, "--ring", _artinian_spec(tmp_path))
+    assert code == 2
+    assert doc["error"]["message"] == "scan needs a ring of positive dimension"
+
+
+def test_ns_check_names_dimension_zero_as_the_oracle_skip(capsys, tmp_path):
+    # the relations are homogeneous; the oracle is skipped for dimension 0
+    code, doc, _ = run_json(capsys, "ns-check", "--ring", _artinian_spec(tmp_path))
+    assert code == 0
+    assert doc["notes"] == ["graded oracle skipped (dimension 0)"]
 
 
 # --- flags ---

@@ -23,7 +23,6 @@ from frobex.corpus import load_corpus_ring
 from frobex.filterreg import random_filter_regular_sop
 from frobex.frobenius import (
     _preimage_by_elimination,
-    fte_of_ideal,
     fte_scan,
     frobenius_closure,
     frobenius_power,
@@ -401,7 +400,7 @@ def test_fte_on_p7_at_default_caps(elimination_calls):
     with shared_bases(GBConfig()):
         res = frobenius_closure(I)
         assert res.certified and res.stabilized_at == 0
-        assert fte_of_ideal(I, res.closure) == 0
+        assert res.fte == 0
     assert [e for _, e in elimination_calls] == [2]
 
 
@@ -437,7 +436,7 @@ def test_closure_trivial_on_regular_ring():
     assert res.stabilized_at == 0
     assert res.closure.equals(I)
     assert len(set(res.chain_lengths)) == 1
-    assert fte_of_ideal(I, res.closure) == 0
+    assert res.fte == 0
 
 
 def test_closure_fermat_cubic_known_value():
@@ -447,7 +446,7 @@ def test_closure_fermat_cubic_known_value():
     assert res.closure.equals(ideal(R, "y", "z", "x^2"))
     assert res.stabilized_at == 1
     assert res.stable and not res.certified
-    assert fte_of_ideal(I, res.closure) == 1
+    assert res.fte == 1
     # the closure ideal is itself Frobenius closed
     again = frobenius_closure(res.closure)
     assert again.closure.equals(res.closure)
@@ -461,56 +460,53 @@ def test_closure_short_budget_reports_unstable():
     assert res.levels_computed == 1
 
 
-def test_fte_needs_enough_levels():
-    R = load_corpus_ring("fermat-cubic-p2")
-    I = ideal(R, "y", "z")
-    closure = ideal(R, "y", "z", "x^2")
-    with pytest.raises(AlgebraError):
-        fte_of_ideal(I, closure, e_max=0)
+def bracket_order(I, g, e_max):
+    """The oracle of chain_level: the least e <= e_max with g^[p^e] in the
+    bracket I^[p^e], by that bracket's own basis in ring coordinates."""
+    return next((e for e in range(e_max + 1)
+                 if frobenius_power(I, e).contains(frobenius_raise(g, e))), None)
 
 
-def test_bracket_membership_matches_the_handle_basis(monkeypatch):
-    # g^[q] in I^[q] by the frame's normal forms equals the bracket handle's
-    # own membership, on brackets with and without a frame: power families
-    # of the corpus, random linear sequences over F_2, F_3 and F_7, an ideal
-    # that is not m-primary and an inhomogeneous one
+def test_chain_level_matches_the_bracket_definition():
+    # the least level holding g equals the least e with g^[q] in I^[q] + J,
+    # whether the levels are read off a chain or built on demand: power
+    # families of the corpus, random linear sequences over F_2, F_3 and
+    # F_7, an ideal that is not m-primary and an inhomogeneous one
     rng = random.Random(1801)
     cases = []
-    for label in ("fermat-cubic-p2", "two-planes-f2", "regular-f3-xyz",
-                  "depth-zero-f2"):
+    for label in ("fermat-cubic-p2", "fermat-quintic-p2", "two-planes-f2",
+                  "regular-f3-xyz", "depth-zero-f2"):
         R = load_corpus_ring(label)
         base = parameter_base(R, 42).elements
         cases += [(power_family_ideal(R, base, t, n), 2)
                   for t in range(1, len(base) + 1) for n in (1, 2)]
-    # in the frame of dense forms a relation is dense, and normal forms of
+    # in the frame of dense forms a relation is dense, and preimages of
     # high-degree brackets in it take seconds, so these stop at e = 1
     linear_rng = random.Random(42)
     cases += [(random_linear_K(linear_rng, R), 1)
               for p in (2, 3, 7) for R in fermat_type_rings(p)]
     R = load_corpus_ring("regular-f2-xy")
     cases += [(ideal(R, "x"), 2), (ideal(R, "x + x^2", "y"), 2)]
-    framed = []  # the frames whose basis stayed under the caps
-
-    def spy(I, forms, e):
-        found = _framed_basis(I, forms, e)
-        framed.append(e)
-        return found
-
-    monkeypatch.setattr(frobenius_module, "_framed_basis", spy)
-    for I, e_max in cases:
+    found = []
+    for k, (I, e_max) in enumerate(cases):
         P = I.ambient
-        for e in range(e_max + 1):
-            bracket = frobenius_power(I, e)
-            contains = frobenius_module._bracket_membership(I, e)
-            members = [g * P.monomial(m) for g in I.generators
-                       for m in monomials_of_weighted_degree(P.nvars, 1, P.weights)]
-            # exponents below 2p, and below 6 over F_7 for the same reason
-            others = [P.poly({tuple(rng.randrange(2 * min(P.p, 3)) for _ in range(P.nvars)):
-                              rng.randrange(1, P.p) for _ in range(3)})
-                      for _ in range(10)]
-            for f in members + others:
-                assert contains(f) == bracket.contains(frobenius_raise(f, e)), (I, e, f)
-    assert len(framed) >= 40 and all(framed), framed
+        # every other case reads J_1 off a chain and builds only J_2
+        levels = (frobenius_closure(I, 1, 1).levels if k % 2 and e_max > 1
+                  else [I])
+        # members, the quadratic monomials (x^2 has order 1 over the
+        # cubic and 2 over the quintic), and random elements with exponents
+        # below 2p, and below 6 over F_7 for the same reason
+        probes = [g * P.monomial(m) for g in I.generators
+                  for m in monomials_of_weighted_degree(P.nvars, 1, P.weights)]
+        probes += [P.monomial(m) for m in monomials_of_weighted_degree(P.nvars, 2, P.weights)]
+        probes += [P.poly({tuple(rng.randrange(2 * min(P.p, 3)) for _ in range(P.nvars)):
+                           rng.randrange(1, P.p) for _ in range(3)})
+                   for _ in range(10)]
+        for f in probes:
+            want = bracket_order(I, f, e_max)
+            assert frobenius_module.chain_level(f, levels, e_max) == want, (I, f)
+            found.append(want)
+    assert found.count(1) >= 5 and found.count(2) >= 1 and None in found, found
 
 
 def test_closure_to_dict_shape():
@@ -555,7 +551,7 @@ def test_fte_scan_regular_ring():
     kinds = [s.kind for s in report.samples]
     assert kinds.count("random-sop") == 2
     assert kinds.count("power-family") == 3  # (1,1), (1,2), (2,2)
-    assert all(s.nontrivial is False for s in report.samples)
+    assert all(s.to_dict()["nontrivial"] is False for s in report.samples)
     assert report.base.element_strings() == ["x", "y"]
     assert report.base.verified
     assert report.to_dict()["base_sop"] == ["x", "y"]
@@ -565,7 +561,7 @@ def test_fte_scan_detects_fermat_closure():
     R = load_corpus_ring("fermat-cubic-p2")
     report = fte_scan(R, n_random=1, power_family_max=1, seed=42)
     assert report.max_fte == 1
-    assert any(s.nontrivial for s in report.samples)
+    assert any(s.to_dict()["nontrivial"] for s in report.samples)
     assert not report.any_failures
 
 

@@ -75,18 +75,18 @@ def test_snapshot_m_primary_uses_monomial_basis():
     assert snap.basis == tuple(R.ambient.monomial(m) for m in snap.columns)
     assert snap.length == 4
     assert Counter(b.weighted_degree() for b in snap.basis) == {0: 1, 1: 2, 2: 1}
-    v = snap.coordinates(R.parse("x + y"))
+    v = snap.coordinate_matrix([R.parse("x + y")])[:, 0]
     assert snap.from_coordinates(v) == R.parse("x + y")
-    snap.coordinates(R.parse("x*y"))
+    snap.coordinate_matrix([R.parse("x*y")])[:, 0]
 
 
 def test_snapshot_no_torsion_is_empty():
     R = load_corpus_ring("regular-f2-xy")
     snap = torsion_quotient(R, ideal(R, "x"))
     assert snap.length == 0
-    assert not snap.coordinates(R.parse("x")).any()  # the zero class
+    assert not snap.coordinate_matrix([R.parse("x")])[:, 0].any()  # the zero class
     with pytest.raises(TorsionSpanError):
-        snap.coordinates(R.parse("y"))
+        snap.coordinate_matrix([R.parse("y")])[:, 0]
 
 
 def test_snapshot_depth_zero_torsion():
@@ -96,9 +96,9 @@ def test_snapshot_depth_zero_torsion():
     assert snap.length == 1
     assert [str(b) for b in snap.basis] == ["x"]
     assert Counter(b.weighted_degree() for b in snap.basis) == {1: 1}
-    assert snap.coordinates(R.parse("x")).tolist() == [1]
+    assert snap.coordinate_matrix([R.parse("x")])[:, 0].tolist() == [1]
     with pytest.raises(TorsionSpanError):
-        snap.coordinates(R.parse("y"))
+        snap.coordinate_matrix([R.parse("y")])[:, 0]
 
 
 def test_snapshot_unit_ideal_is_empty():
@@ -300,7 +300,8 @@ def assert_matches_kill_exponent_rows(R, Q, regular, rng):
             a = rng.choice(monomials_of_weighted_degree(P.nvars, rng.randrange(3),
                                                         (1,) * P.nvars))
             f = f + rng.randrange(P.p) * P.monomial(a) * g
-        assert snap.from_coordinates(snap.coordinates(f)) == Q.normal_form(f), (Q, f)
+        coords = snap.coordinate_matrix([f])[:, 0]
+        assert snap.from_coordinates(coords) == Q.normal_form(f), (Q, f)
     return snap
 
 
@@ -369,7 +370,7 @@ def test_coordinates_reject_what_is_left_off_the_columns():
     snap = torsion_quotient(R, ideal(R))
     assert snap.columns == (R.parse("x").leading_monomial(),)
     with pytest.raises(TorsionSpanError):
-        snap.coordinates(R.parse("x + y"))
+        snap.coordinate_matrix([R.parse("x + y")])[:, 0]
 
 
 # --- limit systems ---
@@ -923,6 +924,24 @@ def test_verify_inequality_fermat_mechanism():
     classes = [c for m in rep.mechanism for c in m["classes"]]
     assert classes, "nontrivial closure classes should be traced"
     assert all(c.get("zero_class") or c["order"] <= 1 for c in classes)
+
+
+@pytest.mark.parametrize("label", ["fermat-cubic-p2", "fermat-quintic-p2"])
+def test_mechanism_builds_the_levels_a_uniform_chain_lacks(label):
+    # a uniform family whose sample failed has no chain; the families that
+    # push into it get the same orders from levels built on demand
+    R = load_corpus_ring(label)
+    with shared_bases():
+        scan, hsl = scan_and_hsl(R, n_random=0, N=4)
+        want = verify_inequality(R, scan, hsl).mechanism
+        d = len(scan.base.elements)
+        uniform = {(1, 1)} | {(d, n) for n in range(2, scan.power_family_max + 1)}
+        for s in scan.samples:
+            if (s.descriptor["t"], s.descriptor["n"]) in uniform:
+                s.chain, s.error = None, "removed"
+        got = verify_inequality(R, scan, hsl).mechanism
+    assert got == [m for m in want if (m["t"], m["n"]) not in uniform]
+    assert any("order" in c for m in got for c in m["classes"])
 
 
 def test_verify_inequality_rejects_foreign_reports():
