@@ -60,7 +60,6 @@ from .groebner import (
     GBConfig,
     IdealHandle,
     QuotientRing,
-    ResourceCapExceeded,
     _SHARED_BASES,
     _framed_basis,
     _is_graded,
@@ -96,9 +95,9 @@ def qpower_preimage(K: IdealHandle, e: int) -> IdealHandle:
     For e >= 1 and K homogeneous (quotient relations included) under the
     standard grading and m-primary, the preimage is built degree by degree
     from kernels of m -> NF_K(m^q) in K's frame; see _graded_preimage.
-    Everything else -- e = 0, inhomogeneous or weighted input, K not
-    m-primary, or K's basis tripping a resource cap -- goes through the
-    tag-variable elimination of _preimage_by_elimination.
+    Everything else -- e = 0, inhomogeneous or weighted input, or K not
+    m-primary -- goes through the tag-variable elimination of
+    _preimage_by_elimination; a cap that K's framed basis trips is raised.
     """
     if e > 0:
         gens = _graded_preimage(K, e)
@@ -109,8 +108,7 @@ def qpower_preimage(K: IdealHandle, e: int) -> IdealHandle:
 
 def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     """Generators of { x : x^q in K } by graded linear algebra, or None when
-    K is not a standard-graded homogeneous m-primary ideal or its basis hits
-    a resource cap.
+    K is not a standard-graded homogeneous m-primary ideal.
 
     For homogeneous K the preimage is homogeneous, and its degree-d part is
     the kernel of the F_p-linear map m -> [m^q] from the monomials of degree
@@ -130,10 +128,7 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     n, p = ring.nvars, ring.p
     if not _is_graded(K):
         return None
-    try:
-        _, back, reducers = _framed_basis(K, _frame_forms(K.own_gens))
-    except ResourceCapExceeded:
-        return None
+    _, back, reducers = _framed_basis(K, _frame_forms(K.own_gens))
     # m-primary: some leading monomial is a pure power of each variable
     if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
         return None
@@ -319,15 +314,17 @@ def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2) -> Closur
     return ClosureResult(levels, fte, window)
 
 
-def chain_level(g: Polynomial, levels, e_max: int) -> int | None:
+def chain_level(g: Polynomial, levels: list, e_max: int) -> int | None:
     """The least e <= e_max with g in J_e, that is with g^[p^e] in
-    I^[p^e] + J, or None.  levels holds J_0 = I, J_1, ... as far as a
-    closure chain has built them (J_0 at least); a level past them is
-    built here, as qpower_preimage(I^[p^e], e)."""
+    I^[p^e] + J, or None.  levels holds J_0 = I, J_1, ... as far as they
+    are built (J_0 at least); a level past them is built here, as
+    qpower_preimage(I^[p^e], e), and appended.  So levels is a list the
+    caller owns, never a ClosureResult's own, whose last level is its
+    closure."""
     for e in range(e_max + 1):
-        level = (levels[e] if e < len(levels)
-                 else qpower_preimage(frobenius_power(levels[0], e), e))
-        if level.contains(g):
+        if e == len(levels):
+            levels.append(qpower_preimage(frobenius_power(levels[0], e), e))
+        if levels[e].contains(g):
             return e
     return None
 

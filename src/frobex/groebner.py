@@ -77,7 +77,7 @@ class NotZeroDimensionalError(AlgebraError):
 
 @dataclass(frozen=True)
 class GBConfig:
-    """Resource limits for a single Buchberger run."""
+    """Resource limits for a single Buchberger run (see buchberger_basis)."""
 
     max_pairs: int = 50_000
     max_degree: int = 120
@@ -190,10 +190,13 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
                      config: GBConfig = DEFAULT_GB_CONFIG):
     """Reduced Groebner basis of the given polynomials (as term dicts or
     Polynomial objects).  Returns (list of monic term dicts sorted by leading
-    monomial, GBStats).  Raises ResourceCapExceeded when a cap trips.
+    monomial, GBStats).  Raises ResourceCapExceeded when a cap trips; the
+    degree cap bounds growth, past the largest input degree by max_degree.
     """
     t0 = time.perf_counter()
-    stats = GBStats()
+    polys = [f.terms if isinstance(f, Polynomial) else f for f in polys]
+    top = max((_terms_degree(t) for t in polys if t), default=0)
+    stats = GBStats(max_degree_seen=top)
 
     basis: list[dict] = []
     lms: list[Mono] = []
@@ -205,10 +208,10 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
         d = _terms_degree(terms)
         if d > stats.max_degree_seen:
             stats.max_degree_seen = d
-        if d > config.max_degree:
+        if d > top + config.max_degree:
             stats.wall_seconds = time.perf_counter() - t0
             raise ResourceCapExceeded(
-                f"degree cap exceeded: {d} > {config.max_degree}", stats)
+                f"degree cap exceeded: {d} > {top} + {config.max_degree}", stats)
 
     def push_pairs(j: int):
         for i in range(j):
@@ -226,11 +229,9 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
         sugars.append(sugar)
         push_pairs(len(basis) - 1)
 
-    for f in polys:
-        terms = f.terms if isinstance(f, Polynomial) else f
+    for terms in polys:
         if not terms:
             continue
-        cap_degree(terms)
         rem, _ = _nf_terms(terms, list(zip(lms, basis)), p, order)
         if rem:
             add_element(rem, _terms_degree(terms))

@@ -841,6 +841,8 @@ class InequalityReport:
 
 def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport:
     """Check max sampled Frobenius test exponent >= witnessed HSL number.
+    A strict gap max_fte > hsl_overall is inconclusive, not pass: the
+    witnessed HSL is only a lower bound.
 
     Also traces the mechanism linking the two sides: for every prefix-power
     family (f_1^n..f_t^n, f_{t+1}..f_d) with a nontrivial closure, each
@@ -849,7 +851,8 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
     must be bounded by the family's test exponent.  That order is the
     least level of the uniform family's closure chain holding the pushed
     element, read off the chain of the scan's (d, n) sample, the (1, 1)
-    sample at n = 1; levels that chain lacks are built (chain_level).
+    sample at n = 1; levels that chain lacks are built (chain_level), once
+    for each uniform family.
     """
     fp = ring_fingerprint(R)
     notes: list = []
@@ -871,11 +874,15 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
                 for s in scan.samples if s.kind == "power-family"}
     mechanism: list = []
     mechanism_ok = True
+    uniform_levels: dict = {}  # n -> the levels of the uniform family so far
     for (t, n), sample in families.items():
         if sample.error is not None:
             continue
-        uniform = families[(len(base) if n > 1 else 1, n)].chain
-        levels = uniform.levels if uniform else [ideal(R, [f**n for f in base])]
+        if n not in uniform_levels:
+            uniform = families[(len(base) if n > 1 else 1, n)].chain
+            uniform_levels[n] = (list(uniform.levels) if uniform
+                                 else [ideal(R, [f**n for f in base])])
+        levels = uniform_levels[n]
         tail = R.ambient.one()
         for f in base[t:]:
             tail = tail * f
@@ -901,6 +908,11 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
         status = "fail"
     if status == "pass" and not holds:
         status = "fail"
+    if holds and scan.max_fte > hsl.overall:
+        notes.append("max_fte exceeds hsl_overall, but the witnessed HSL is "
+                     "only a lower bound, so the gap is not shown")
+        if status == "pass":
+            status = "inconclusive"
     return InequalityReport(
         fingerprint=fp,
         ring_label=R.label,
@@ -966,8 +978,9 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     closure = frobenius_closure(ideal(R, [f**n for f in prefix]), e_max, 2)
     forward: list = []
     forward_ok = True
+    levels = list(closure.levels)
     for g in closure.closure.groebner_basis():
-        order = chain_level(g, closure.levels, e_max)
+        order = chain_level(g, levels, e_max)
         if order == 0:
             continue
         entry = {"gen": str(g), "order": order}

@@ -612,23 +612,27 @@ def test_algebra_error_is_check_failure(capsys):
 
 
 def test_resource_cap_is_exit_three(capsys):
+    # the S-polynomial y^5 of x^3 + y^3 and x*y^2 grows two degrees past them
     code, doc, _ = run_json(capsys, "gb", "--ring", "regular-f2-xy",
-                            "--ideal", "x^3 + y", "--max-degree", "2")
+                            "--ideal", "x^3 + y^3, x*y^2", "--max-degree", "1")
     assert code == 3
     assert doc["schema"] == "frobex/error/1"
-    assert doc["error"]["type"] == "ResourceCapExceeded"
+    assert doc["error"] == {"type": "ResourceCapExceeded",
+                            "message": "degree cap exceeded: 5 > 3 + 1"}
     assert doc["exit_code"] == 3
 
 
 def test_resource_cap_during_ring_load_is_exit_three(capsys):
-    code, _, _ = run_json(capsys, "dim", "--ring", "fermat-cubic-p2",
-                          "--max-degree", "2")
+    # the four relations of two-planes-f2 pop six pairs
+    code, doc, _ = run_json(capsys, "dim", "--ring", "two-planes-f2",
+                            "--max-pairs", "1")
     assert code == 3
+    assert doc["error"]["message"] == "pair budget exhausted: 1"
 
 
 def test_corpus_listing_builds_its_rings_under_the_caps(capsys):
-    # the cubic relation of fermat-cubic-p2 is over a degree cap of 2
-    code, doc, _ = run_json(capsys, "corpus", "--max-degree", "2")
+    # two-planes-f2's relations are over a pair budget of 1
+    code, doc, _ = run_json(capsys, "corpus", "--max-pairs", "1")
     assert code == 3
     assert doc["error"]["type"] == "ResourceCapExceeded"
 

@@ -31,9 +31,9 @@ from frobex.frobenius import (
     qpower_preimage,
 )
 from frobex.groebner import (
-    DEFAULT_GB_CONFIG,
     GBConfig,
     QuotientRing,
+    ResourceCapExceeded,
     _framed_basis,
     ideal,
     ring_fingerprint,
@@ -375,33 +375,58 @@ def weighted_K():
     return ideal(P, "x^2 + y", "y^3")
 
 
-@pytest.mark.parametrize("make_K, caps", [
-    (lambda: ideal(poly_ring(2, "x", "y"), "x^3 + y", "y^2"), DEFAULT_GB_CONFIG),
-    (lambda: ideal(poly_ring(2, "x", "y"), "x^2"), DEFAULT_GB_CONFIG),
-    (weighted_K, DEFAULT_GB_CONFIG),
-    # K's own basis trips the degree cap; the elimination stays below it
-    (lambda: ideal(poly_ring(2, "x", "y"), "x^8 + x^4*y^4", "y^8"),
-     GBConfig(max_degree=6)),
-], ids=["inhomogeneous", "not-m-primary", "weighted", "degree-cap"])
-def test_preimage_fallbacks_take_elimination(make_K, caps, elimination_calls):
+@pytest.mark.parametrize("make_K", [
+    lambda: ideal(poly_ring(2, "x", "y"), "x^3 + y", "y^2"),
+    lambda: ideal(poly_ring(2, "x", "y"), "x^2"),
+    weighted_K,
+], ids=["inhomogeneous", "not-m-primary", "weighted"])
+def test_preimage_fallbacks_take_elimination(make_K, elimination_calls):
     K = make_K()
-    with shared_bases(caps):
-        got = qpower_preimage(K, 2)
-        assert len(elimination_calls) == 1
-        want = _preimage_by_elimination(K, 2)
-        assert got.groebner_basis() == want.groebner_basis()
+    got = qpower_preimage(K, 2)
+    assert len(elimination_calls) == 1
+    want = _preimage_by_elimination(K, 2)
+    assert got.groebner_basis() == want.groebner_basis()
+
+
+def test_a_cap_trip_in_the_framed_basis_is_final(elimination_calls):
+    # K is m-primary, and the S-polynomial y^5 of its generators grows two
+    # degrees past them: over a cap of 1 the preimage fails, under 2 it is
+    # graded
+    K = ideal(poly_ring(2, "x", "y"), "x^3 + y^3", "x*y^2")
+    with shared_bases(GBConfig(max_degree=1)):
+        with pytest.raises(ResourceCapExceeded, match="5 > 3 \\+ 1"):
+            qpower_preimage(K, 2)
+    assert elimination_calls == []
+    with shared_bases(GBConfig(max_degree=2)):
+        assert_graded_matches_oracle(K, 2, elimination_calls)
 
 
 def test_fte_on_p7_at_default_caps(elimination_calls):
     # at q = 49 the bracket power has degree 147, over the default degree cap
-    # of 120, so the chain's second level must come from the elimination
+    # of 120, which bounds growth and not input: the chain stays graded
     R = load_corpus_ring("fermat-cubic-p7")
     I = ideal(R, "x^3", "y")
     with shared_bases(GBConfig()):
         res = frobenius_closure(I)
         assert res.certified and res.stabilized_at == 0
         assert res.fte == 0
-    assert [e for _, e in elimination_calls] == [2]
+    assert elimination_calls == []
+
+
+def test_p7_bracket_preimage_at_default_caps_matches_elimination(elimination_calls):
+    R = load_corpus_ring("fermat-cubic-p7")
+    with shared_bases(GBConfig()):
+        assert_graded_matches_oracle(frobenius_power(ideal(R, "x^3", "y"), 2), 2,
+                                     elimination_calls)
+
+
+def test_f5_curve_closure_is_stable_at_default_caps():
+    # the chain of (x, y) reaches q = 125: its bracket x^125 is above the
+    # default degree cap of 120, which bounds growth and not input
+    R = QuotientRing(poly_ring(5, "x", "y", "z"), ["2*x^3+y^3+z^3+2*x*y^2"])
+    with shared_bases(GBConfig()):
+        res = frobenius_closure(ideal(R, "x", "y"))
+    assert res.stable and res.levels_computed >= 3
 
 
 def test_p7_square_family_closure_at_default_caps(elimination_calls):
@@ -416,8 +441,8 @@ def test_p7_square_family_closure_at_default_caps(elimination_calls):
 
 @pytest.mark.parametrize("gens", [("x^2", "y"), ("x^3", "y")])
 def test_p7_closure_stays_graded_at_raised_caps(gens, elimination_calls):
-    # the closures the p7-closure benchmark times: under a degree cap of 300
-    # the q = 49 level stays on the graded path too
+    # the closures the p7-closure benchmark times, at its caps: the q = 49
+    # level stays on the graded path there too
     R = load_corpus_ring("fermat-cubic-p7")
     with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
         res = frobenius_closure(ideal(R, *gens))
@@ -672,15 +697,17 @@ def test_fte_scan_records_sample_failures():
 
 
 def test_failed_scan_samples_keep_their_generators():
-    # the degree cap trips in the closure chain, after each ideal is built
-    R = load_corpus_ring("regular-f2-xy")
-    with shared_bases(GBConfig(max_degree=3)):
+    # the degree cap trips on growth in the closure chain, after each ideal
+    # is built
+    R = load_corpus_ring("two-planes-f2")
+    with shared_bases(GBConfig(max_degree=2)):
         serial = fte_scan(R, n_random=0, power_family_max=2)
-    assert [s.gens for s in serial.samples] == [["x", "y"], ["x^2", "y"],
-                                                ["x^2", "y^2"]]
-    assert all(s.error.startswith("ResourceCapExceeded")
+    assert [s.gens for s in serial.samples] == [
+        ["x+y+u+v", "x+v"], ["x^2+y^2+u^2+v^2", "x+v"],
+        ["x^2+y^2+u^2+v^2", "x^2+v^2"]]
+    assert all(s.error.startswith("ResourceCapExceeded: degree cap exceeded")
                for s in serial.samples)
-    with shared_bases(GBConfig(max_degree=3)):
+    with shared_bases(GBConfig(max_degree=2)):
         pooled = fte_scan(R, n_random=0, power_family_max=2, jobs=2)
     assert pooled.to_dict() == serial.to_dict()
 

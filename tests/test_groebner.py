@@ -125,11 +125,19 @@ def test_pair_budget_cap():
 
 
 def test_degree_cap():
+    # the cap bounds growth: an input far above it costs nothing, while the
+    # S-polynomial y^5 of x^3 + y^3 and x*y^2 grows two degrees past them
     P = poly_ring(3, "x", "y")
-    I = ideal(P, "x^2 + y")
     with groebner_module.shared_bases(GBConfig(max_degree=1)):
-        with pytest.raises(ResourceCapExceeded):
+        assert len(ideal(P, "x^9 + y^9", "y^12").groebner_basis()) == 2
+        I = ideal(P, "x^3 + y^3", "x*y^2")
+        with pytest.raises(ResourceCapExceeded,
+                           match=r"^degree cap exceeded: 5 > 3 \+ 1$") as err:
             I.groebner_basis()
+    assert err.value.stats.max_degree_seen == 5
+    with groebner_module.shared_bases(GBConfig(max_degree=2)):
+        I.groebner_basis()
+        assert I.gb_stats.max_degree_seen == 5
 
 
 def test_spair_audit_flags_incomplete_basis():

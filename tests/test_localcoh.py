@@ -23,7 +23,7 @@ from frobex.algebra import (
     mono_degree,
     monomials_of_weighted_degree,
 )
-from frobex.corpus import corpus_labels, load_corpus_ring
+from frobex.corpus import corpus_labels, load_corpus_ring, ring_from_spec
 from frobex.filterreg import (
     is_filter_regular_sequence,
     make_sequence,
@@ -927,9 +927,10 @@ def test_verify_inequality_fermat_mechanism():
 
 
 @pytest.mark.parametrize("label", ["fermat-cubic-p2", "fermat-quintic-p2"])
-def test_mechanism_builds_the_levels_a_uniform_chain_lacks(label):
+def test_mechanism_builds_the_levels_a_uniform_chain_lacks(label, monkeypatch):
     # a uniform family whose sample failed has no chain; the families that
-    # push into it get the same orders from levels built on demand
+    # push into it get the same orders from levels built on demand, each
+    # level once
     R = load_corpus_ring(label)
     with shared_bases():
         scan, hsl = scan_and_hsl(R, n_random=0, N=4)
@@ -939,9 +940,18 @@ def test_mechanism_builds_the_levels_a_uniform_chain_lacks(label):
         for s in scan.samples:
             if (s.descriptor["t"], s.descriptor["n"]) in uniform:
                 s.chain, s.error = None, "removed"
+        builds = []
+        build = frobenius_module.qpower_preimage
+
+        def spy(K, e):
+            builds.append((frozenset(str(g) for g in K.own_gens), e))
+            return build(K, e)
+
+        monkeypatch.setattr(frobenius_module, "qpower_preimage", spy)
         got = verify_inequality(R, scan, hsl).mechanism
     assert got == [m for m in want if (m["t"], m["n"]) not in uniform]
     assert any("order" in c for m in got for c in m["classes"])
+    assert builds and len(builds) == len(set(builds))
 
 
 def test_verify_inequality_rejects_foreign_reports():
@@ -962,6 +972,22 @@ def test_verify_inequality_inconclusive_without_samples():
     assert rep.status == "inconclusive"
     assert rep.max_fte is None
     assert not rep.holds
+
+
+def test_quintic_p3_certifies_and_a_strict_gap_is_not_a_pass():
+    # F_3[x,y,z]/(x^5+y^5+z^5) at the CLI defaults: every sample certifies,
+    # and max_fte above the witnessed HSL, a lower bound, proves no gap
+    R = ring_from_spec({"label": "fermat-quintic-p3", "characteristic": 3,
+                        "variables": ["x", "y", "z"],
+                        "relations": ["x^5 + y^5 + z^5"]})
+    with shared_bases():
+        scan, hsl = scan_and_hsl(R)
+        rep = verify_inequality(R, scan, hsl)
+    assert not scan.any_failures
+    assert rep.holds and rep.mechanism_ok
+    if rep.max_fte > rep.hsl_overall:
+        assert rep.status == "inconclusive"
+        assert any("lower bound" in note for note in rep.notes)
 
 
 def test_prop34_fermat_cubic_both_directions():
