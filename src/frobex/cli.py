@@ -33,6 +33,7 @@ from .filterreg import (
     is_filter_regular_sequence,
     is_system_of_parameters,
     make_sequence,
+    parameter_base,
     random_filter_regular_sop,
 )
 from .frobenius import (
@@ -65,6 +66,9 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# schemas whose layout has changed since version 1
+_SCHEMA_VERSIONS = {"hsl": 2}
+
 
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -72,7 +76,8 @@ def _timestamp() -> str:
 
 def _emit(args, name: str, payload: dict, lines: list[str]) -> None:
     if args.json:
-        doc = {"schema": f"frobex/{name}/1", "timestamp": _timestamp()}
+        doc = {"schema": f"frobex/{name}/{_SCHEMA_VERSIONS.get(name, 1)}",
+               "timestamp": _timestamp()}
         doc.update(payload)
         print(json.dumps(doc, indent=2))
     else:
@@ -290,40 +295,21 @@ def cmd_hsl(args) -> int:
     if args.sequence:
         seq = make_sequence(R, _parse_polys(R, args.sequence))
     else:
-        seq = random_filter_regular_sop(R, derive_seed(args.seed, "hsl-sop"))
+        seq = parameter_base(R, args.seed)
     report = hsl_estimate(R, seq, N=args.trunc, e_max=args.emax,
                           jobs=_require_jobs(args))
-    payload = {
-        "ring_label": report.ring_label,
-        "per_i": {str(i): v for i, v in report.per_index.items()},
-        "overall": report.overall,
-        "stable": report.stable,
-        "params": {
-            "seed": args.seed,
-            "N": report.N,
-            "e_max": report.e_max,
-            "probe_N": report.probe_N,
-            "probe_e_max": report.probe_e_max,
-            "sequence": report.sequence,
-            "fingerprint": report.fingerprint,
-            "per_i_stable": {str(i): v for i, v in report.per_index_stable.items()},
-            "witnesses": {str(i): [w.to_dict() for w in ws]
-                          for i, ws in report.witnesses.items()},
-            "undetermined": {str(i): v for i, v in report.undetermined.items()},
-        },
-    }
     body = [[str(i), str(report.per_index[i]),
              "yes" if report.per_index_stable[i] else "no"]
             for i in sorted(report.per_index)]
     lines = _rows(["i", "order", "stable"], body)
     lines.append(f"HSL = {report.overall} ({'stable' if report.stable else 'unstable'})")
-    _emit(args, "hsl", payload, lines)
+    _emit(args, "hsl", report.to_dict(), lines)
     return EXIT_OK
 
 
 def cmd_ns_check(args) -> int:
     R = _load_ring(args)
-    seq_a = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 0))
+    seq_a = parameter_base(R, args.seed)
     seq_b = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 1))
     report = ns_consistency_check(R, seq_a, seq_b, N=args.trunc)
     payload = report.to_dict()
@@ -426,7 +412,8 @@ _FLAGS = {
     "--elements": (None, dict(required=True)),
     "--prefix": (None, dict(required=True, help="comma-separated filter regular prefix")),
     "--sequence": (None, dict(default="",
-                              help="filter regular system of parameters (default: random)")),
+                              help="filter regular system of parameters "
+                                   "(default: the base of verify-inequality)")),
 }
 
 
@@ -494,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "hsl", cmd_hsl, "--ring --seed --trunc --emax --jobs --sequence",
              "HSL numbers per degree")
     _command(sub, "ns-check", cmd_ns_check, "--ring --seed --trunc",
-             "two-seed limit-tower consistency check")
+             "two-sequence limit-tower consistency check")
     # no --window: its closures always use window 2
     _command(sub, "prop34-check", cmd_prop34_check, "--ring --trunc --emax --n --e --prefix",
              "closure/nilpotence correspondence check")

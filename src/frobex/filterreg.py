@@ -12,10 +12,11 @@ is read off one reverse-lex basis of I in coordinates where x_i is the last
 variable y (Bayer-Stillman): in(I : y) = in(I) : y, and two ideals with
 equal initial ideals have equal Hilbert functions, so (I : y)/I has finite
 length exactly when in(I) : y does modulo in(I).  The same basis gives
-dim S/(I + x_i), since in(I + y) = in(I) + (y).  The random search tests its
-candidates this way; a sequence handed in to be checked
-(is_filter_regular_sequence), and every candidate over a prefix outside
-that case, takes the colon and the saturation by m themselves.  Over an
+dim S/(I + x_i), since in(I + y) = in(I) + (y).  Every sequence the program
+builds, a random search's or a coordinate base (parameter_base), is tested
+this way one step at a time; a sequence handed in to be checked
+(is_filter_regular_sequence), and every step over a prefix outside that
+case, takes the colon and the saturation by m themselves.  Over an
 infinite constant field a generic linear form works at every step; over a
 small F_p the candidate pool is finite, so the random search retries and
 reports exhaustion honestly.
@@ -23,6 +24,7 @@ reports exhaustion honestly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import AlgebraError, Polynomial
@@ -38,7 +40,7 @@ from .groebner import (
     monomial_dimension,
     saturation,
 )
-from .seeding import rng_for
+from .seeding import derive_seed, rng_for
 
 # random_filter_regular_sop: candidates per step, restarts of the search
 _MAX_TRIES = 60
@@ -208,6 +210,27 @@ def random_filter_regular_sop(R: QuotientRing, seed: int) -> FilterSequence:
     raise SearchExhausted(
         f"no filter regular linear system of parameters after {_RESTARTS} "
         f"restarts of {_MAX_TRIES} tries (last failure at {last_fail})")
+
+
+def parameter_base(R: QuotientRing, seed: int) -> FilterSequence:
+    """Base system of parameters for the power families.
+
+    Coordinate variables are preferred when some dim(R)-subset of them is a
+    filter regular system of parameters (their frame only reorders the
+    variables, so the relations keep their sparsity).  The subsets are tried
+    in order, each step by the random search's test, which certifies the
+    whole sequence as it does a searched one; when none passes, a seeded
+    random search runs.
+    """
+    d = R.dim
+    for combo in itertools.combinations(R.ambient.gens(), d):
+        try:
+            if all(_admissible(ideal(R, list(combo[:k])), d - k - 1)(combo[k])
+                   for k in range(d)):
+                return FilterSequence(R, combo, True)
+        except ImproperIdealError:
+            continue  # a coordinate made the unit ideal
+    return random_filter_regular_sop(R, derive_seed(seed, "family-base"))
 
 
 def _admissible(prefix: IdealHandle, dim_after: int):

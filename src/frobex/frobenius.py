@@ -43,6 +43,7 @@ from . import linalg
 from .algebra import (
     GREVLEX,
     AlgebraError,
+    ExponentOverflowError,
     MonomialOrder,
     Polynomial,
     frobenius_raise,
@@ -50,16 +51,16 @@ from .algebra import (
 )
 from .filterreg import (
     FilterSequence,
+    SearchExhausted,
     SequenceShapeError,
-    is_filter_regular_sequence,
-    is_system_of_parameters,
-    make_sequence,
+    parameter_base,
     random_filter_regular_sop,
 )
 from .groebner import (
     GBConfig,
     IdealHandle,
     QuotientRing,
+    ResourceCapExceeded,
     _SHARED_BASES,
     _framed_basis,
     _is_graded,
@@ -420,7 +421,7 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSam
         if not sample.chain.stable:
             sample.error = "closure chain did not stabilize within e_max"
         return sample
-    except AlgebraError as exc:
+    except (ResourceCapExceeded, SearchExhausted, ExponentOverflowError) as exc:
         sample = ScanSample(kind, descriptor, gens)
         sample.error = f"{type(exc).__name__}: {exc}"
         return sample
@@ -453,26 +454,6 @@ def _start_worker(caps: GBConfig) -> None:
     _SHARED_BASES.set((caps, {}))
 
 
-def parameter_base(R: QuotientRing, seed: int) -> FilterSequence:
-    """Base system of parameters for the power families.
-
-    Coordinate variables are preferred when some dim(R)-subset of them is a
-    filter regular system of parameters (their frame only reorders the
-    variables, so the relations keep their sparsity); otherwise a seeded
-    random search runs.
-    """
-    d = R.dim
-    variables = R.ambient.gens()
-    for combo in itertools.combinations(variables, d):
-        if not is_system_of_parameters(R, list(combo)):
-            continue
-        seq = make_sequence(R, combo)
-        ok, _ = is_filter_regular_sequence(seq)
-        if ok:
-            return seq
-    return random_filter_regular_sop(R, derive_seed(seed, "family-base"))
-
-
 def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
              seed: int = 42, e_max: int = 8, window: int = 2,
              jobs: int = 1) -> FteScanReport:
@@ -480,8 +461,9 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     ideals: n_random random filter regular systems of parameters plus the
     prefix-power families of one base system (see parameter_base).
 
-    Per-sample failures (resource caps, exhausted searches) are recorded on
-    the sample and the scan continues.  Requires dim(R) >= 1.
+    Per-sample failures (resource caps, exhausted searches, exponent
+    overflows) are recorded on the sample and the scan continues; any other
+    error is raised.  Requires dim(R) >= 1.
     """
     base, tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max,
                               window)

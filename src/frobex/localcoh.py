@@ -284,14 +284,14 @@ class LimitSystem:
         return None
 
 
-def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
-                 audit: bool = True) -> LimitSystem:
+def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int) -> LimitSystem:
     """Build snapshots, transitions and Frobenius matrices for prefix i.
 
     For i > 0 fseq must be verified filter regular; levels run
     from 1 to N and Frobenius matrices exist for every n with p*n <= N.
     When fseq is verified and i < len(fseq), every level is saturated by
-    the next element rather than by m (see torsion_quotient).
+    the next element rather than by m (see torsion_quotient).  A square of
+    the commutation audit that fails raises InconsistencyError.
     """
     if not (0 <= i <= len(fseq)):
         raise AlgebraError(f"prefix length {i} out of range")
@@ -323,11 +323,9 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
         for n in range(1, N // p + 1)}
 
     system = LimitSystem(R, prefix, i, N, snapshots, transitions, frobenius)
-    if audit:
-        witness = system.audit_commutation()
-        if witness is not None:
-            raise InconsistencyError(
-                f"Frobenius-transition commutation failed: {witness}")
+    witness = system.audit_commutation()
+    if witness is not None:
+        raise InconsistencyError(f"Frobenius-transition commutation failed: {witness}")
     return system
 
 
@@ -339,7 +337,6 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int,
 class NilpotentWitness:
     level: int
     order: int
-    coords: tuple[int, ...]
     poly: Polynomial
 
     def to_dict(self) -> dict:
@@ -350,11 +347,7 @@ class NilpotentWitness:
 class NilpotentReport:
     witnesses: list[NilpotentWitness]
     max_order: int
-    kernel_dims: dict
     undetermined_levels: list[int]
-    probe_depths: dict
-    levels: int
-    e_max: int
 
 
 def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
@@ -371,9 +364,7 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
     p = system.p
     N = system.levels
     witnesses: list[NilpotentWitness] = []
-    kernel_dims: dict = {}
     undetermined: list[int] = []
-    probe_depths: dict = {}
     for n in range(1, N + 1):
         snap = system.snapshots[n - 1]
         if snap.length == 0:
@@ -382,11 +373,8 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
         if cap == 0:
             undetermined.append(n)
             continue
-        depth = min(e_max, cap)
-        probe_depths[n] = depth
-        for e in range(1, depth + 1):
+        for e in range(1, min(e_max, cap) + 1):
             kernel = linalg.nullspace(system.frobenius_chain(n, e), p)
-            kernel_dims[(n, e)] = int(kernel.shape[0])
             if kernel.shape[0] == 0:
                 continue
             img_a = system.transition_chain(n, N, kernel.T)
@@ -411,11 +399,9 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
             vb = img_b[:, pick].sum(axis=1) % p
             if not (np.any(va) and np.any(vb)):
                 continue
-            witnesses.append(NilpotentWitness(n, e, tuple(int(x) for x in v),
-                                              snap.from_coordinates(v)))
+            witnesses.append(NilpotentWitness(n, e, snap.from_coordinates(v)))
     max_order = max((w.order for w in witnesses), default=0)
-    return NilpotentReport(witnesses, max_order, kernel_dims, undetermined,
-                           probe_depths, N, e_max)
+    return NilpotentReport(witnesses, max_order, undetermined)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +704,8 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
 
     For i = dim(R) the towers are compared entrywise (the quotients are the
     same R/Q_n up to choice of parameters); for i < dim(R) the tails of the
-    last STAB_WINDOW lengths are compared once they are constant.
+    last STAB_WINDOW lengths are compared once they are constant.  A tower
+    that fails its commutation audit raises InconsistencyError.
     """
     d = R.dim
     tables: dict = {}
@@ -735,13 +722,8 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
             first = msg
 
     for i in range(d + 1):
-        sa = limit_system(R, fseq_a, i, N, audit=False)
-        sb = limit_system(R, fseq_b, i, N, audit=False)
-        for tag, system in (("a", sa), ("b", sb)):
-            witness = system.audit_commutation()
-            if witness is not None:
-                fail(f"commutation audit failed (sequence {tag}, i={i}): {witness}")
-        ta, tb = sa.lengths(), sb.lengths()
+        ta = limit_system(R, fseq_a, i, N).lengths()
+        tb = limit_system(R, fseq_b, i, N).lengths()
         tables[i] = {"a": ta, "b": tb}
         if i == d:
             stabilized[i] = None

@@ -18,6 +18,8 @@ import frobex.frobenius as frobenius_module
 import frobex.groebner as groebner_module
 import frobex.localcoh as localcoh_module
 from frobex.cli import main
+from frobex.corpus import corpus_labels
+from frobex.frobenius import InconsistencyError
 from frobex.groebner import IdealHandle
 
 
@@ -259,17 +261,18 @@ def test_hsl_json_shape(capsys):
                             "--sequence", "y", "--trunc", "4", "--emax", "2",
                             "--jobs", "1")
     assert code == 0
-    assert set(doc) == {"schema", "timestamp", "ring_label", "per_i",
-                        "overall", "stable", "params"}
-    assert doc["schema"] == "frobex/hsl/1"
-    assert doc["per_i"] == {"0": 1, "1": 0}
+    # the hsl object that verify-inequality embeds
+    assert set(doc) == {"schema", "timestamp", "fingerprint", "ring_label",
+                        "sequence", "per_index", "overall", "stable",
+                        "per_index_stable", "witnesses", "undetermined", "N",
+                        "e_max", "probe_N", "probe_e_max"}
+    assert doc["schema"] == "frobex/hsl/2"
+    assert doc["per_index"] == {"0": 1, "1": 0}
     assert doc["overall"] == 1
     assert doc["stable"] is True
-    params = doc["params"]
-    for key in ("seed", "N", "e_max", "probe_N", "probe_e_max", "sequence",
-                "fingerprint", "per_i_stable", "witnesses", "undetermined"):
-        assert key in params
-    assert params["sequence"] == ["y"]
+    assert doc["per_index_stable"] == {"0": True, "1": True}
+    assert doc["sequence"] == ["y"]
+    assert (doc["N"], doc["e_max"], doc["probe_N"], doc["probe_e_max"]) == (4, 2, 6, 3)
 
 
 def test_hsl_inhomogeneous_sequence_with_a_point_off_the_origin(capsys):
@@ -284,7 +287,7 @@ def test_hsl_inhomogeneous_sequence_on_depth_zero_ring(capsys):
     code, doc, _ = run_json(capsys, "hsl", "--ring", "depth-zero-f2",
                             "--sequence", "y + y^2")
     assert code == 0
-    assert doc["per_i"] == {"0": 1, "1": 0}
+    assert doc["per_index"] == {"0": 1, "1": 0}
 
 
 def test_hsl_rejects_bad_sequence(capsys):
@@ -344,6 +347,40 @@ def test_verify_inequality_same_document_for_every_jobs(capsys):
             for jobs in ("1", "2")]
     assert runs[0][0] == runs[1][0] == 0
     assert without_timestamp(runs[0][1]) == without_timestamp(runs[1][1])
+
+
+@pytest.mark.parametrize("seed", ["42", "1801"])
+@pytest.mark.parametrize("label", corpus_labels())
+def test_verify_inequality_embeds_the_fte_scan_and_hsl_documents(capsys, label, seed):
+    # one base sequence: hsl reads its towers on the scan's base
+    argv = ("--ring", label, "--seed", seed, "--jobs", "1")
+    _, doc, _ = run_json(capsys, "verify-inequality", *argv)
+    for command, key in (("fte-scan", "scan"), ("hsl", "hsl")):
+        _, part, _ = run_json(capsys, command, *argv)
+        assert {k: v for k, v in part.items() if k not in ("schema", "timestamp")} \
+            == doc[key], command
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_internal_error_in_a_scan_sample_is_exit_one(capsys, monkeypatch, jobs):
+    # only caps, exhausted searches and exponent overflows fail a sample;
+    # a broken invariant ends the run (a forked pool worker inherits the
+    # patched closure)
+    closure = frobenius_module.frobenius_closure
+
+    def broken_closure(I, e_max, window):
+        if [str(g) for g in I.own_gens] == ["x^2", "y"]:
+            raise InconsistencyError("closure chain not ascending at level 1")
+        return closure(I, e_max, window)
+
+    monkeypatch.setattr(frobenius_module, "frobenius_closure", broken_closure)
+    code, doc, _ = run_json(capsys, "verify-inequality", "--ring", "fermat-cubic-p2",
+                            "--jobs", jobs)
+    assert code == 1
+    assert doc["schema"] == "frobex/error/1"
+    assert doc["error"] == {"type": "InconsistencyError",
+                            "message": "closure chain not ascending at level 1"}
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("label", ["fermat-cubic-p2", "depth-zero-f2"])
@@ -489,8 +526,9 @@ def test_jobs_zero_counts_the_cpus_the_process_may_use(capsys, monkeypatch):
 
 
 def test_cap_trip_in_a_pool_worker_is_exit_three(capsys):
-    # traced at seed 42: each top-tower run pops 45 pairs, while no run
-    # outside the towers pops more than 28, so 36 trips inside a tower task
+    # traced at seed 42, on verify-inequality's base x+y+u+v, x+v: the
+    # largest top-tower runs pop 55 and 66 pairs, while no run outside the
+    # top tower pops more than 21, so 36 trips inside a tower task
     runs = [run_json(capsys, "hsl", "--ring", "two-planes-f2",
                      "--max-pairs", "36", "--jobs", jobs)
             for jobs in ("1", "2")]

@@ -1,5 +1,6 @@
 """Filter regular sequences, parameter checks, and the random search."""
 
+import itertools
 import random
 
 import pytest
@@ -22,15 +23,17 @@ from frobex.filterreg import (
     make_sequence,
     random_filter_regular_sop,
 )
-from frobex.frobenius import parameter_base
+from frobex.filterreg import parameter_base
 from frobex.groebner import (
     ImproperIdealError,
     QuotientRing,
+    _is_graded,
     colon,
     dimension,
     ideal,
     saturation,
 )
+from frobex.seeding import derive_seed
 
 
 def quotient(p, names, relations):
@@ -253,3 +256,57 @@ def test_searched_sequences_pass_the_definition():
         for seed in range(3):
             seq = random_filter_regular_sop(R, seed)
             assert filter_regular_failure(make_sequence(R, seq.elements)) is None
+
+
+# --- the base of the power families, against the definition ---
+
+def parameter_base_by_definition(R, seed):
+    """The first dim(R)-subset of the variables that is a system of
+    parameters and filter regular by the colon and saturation definition,
+    else the seeded search: the oracle of parameter_base's step test."""
+    for combo in itertools.combinations(R.ambient.gens(), R.dim):
+        if is_system_of_parameters(R, list(combo)):
+            seq = make_sequence(R, combo)
+            if is_filter_regular_sequence(seq)[0]:
+                return seq
+    return random_filter_regular_sop(R, derive_seed(seed, "family-base"))
+
+
+def random_base_rings(rng):
+    """Seeded quotients by 0 to 2 random forms of degree 2 or 3, under the
+    standard grading and under weights that are not all 1."""
+    for p in (2, 3):
+        for names, weights in ((("x", "y"), None), (("x", "y", "z"), None),
+                               (("x", "y", "z", "w"), None),
+                               (("x", "y"), (1, 2)), (("x", "y", "z"), (1, 1, 2))):
+            P = PolyRing(PrimeField(p), names, MonomialOrder("grevlex"), weights)
+            for _ in range(3):
+                relations = [random_form(rng, P, rng.randrange(2, 4))
+                             for _ in range(rng.randrange(3))]
+                yield QuotientRing(P, relations)
+
+
+def test_parameter_base_matches_the_definition():
+    rings = [load_corpus_ring(label) for label in corpus_labels()]
+    rings += [ring_from_spec(QUINTIC_P3_SPEC)]
+    # y, z is a system of parameters of k[x,y,z]/(x^2, x*y) but y kills x,
+    # which is not m-torsion, so no coordinate pair is a base
+    for weights in (None, (1, 1, 2)):
+        P = PolyRing(PrimeField(2), ("x", "y", "z"), MonomialOrder("grevlex"), weights)
+        rings.append(QuotientRing(P, ["x^2", "x*y"]))
+    rings += list(random_base_rings(random.Random(2808)))
+    picked = set()  # which branch chose the base
+    for R in rings:
+        for seed in (42, 1801):
+            want = parameter_base_by_definition(R, seed)
+            got = parameter_base(R, seed)
+            assert got.verified and got.element_strings() == want.element_strings(), (
+                R.label, R.relations.own_gens, seed)
+        gens = R.ambient.gens()
+        coordinates = list(itertools.combinations(gens, R.dim))
+        picked.add((R.dim == 0 or got.elements == coordinates[0],
+                    got.elements in coordinates, _is_graded(ideal(R))))
+    # the first subset, a later one and the search, under the standard
+    # grading; and, under weights, _admissible's colon and saturation branch
+    assert {(True, True, True), (False, True, True), (False, False, True)} <= picked
+    assert any(not graded for _, _, graded in picked)

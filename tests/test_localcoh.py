@@ -387,7 +387,8 @@ def test_limit_system_regular_top_tower():
     # Frobenius has no kernel anywhere: the ring is regular
     report = nilpotent_part(system, e_max=2)
     assert report.max_order == 0
-    assert all(v == 0 for v in report.kernel_dims.values())
+    assert all(linalg.nullspace(system.frobenius_chain(n, e), system.p).shape[0] == 0
+               for n in range(1, 5) for e in range(1, min(2, system.capacity(n)) + 1))
 
 
 def test_limit_system_intermediate_towers_empty_on_domain():
@@ -485,7 +486,6 @@ def test_failed_audit_is_an_inconsistency(monkeypatch):
     seq = verified(R, ["x", "y"])
     with pytest.raises(InconsistencyError, match="square at level 1"):
         limit_system(R, seq, 2, 4)
-    assert limit_system(R, seq, 2, 4, audit=False).audit_commutation() is not None
 
 
 def test_nilpotent_part_depth_zero_socle():
@@ -500,7 +500,8 @@ def test_nilpotent_part_depth_zero_socle():
     assert levels == {1, 2}
     assert all(str(w.poly) == "x" for w in report.witnesses)
     assert report.undetermined_levels == [3, 4]
-    assert report.probe_depths == {1: 2, 2: 1}
+    # the chain reaches depth 2 from level 1, depth 1 from level 2
+    assert [system.capacity(n) for n in range(1, 5)] == [2, 1, 0, 0]
 
 
 def test_nilpotent_part_survival_filter_kills_phantoms():
@@ -537,7 +538,7 @@ def nilpotent_part_by_full_chains(system, e_max):
     pushing only the kernel basis up the tower."""
     p = system.p
     N = system.levels
-    witnesses, kernel_dims, undetermined, probe_depths = [], {}, [], {}
+    witnesses, undetermined = [], []
     for n in range(1, N + 1):
         snap = system.snapshots[n - 1]
         if snap.length == 0:
@@ -546,12 +547,9 @@ def nilpotent_part_by_full_chains(system, e_max):
         if cap == 0:
             undetermined.append(n)
             continue
-        depth = min(e_max, cap)
-        probe_depths[n] = depth
         survive_n = full_transition_chain(system, n, N)
-        for e in range(1, depth + 1):
+        for e in range(1, min(e_max, cap) + 1):
             kernel = linalg.nullspace(system.frobenius_chain(n, e), p)
-            kernel_dims[(n, e)] = int(kernel.shape[0])
             if kernel.shape[0] == 0:
                 continue
             if e == 1:
@@ -574,11 +572,9 @@ def nilpotent_part_by_full_chains(system, e_max):
             vb = linalg.matmul(almost, v.reshape(-1, 1), p)
             if not (np.any(va) and np.any(vb)):
                 continue
-            witnesses.append(NilpotentWitness(n, e, tuple(int(x) for x in v),
-                                              snap.from_coordinates(v)))
+            witnesses.append(NilpotentWitness(n, e, snap.from_coordinates(v)))
     max_order = max((w.order for w in witnesses), default=0)
-    return NilpotentReport(witnesses, max_order, kernel_dims, undetermined,
-                           probe_depths, N, e_max)
+    return NilpotentReport(witnesses, max_order, undetermined)
 
 
 @pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
@@ -586,7 +582,7 @@ def nilpotent_part_by_full_chains(system, e_max):
                                    "regular-f3-xyz", "two-planes-f2"])
 def test_nilpotent_part_matches_full_chain_oracle(label):
     # every tower of the ring at the CLI's truncation and at the probe's,
-    # compared as whole reports, witness coordinates included
+    # compared as whole reports, witness polynomials included
     R = load_corpus_ring(label)
     seq = parameter_base(R, seed=42)
     N, e_max = 8, 8
@@ -653,7 +649,7 @@ def test_witness_from_a_survivor_plus_an_almost_survivor():
     report = nilpotent_part(system, 2)
     assert report == nilpotent_part_by_full_chains(system, 2)
     assert [w for w in report.witnesses if w.level == 1] == [
-        NilpotentWitness(1, 2, (1, 1), R.parse("x + 1"))]
+        NilpotentWitness(1, 2, R.parse("x + 1"))]
 
 
 # --- HSL estimation ---
@@ -697,16 +693,8 @@ def test_hsl_parallel_matches_serial():
     a = hsl_estimate(R, seq, N=4, e_max=1, jobs=1)
     b = hsl_estimate(R, seq, N=4, e_max=1, jobs=2)
     assert a.to_dict() == b.to_dict()
-
-
-def test_hsl_run_parallel_equals_serial_with_coords():
-    # the pool path must hand back the same witnesses, coordinates included
-    R = load_corpus_ring("depth-zero-f2")
-    seq = verified(R, ["y"])
-    serial = hsl_estimate(R, seq, N=4, e_max=1, jobs=1)
-    pooled = hsl_estimate(R, seq, N=4, e_max=1, jobs=2)
-    assert pooled.witnesses == serial.witnesses
-    assert any(w.coords for ws in pooled.witnesses.values() for w in ws)
+    # the pool path hands back the same witnesses
+    assert b.witnesses == a.witnesses and any(b.witnesses.values())
 
 
 @pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
@@ -880,20 +868,13 @@ def test_ns_check_truncation_too_short_is_inconclusive():
 
 
 def test_ns_check_corrupted_tower_fails_audit(monkeypatch):
+    # a tower whose squares do not commute is an internal error, not a
+    # failed check of the ring: ns-check raises, as hsl and prop34-check do
+    monkeypatch.setattr(localcoh_module, "frobenius_raise", lambda f, e: f)
     R = load_corpus_ring("regular-f2-xy")
     seq = verified(R, ["x", "y"])
-    bad = limit_system(R, seq, 2, 4, audit=False)
-    bad.frobenius[1] = (bad.frobenius[1] + 1) % 2
-
-    def corrupted(R, fseq, i, N, audit=True):
-        if fseq is seq and i == 2:
-            return bad
-        return limit_system(R, fseq, i, N, audit)
-
-    monkeypatch.setattr(localcoh_module, "limit_system", corrupted)
-    rep = ns_consistency_check(R, seq, verified(R, ["y", "x"]), N=4)
-    assert rep.status == "fail"
-    assert "commutation audit failed" in rep.first_disagreement
+    with pytest.raises(InconsistencyError, match="commutation failed: square at level 1"):
+        ns_consistency_check(R, seq, verified(R, ["y", "x"]), N=4)
 
 
 # --- the main inequality and the correspondence check ---
