@@ -693,8 +693,16 @@ def test_hsl_parallel_matches_serial():
     a = hsl_estimate(R, seq, N=4, e_max=1, jobs=1)
     b = hsl_estimate(R, seq, N=4, e_max=1, jobs=2)
     assert a.to_dict() == b.to_dict()
-    # the pool path hands back the same witnesses
-    assert b.witnesses == a.witnesses and any(b.witnesses.values())
+
+
+def test_hsl_run_parallel_equals_serial_with_coords():
+    # the pool path must hand back the same witnesses, polynomials included
+    R = load_corpus_ring("depth-zero-f2")
+    seq = verified(R, ["y"])
+    serial = hsl_estimate(R, seq, N=4, e_max=1, jobs=1)
+    pooled = hsl_estimate(R, seq, N=4, e_max=1, jobs=2)
+    assert pooled.witnesses == serial.witnesses
+    assert any(w.poly for ws in pooled.witnesses.values() for w in ws)
 
 
 @pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
