@@ -751,6 +751,8 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
     its pivot, which the frame drops, is the last variable of the reduced
     form, and the form is divided by that coefficient.  So a frame of one
     form drops its last variable, and a frame of variables is a reindexing.
+    A form with a term of degree other than 1 raises AlgebraError; the zero
+    form, like any dependent one, is skipped.
     Frames recur (the same element saturates tower after tower), so inside
     a shared_bases() block the maps are built once and kept in its memo,
     each with every power it has built; outside a block they are built
@@ -764,6 +766,8 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
     pivots: list[tuple[int, list[int]]] = []  # (pivot, reduced form)
     rows: list[list[int]] = []
     for ell in forms:
+        if any(mono_degree(m) != 1 for m in ell.terms):
+            raise AlgebraError(f"a frame needs linear forms, not {ell}")
         row = reduced = [ell.terms.get(u, 0) for u in units]
         for k, other in pivots:
             c = reduced[k]

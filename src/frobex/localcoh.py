@@ -13,7 +13,12 @@ level p*n.  Powers of a filter regular sequence are filter regular, so for
 i < d the next element x_{i+1} is filter regular on R/(x_1^n, ..., x_i^n):
 it is a nonzerodivisor modulo the m-torsion, and the numerator above is
 ((x_1^n, ..., x_i^n) : x_{i+1}^infinity).  For a linear form x_{i+1} that
-saturation takes a single reverse-lex basis.  Each L_n is read off the
+saturation takes a single reverse-lex basis.  When x_1, ..., x_{i+1} are
+linear forms, the tower is built in their frame, a linear change of
+coordinates phi over F_p in which they are the last variables: phi commutes
+with Frobenius, so phi(R) has the same tower, its levels are monomial ideals
+plus phi(J), and the saturation's basis is the level's own.  Witnesses are
+mapped back through phi^(-1).  Each L_n is read off the
 staircase of its numerator S: one basis element m - NF_S(m) for each
 monomial m of in(S) outside in(Q_n), and coordinates are the coefficients
 of those monomials in a normal form modulo Q_n.  Truncating at level N gives
@@ -33,7 +38,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -70,6 +76,7 @@ from .groebner import (
     dimension,
     ideal,
     is_linear_form,
+    linear_frame,
     ring_fingerprint,
     saturation,
     staircase,
@@ -169,11 +176,13 @@ def torsion_quotient(R: QuotientRing, Q: IdealHandle,
     (Q : regular) lies inside (Q : m^infinity), and
     (Q : m^infinity) = (Q : regular^infinity).  For a linear form and a
     homogeneous Q under the standard grading, that saturation takes one
-    reverse-lex basis.  When ``regular`` is not filter regular, S/Q has
-    infinite length, so on that path alone the walk is stopped
-    SATURATION_MAX_STEPS degrees past S's top leading monomial and raises
-    InconsistencyError.  S taken by m, or the unit ideal, leaves S/Q of
-    finite length, and its walk ends by itself.
+    reverse-lex basis, in which the form is the last variable; in the frame
+    of limit_system it is a unit times that variable already, and the basis
+    is Q's own.  When ``regular`` is not filter regular, S/Q has infinite
+    length, so on that path alone the walk is stopped SATURATION_MAX_STEPS
+    degrees past S's top leading monomial and raises InconsistencyError.
+    S taken by m, or the unit ideal, leaves S/Q of finite length, and its
+    walk ends by itself.
     """
     if not Q.is_proper():
         return TorsionQuotientSnapshot(R, Q, (), ())
@@ -213,6 +222,11 @@ class LimitSystem:
     transitions is never formed as a matrix: transition_chain pushes a given
     block of columns up one level at a time, so every product has the
     operand's few columns on its narrow side.
+
+    ring, prefix and the snapshots live in a frame: ring is phi(R) for a
+    linear change of coordinates phi of the ring R the tower was asked for,
+    and prefix is phi of its prefix.  back maps a term dict of the frame to
+    R's coordinates (to_ring); it is the identity when phi is.
     """
 
     ring: QuotientRing
@@ -222,6 +236,7 @@ class LimitSystem:
     snapshots: list[TorsionQuotientSnapshot]
     transitions: list[np.ndarray]
     frobenius: dict[int, np.ndarray]
+    back: Callable[[dict], dict] = dict
 
     @property
     def p(self) -> int:
@@ -230,13 +245,17 @@ class LimitSystem:
     def lengths(self) -> list[int]:
         return [s.length for s in self.snapshots]
 
+    def to_ring(self, f: Polynomial) -> Polynomial:
+        """The polynomial f of the frame in the coordinates of R."""
+        return Polynomial(f.ring, self.back(f.terms))
+
     def truncated(self, N: int) -> LimitSystem:
         """Levels 1..N of this tower: the system limit_system builds at N."""
         if not 1 <= N <= self.levels:
             raise AlgebraError(f"truncation {N} outside 1..{self.levels}")
         frobenius = {n: m for n, m in self.frobenius.items() if self.p * n <= N}
-        return LimitSystem(self.ring, self.prefix, self.index, N,
-                           self.snapshots[:N], self.transitions[:N - 1], frobenius)
+        return replace(self, levels=N, snapshots=self.snapshots[:N],
+                       transitions=self.transitions[:N - 1], frobenius=frobenius)
 
     def capacity(self, n: int) -> int:
         """Largest e with n * p^e <= N."""
@@ -292,6 +311,16 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int) -> Limit
     When fseq is verified and i < len(fseq), every level is saturated by
     the next element rather than by m (see torsion_quotient).  A square of
     the commutation audit that fails raises InconsistencyError.
+
+    The tower is built in the frame phi of the elements it uses, the prefix
+    and the next element (groebner.linear_frame), where they are variables,
+    the next one last.  A linear change of coordinates over F_p commutes
+    with Frobenius, so the tower of phi(R) = S/phi(J) has the same lengths,
+    kernels and orders.  Its level ideals are monomials plus phi(J), and
+    the saturation by the next element, a variable there, reads the level's
+    own basis.  Witnesses are mapped back by LimitSystem.to_ring.  When the
+    elements are not all linear forms under the standard grading, phi is
+    the identity (_tower_frame_forms) and the tower keeps R's coordinates.
     """
     if not (0 <= i <= len(fseq)):
         raise AlgebraError(f"prefix length {i} out of range")
@@ -299,18 +328,25 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int) -> Limit
         raise AlgebraError("truncation must be >= 1")
     if i > 0 and not fseq.verified:
         raise AlgebraError("prefix is not a verified filter regular sequence")
-    prefix = fseq.elements[:i]
     p = R.p
+    following = fseq.elements[i:i + 1] if fseq.verified else ()
+    forward, back = linear_frame(
+        R.ambient, _tower_frame_forms(R, fseq.elements[:i] + following))
 
-    regular = fseq.elements[i] if fseq.verified and i < len(fseq) else None
+    def framed(f: Polynomial) -> Polynomial:
+        return Polynomial(R.ambient, forward(f.terms))
+
+    frame = QuotientRing(R.ambient, [framed(g) for g in R.relations.own_gens], R.label)
+    prefix = tuple(framed(f) for f in fseq.elements[:i])
+    regular = framed(following[0]) if following else None
     snapshots: list[TorsionQuotientSnapshot] = []
     if i == 0:
-        shared = torsion_quotient(R, ideal(R), regular)
+        shared = torsion_quotient(frame, ideal(frame), regular)
         snapshots = [shared] * N
     else:
         for n in range(1, N + 1):
-            Q = ideal(R, [f**n for f in prefix])
-            snapshots.append(torsion_quotient(R, Q, regular))
+            Q = ideal(frame, [f**n for f in prefix])
+            snapshots.append(torsion_quotient(frame, Q, regular))
 
     product = R.ambient.one()
     for f in prefix:
@@ -322,11 +358,20 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int) -> Limit
         [frobenius_raise(b, 1) for b in snapshots[n - 1].basis])
         for n in range(1, N // p + 1)}
 
-    system = LimitSystem(R, prefix, i, N, snapshots, transitions, frobenius)
+    system = LimitSystem(frame, prefix, i, N, snapshots, transitions, frobenius, back)
     witness = system.audit_commutation()
     if witness is not None:
         raise InconsistencyError(f"Frobenius-transition commutation failed: {witness}")
     return system
+
+
+def _tower_frame_forms(R: QuotientRing, elements) -> tuple[Polynomial, ...]:
+    """The forms limit_system frames a tower by: the sequence elements it
+    uses when all are linear forms under the standard grading, else none,
+    which leaves the tower in R's coordinates."""
+    if all(w == 1 for w in R.ambient.weights) and all(map(is_linear_form, elements)):
+        return tuple(elements)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +444,8 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
             vb = img_b[:, pick].sum(axis=1) % p
             if not (np.any(va) and np.any(vb)):
                 continue
-            witnesses.append(NilpotentWitness(n, e, snap.from_coordinates(v)))
+            witnesses.append(NilpotentWitness(
+                n, e, system.to_ring(snap.from_coordinates(v))))
     max_order = max((w.order for w in witnesses), default=0)
     return NilpotentReport(witnesses, max_order, undetermined)
 

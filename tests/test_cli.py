@@ -526,11 +526,12 @@ def test_jobs_zero_counts_the_cpus_the_process_may_use(capsys, monkeypatch):
 
 
 def test_cap_trip_in_a_pool_worker_is_exit_three(capsys):
-    # traced at seed 42, on verify-inequality's base x+y+u+v, x+v: the
-    # largest top-tower runs pop 55 and 66 pairs, while no run outside the
-    # top tower pops more than 21, so 36 trips inside a tower task
+    # traced at seed 42, on verify-inequality's base x+y+u+v, x+v, with each
+    # tower in the frame of its sequence: the largest tower runs pop 21
+    # pairs, while no run outside the towers pops more than 10, so 15 trips
+    # inside a tower task
     runs = [run_json(capsys, "hsl", "--ring", "two-planes-f2",
-                     "--max-pairs", "36", "--jobs", jobs)
+                     "--max-pairs", "15", "--jobs", jobs)
             for jobs in ("1", "2")]
     assert runs[0][0] == runs[1][0] == 3
     assert runs[1][1]["error"]["type"] == "ResourceCapExceeded"

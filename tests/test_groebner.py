@@ -15,6 +15,7 @@ import frobex.groebner as groebner_module
 import frobex.localcoh as localcoh_module
 from frobex import linalg
 from frobex.algebra import (
+    AlgebraError,
     MonomialOrder,
     PolyRing,
     PrimeField,
@@ -754,6 +755,16 @@ def test_frames_are_built_once_per_block():
     assert frames[0] is not frames[1]
     assert frame_images(frames[0], 3) == frame_images(frames[1], 3)
     assert linear_frame(P, forms) is not linear_frame(P, forms)
+
+
+def test_frame_of_a_form_that_is_not_linear_is_an_error():
+    # only degree-1 coefficients enter the frame's matrix, so x + x^2 would
+    # otherwise get the frame of x; the zero form is skipped as dependent
+    P = poly_ring(2, "x", "y")
+    for text in ("x + x^2", "x*y", "y + 1"):
+        with pytest.raises(AlgebraError, match="linear forms"):
+            linear_frame(P, (P.parse("y"), P.parse(text)))
+    assert is_identity(linear_frame(P, (P.parse("0"), P.parse("y"))), 2)
 
 
 def random_linear_sequence(rng, P):

@@ -214,12 +214,16 @@ def test_limit_system_saturates_by_the_next_linear_element(monkeypatch, label,
     monkeypatch.setattr(localcoh_module, "saturation", spy)
     R = load_corpus_ring(label)
     seq = verified(R, elements)
+    last = (0,) * (R.ambient.nvars - 1) + (1,)
     for i in range(len(elements)):
         saturated_by.clear()
-        limit_system(R, seq, i, 3)
+        system = limit_system(R, seq, i, 3)
         assert saturated_by, (label, i)
         if by_next:
-            assert all(K.own_gens == (seq.elements[i],) for K in saturated_by)
+            # the tower's frame makes the next element its last variable
+            assert all(len(K.own_gens) == 1 and K.own_gens[0].terms.keys() == {last}
+                       and system.to_ring(K.own_gens[0]) == seq.elements[i]
+                       for K in saturated_by)
         else:
             assert all(K.equals(R.maximal_ideal()) for K in saturated_by)
 
@@ -572,7 +576,8 @@ def nilpotent_part_by_full_chains(system, e_max):
             vb = linalg.matmul(almost, v.reshape(-1, 1), p)
             if not (np.any(va) and np.any(vb)):
                 continue
-            witnesses.append(NilpotentWitness(n, e, snap.from_coordinates(v)))
+            witnesses.append(NilpotentWitness(
+                n, e, system.to_ring(snap.from_coordinates(v))))
     max_order = max((w.order for w in witnesses), default=0)
     return NilpotentReport(witnesses, max_order, undetermined)
 
@@ -596,6 +601,117 @@ def test_nilpotent_part_matches_full_chain_oracle(label):
     assert max(orders) == {"depth-zero-f2": 1, "fermat-cubic-p2": 1,
                            "fermat-quintic-p2": 2}.get(label, 0)
 
+
+
+def ring_coordinate_tower(R, seq, i, levels, monkeypatch):
+    """limit_system with no frame forms: the tower in R's own coordinates,
+    the oracle for the tower built in the frame of its sequence."""
+    with monkeypatch.context() as m:
+        m.setattr(localcoh_module, "_tower_frame_forms", lambda R, elements: ())
+        return limit_system(R, seq, i, levels)
+
+
+def assert_witness_order(system, w):
+    """w, in R's coordinates, read in system's coordinates, is a class of
+    exactly its order: chain^order kills it, while it and its image under
+    chain^(order - 1) survive to the truncation edge."""
+    p, N, n, e = system.p, system.levels, w.level, w.order
+    v = system.snapshots[n - 1].coordinate_matrix([w.poly])
+    assert not np.any(linalg.matmul(system.frobenius_chain(n, e), v, p)), w
+    assert np.any(system.transition_chain(n, N, v)), w
+    if e > 1:
+        pushed = linalg.matmul(system.frobenius_chain(n, e - 1), v, p)
+        assert np.any(system.transition_chain(n * p**(e - 1), N, pushed)), w
+
+
+def assert_framed_towers_match_ring_coordinates(R, seq, N, e_max, monkeypatch):
+    """Every tower of seq, built in its frame, against the ring-coordinate
+    tower: lengths, the kernel dimension of every Frobenius chain, the base
+    and probe orders, and each witness's order in the oracle's coordinates.
+    Returns the number of towers whose frame moved R's coordinates and the
+    number of witnesses checked."""
+    moved = checked = 0
+    units = [R.ambient.monomial(m) for m in
+             monomials_of_weighted_degree(R.ambient.nvars, 1, (1,) * R.ambient.nvars)]
+    for i in range(R.dim + 1):
+        framed = limit_system(R, seq, i, N + PROBE_STEP)
+        oracle = ring_coordinate_tower(R, seq, i, N + PROBE_STEP, monkeypatch)
+        assert all(oracle.to_ring(u) == u for u in units)
+        moved += any(framed.to_ring(u) != u for u in units)
+        assert framed.lengths() == oracle.lengths(), (R, i)
+        for n in range(1, framed.levels + 1):
+            for e in range(1, framed.capacity(n) + 1):
+                kernels = [linalg.nullspace(t.frobenius_chain(n, e), R.p).shape[0]
+                           for t in (framed, oracle)]
+                assert kernels[0] == kernels[1], (R, i, n, e)
+        for levels, depth in ((N, e_max), (N + PROBE_STEP, e_max + 1)):
+            got = nilpotent_part(framed.truncated(levels), depth)
+            want = nilpotent_part(oracle.truncated(levels), depth)
+            assert got.max_order == want.max_order, (R, i, levels)
+            assert got.undetermined_levels == want.undetermined_levels
+            for w in got.witnesses:
+                assert_witness_order(oracle.truncated(levels), w)
+            checked += len(got.witnesses)
+    return moved, checked
+
+
+@pytest.mark.parametrize("seed", [42, 1801])
+def test_framed_towers_match_ring_coordinates_on_the_corpus(seed, monkeypatch):
+    counts = np.zeros(2, dtype=int)  # towers moved, witnesses checked
+    with shared_bases():
+        for label in corpus_labels():
+            R = load_corpus_ring(label)
+            counts += assert_framed_towers_match_ring_coordinates(
+                R, parameter_base(R, seed), 8, 8, monkeypatch)
+    assert counts[0] >= 10 and counts[1] >= 10, counts
+
+
+def dense_linear_sequence(rng, R):
+    """dim(R) linear forms, each coefficient a random unit with probability
+    3/4 and 0 otherwise, drawn until the sequence is filter regular."""
+    P = R.ambient
+    units = monomials_of_weighted_degree(P.nvars, 1, (1,) * P.nvars)
+    for _ in range(100):
+        forms = [P.poly({u: rng.randrange(1, P.p) for u in units if rng.random() < 0.75})
+                 for _ in range(R.dim)]
+        seq = make_sequence(R, forms)
+        if all(forms) and is_filter_regular_sequence(seq)[0]:
+            return seq
+    raise AssertionError(f"no filter regular dense sequence on {R}")
+
+
+def random_tower_rings(p):
+    """A regular ring, a hypersurface, a non-CM ring of depth 1 and a ring of
+    depth 0, over F_p."""
+    yield QuotientRing(PolyRing(PrimeField(p), ("x", "y")), [])
+    yield QuotientRing(PolyRing(PrimeField(p), ("x", "y", "z")), ["x^3 + y^3 + z^3"])
+    yield QuotientRing(PolyRing(PrimeField(p), ("x", "y", "u", "v")),
+                       ["x*u", "x*v", "y*u", "y*v"])
+    yield QuotientRing(PolyRing(PrimeField(p), ("x", "y", "z")), ["x*z", "y*z", "z^2"])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_framed_towers_match_ring_coordinates_on_dense_sequences(p, monkeypatch):
+    # N = 8 gives every tower a Frobenius map, at p = 7 from level 1
+    rng = random.Random(1801 + p)
+    counts = np.zeros(2, dtype=int)  # towers moved, witnesses checked
+    with shared_bases():
+        for R in random_tower_rings(p):
+            seq = dense_linear_sequence(rng, R)
+            counts += assert_framed_towers_match_ring_coordinates(R, seq, 8, 3, monkeypatch)
+    assert counts[0] >= 8 and counts[1] >= 2, counts
+
+
+@pytest.mark.parametrize("kind", ["weighted ring", "inhomogeneous sequence"])
+def test_towers_off_linear_forms_keep_ring_coordinates(kind, monkeypatch):
+    if kind == "weighted ring":
+        P = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (3, 2))
+        R, elements = QuotientRing(P, ["x^2 + y^3"], label="cusp"), ["y"]
+    else:
+        R, elements = load_corpus_ring("regular-f2-xy"), ["x + x^2", "y"]
+    seq = verified(R, elements)
+    assert localcoh_module._tower_frame_forms(R, seq.elements) == ()
+    assert assert_framed_towers_match_ring_coordinates(R, seq, 4, 3, monkeypatch)[0] == 0
 
 
 def synthetic_system(R, transitions, frobenius):
@@ -1037,9 +1153,11 @@ def test_limit_system_matrices_match_per_column_coordinates_on_corpus_towers():
         seq = parameter_base(R, 42)
         for i in range(len(seq) + 1):
             system = limit_system(R, seq, i, 10)
+            # the tower lives in a frame, whose prefix maps back to the sequence's
             product = R.ambient.one()
-            for f in seq.elements[:i]:
+            for f in system.prefix:
                 product = product * f
+            assert [system.to_ring(f) for f in system.prefix] == list(seq.elements[:i])
             snaps = system.snapshots
             maps = [(snaps[n - 1], snaps[n], system.transitions[n - 1],
                      lambda b: b * product) for n in range(1, 10)]
