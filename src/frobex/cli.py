@@ -255,7 +255,7 @@ def cmd_frobenius_preimage(args) -> int:
 def cmd_frobenius_closure(args) -> int:
     R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
-    result = frobenius_closure(I, args.emax, args.window)
+    result = frobenius_closure(I, args.emax)
     payload = {"ring_label": R.label, **result.to_dict()}
     gens = [str(g) for g in result.closure.groebner_basis()]
     lines = ["Frobenius closure:"] + [f"  {g}" for g in gens]
@@ -268,7 +268,7 @@ def cmd_frobenius_closure(args) -> int:
 def cmd_frobenius_fte(args) -> int:
     R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
-    result = frobenius_closure(I, args.emax, args.window)
+    result = frobenius_closure(I, args.emax)
     payload = {"ring_label": R.label, "ideal": [str(g) for g in I.own_gens],
                "fte": result.fte, "closure": result.to_dict()}
     _emit(args, "frobenius-fte", payload, [f"Fte = {result.fte}"])
@@ -278,7 +278,7 @@ def cmd_frobenius_fte(args) -> int:
 def cmd_fte_scan(args) -> int:
     R = _load_ring(args)
     report = fte_scan(R, n_random=args.samples, seed=args.seed, e_max=args.emax,
-                      window=args.window, jobs=_require_jobs(args))
+                      jobs=_require_jobs(args))
     payload = report.to_dict()
     body = []
     for s in report.samples:
@@ -343,7 +343,7 @@ def cmd_prop34_check(args) -> int:
 def cmd_verify_inequality(args) -> int:
     R = _load_ring(args)
     scan, hsl = scan_and_hsl(R, n_random=args.samples, seed=args.seed,
-                             e_max=args.emax, window=args.window, N=args.trunc,
+                             e_max=args.emax, N=args.trunc,
                              jobs=_require_jobs(args))
     report = verify_inequality(R, scan, hsl)
     payload = {**report.to_dict(), "scan": scan.to_dict(), "hsl": hsl.to_dict()}
@@ -398,8 +398,6 @@ _FLAGS = {
     "--emax": (0, dict(type=int, default=8, metavar="E", help="Frobenius chain depth bound")),
     "--n": (1, dict(type=int, default=1)),
     "--e": (0, dict(type=int, default=1)),
-    "--window": (1, dict(type=int, default=2, metavar="W",
-                         help="stabilization window for closure chains")),
     "--samples": (0, dict(type=int, default=5, metavar="K",
                           help="random parameter ideals per scan")),
     "--jobs": (0, dict(type=int, default=0, metavar="J",
@@ -468,25 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
              "bracket power I^[p^e]")
     _command(frsub, "preimage", cmd_frobenius_preimage, "--ring --e --ideal",
              "q-power preimage {x : x^q in K}")
-    _command(frsub, "closure", cmd_frobenius_closure, "--ring --emax --window --ideal",
+    _command(frsub, "closure", cmd_frobenius_closure, "--ring --emax --ideal",
              "Frobenius closure I^F")
-    _command(frsub, "fte", cmd_frobenius_fte, "--ring --emax --window --ideal",
+    _command(frsub, "fte", cmd_frobenius_fte, "--ring --emax --ideal",
              "Frobenius test exponent of an ideal")
     # top-level shorthand for the most common query
-    _command(sub, "fte", cmd_frobenius_fte, "--ring --emax --window --ideal",
+    _command(sub, "fte", cmd_frobenius_fte, "--ring --emax --ideal",
              "shorthand for 'frobenius fte'")
 
-    _command(sub, "fte-scan", cmd_fte_scan, "--ring --seed --emax --window --samples --jobs",
+    _command(sub, "fte-scan", cmd_fte_scan, "--ring --seed --emax --samples --jobs",
              "closure/test-exponent scan over parameter ideals")
     _command(sub, "hsl", cmd_hsl, "--ring --seed --trunc --emax --jobs --sequence",
              "HSL numbers per degree")
     _command(sub, "ns-check", cmd_ns_check, "--ring --seed --trunc",
              "two-sequence limit-tower consistency check")
-    # no --window: its closures always use window 2
     _command(sub, "prop34-check", cmd_prop34_check, "--ring --trunc --emax --n --e --prefix",
              "closure/nilpotence correspondence check")
     _command(sub, "verify-inequality", cmd_verify_inequality,
-             "--ring --seed --trunc --emax --window --samples --jobs",
+             "--ring --seed --trunc --emax --samples --jobs",
              "compare sampled Fte bound against the HSL estimate")
     sp = _command(sub, "corpus", cmd_corpus, "", "bundled example rings")
     sp.add_argument("label", nargs="?", help="print one spec instead of the list")

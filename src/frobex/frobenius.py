@@ -238,6 +238,11 @@ def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:
     return IdealHandle(K.ring, out)
 
 
+# The closure chain is stable once this many levels past its last growth
+# equal it; a heuristic, and the one stopping rule of every chain.
+CLOSURE_WINDOW = 2
+
+
 @dataclass
 class ClosureResult:
     """The closure chain J_0 = I, J_1, ..., J_L of frobenius_closure, and
@@ -245,17 +250,16 @@ class ClosureResult:
 
     g^[p^e] lies in I^[p^e] + J exactly when g lies in J_e, so fte is the
     least e with closure^[p^e] = I^[p^e]: the Frobenius test exponent of I
-    once the chain is stable, that is once window levels past fte equal
-    it.  stabilized_at is fte when some level past it was computed (None
-    when the chain grew at its last level).  certified is True only when
-    the chain is stable and never grew, in which case closure == I exactly
-    by definition; otherwise the reported closure is the stabilized chain
-    value under the window heuristic.
+    once the chain is stable, that is once CLOSURE_WINDOW levels past fte
+    equal it.  stabilized_at is fte when some level past it was computed
+    (None when the chain grew at its last level).  certified is True only
+    when the chain is stable and never grew, in which case closure == I
+    exactly by definition; otherwise the reported closure is the stabilized
+    chain value under the CLOSURE_WINDOW heuristic.
     """
 
     levels: list[IdealHandle]
     fte: int
-    window_checked: int
 
     @property
     def closure(self) -> IdealHandle:
@@ -271,7 +275,7 @@ class ClosureResult:
 
     @property
     def stable(self) -> bool:
-        return self.levels_computed - self.fte >= self.window_checked
+        return self.levels_computed - self.fte >= CLOSURE_WINDOW
 
     @property
     def certified(self) -> bool:
@@ -285,7 +289,7 @@ class ClosureResult:
         return {
             "closure": [str(g) for g in self.closure.groebner_basis()],
             "stabilized_at": self.stabilized_at,
-            "window_checked": self.window_checked,
+            "window_checked": CLOSURE_WINDOW,
             "certified": self.certified,
             "chain_lengths": self.chain_lengths,
             "stable": self.stable,
@@ -293,38 +297,44 @@ class ClosureResult:
         }
 
 
-def frobenius_closure(I: IdealHandle, e_max: int = 8, window: int = 2) -> ClosureResult:
+def _next_level(levels: list) -> IdealHandle:
+    """Build J_e = qpower_preimage(I^[p^e], e) for e = len(levels), with
+    levels holding J_0 = I, ..., J_(e-1), and append it; an InconsistencyError
+    when it does not contain J_(e-1)."""
+    e = len(levels)
+    level = qpower_preimage(frobenius_power(levels[0], e), e)
+    if not level.contains_ideal(levels[-1]):
+        raise InconsistencyError(f"closure chain not ascending at level {e}")
+    levels.append(level)
+    return level
+
+
+def frobenius_closure(I: IdealHandle, e_max: int = 8) -> ClosureResult:
     """The ascending chain J_e = qpower_preimage(I^[p^e], e) from J_0 = I,
-    until `window` consecutive levels equal the one before them or e_max
-    is reached."""
+    until CLOSURE_WINDOW consecutive levels equal the one before them or
+    e_max is reached."""
     if e_max < 1:
         raise AlgebraError("e_max must be >= 1")
-    if window < 1:
-        raise AlgebraError("window must be >= 1")
     levels = [IdealHandle(I.ring, I.own_gens)]
     fte = 0
     for e in range(1, e_max + 1):
-        current = qpower_preimage(frobenius_power(I, e), e)
-        if not current.contains_ideal(levels[-1]):
-            raise InconsistencyError(f"closure chain not ascending at level {e}")
-        if not current.equals(levels[-1]):
+        if not _next_level(levels).equals(levels[-2]):
             fte = e
-        levels.append(current)
-        if e - fte >= window:
+        if e - fte >= CLOSURE_WINDOW:
             break
-    return ClosureResult(levels, fte, window)
+    return ClosureResult(levels, fte)
 
 
 def chain_level(g: Polynomial, levels: list, e_max: int) -> int | None:
     """The least e <= e_max with g in J_e, that is with g^[p^e] in
     I^[p^e] + J, or None.  levels holds J_0 = I, J_1, ... as far as they
-    are built (J_0 at least); a level past them is built here, as
-    qpower_preimage(I^[p^e], e), and appended.  So levels is a list the
-    caller owns, never a ClosureResult's own, whose last level is its
-    closure."""
+    are built (J_0 at least); a level past them is built here, checked to
+    contain the one before it as in frobenius_closure, and appended.  So
+    levels is a list the caller owns, never a ClosureResult's own, whose
+    last level is its closure."""
     for e in range(e_max + 1):
         if e == len(levels):
-            levels.append(qpower_preimage(frobenius_power(levels[0], e), e))
+            _next_level(levels)
         if levels[e].contains(g):
             return e
     return None
@@ -385,7 +395,6 @@ class FteScanReport:
     max_fte: int | None
     any_failures: bool
     e_max: int
-    window: int
 
     def to_dict(self) -> dict:
         return {
@@ -399,11 +408,11 @@ class FteScanReport:
             "max_fte": self.max_fte,
             "any_failures": self.any_failures,
             "e_max": self.e_max,
-            "window": self.window,
+            "window": CLOSURE_WINDOW,
         }
 
 
-def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSample:
+def _run_sample(R: QuotientRing, task: dict, e_max: int) -> ScanSample:
     kind = task["kind"]
     descriptor = task["descriptor"]
     gens: list[str] = []
@@ -417,7 +426,7 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int, window: int) -> ScanSam
             polys = list(handle.own_gens)
         gens = [str(g) for g in polys]
         sample = ScanSample(kind, descriptor, gens,
-                            frobenius_closure(ideal(R, polys), e_max, window))
+                            frobenius_closure(ideal(R, polys), e_max))
         if not sample.chain.stable:
             sample.error = "closure chain did not stabilize within e_max"
         return sample
@@ -455,8 +464,7 @@ def _start_worker(caps: GBConfig) -> None:
 
 
 def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
-             seed: int = 42, e_max: int = 8, window: int = 2,
-             jobs: int = 1) -> FteScanReport:
+             seed: int = 42, e_max: int = 8, jobs: int = 1) -> FteScanReport:
     """Closure and test exponent for a deterministic batch of parameter
     ideals: n_random random filter regular systems of parameters plus the
     prefix-power families of one base system (see parameter_base).
@@ -465,25 +473,20 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     overflows) are recorded on the sample and the scan continues; any other
     error is raised.  Requires dim(R) >= 1.
     """
-    base, tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max,
-                              window)
-    samples = map_tasks(functools.partial(_run_sample, e_max=e_max, window=window),
-                        R, tasks, jobs)
-    return _scan_report(R, base, samples, n_random, power_family_max, seed,
-                       e_max, window)
+    base, tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max)
+    samples = map_tasks(functools.partial(_run_sample, e_max=e_max), R, tasks, jobs)
+    return _scan_report(R, base, samples, n_random, power_family_max, seed, e_max)
 
 
 def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
-               seed: int, e_max: int, window: int) -> tuple[FilterSequence, list[dict]]:
+               seed: int, e_max: int) -> tuple[FilterSequence, list[dict]]:
     """The base system of parameters of fte_scan and its sample tasks, each
     run by _run_sample; raises unless dim(R) >= 1 and the closure chain's
-    e_max and window are >= 1, before any basis is built."""
+    e_max is >= 1, before any basis is built."""
     if R.dim < 1:
         raise SequenceShapeError("scan needs a ring of positive dimension")
     if e_max < 1:
         raise AlgebraError("e_max must be >= 1")
-    if window < 1:
-        raise AlgebraError("window must be >= 1")
     base = parameter_base(R, seed)
     tasks: list[dict] = []
     for k in range(n_random):
@@ -505,8 +508,8 @@ def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
 
 
 def _scan_report(R: QuotientRing, base: FilterSequence, samples: list[ScanSample],
-                n_random: int, power_family_max: int, seed: int, e_max: int,
-                window: int) -> FteScanReport:
+                n_random: int, power_family_max: int, seed: int,
+                e_max: int) -> FteScanReport:
     """The report of fte_scan from its samples, in the order of _scan_tasks."""
     good = [s.fte for s in samples if s.fte is not None and s.error is None]
     return FteScanReport(
@@ -520,5 +523,4 @@ def _scan_report(R: QuotientRing, base: FilterSequence, samples: list[ScanSample
         max_fte=max(good) if good else None,
         any_failures=any(s.error is not None for s in samples),
         e_max=e_max,
-        window=window,
     )

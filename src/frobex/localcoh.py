@@ -440,10 +440,7 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
                 # lies outside exactly one of the two kernels
                 pick = [alive_a[0], alive_b[0]]
             v = kernel[pick].sum(axis=0) % p
-            va = img_a[:, pick].sum(axis=1) % p
-            vb = img_b[:, pick].sum(axis=1) % p
-            if not (np.any(va) and np.any(vb)):
-                continue
+            # v survives both: exactly one picked column is nonzero in each image
             witnesses.append(NilpotentWitness(
                 n, e, system.to_ring(snap.from_coordinates(v))))
     max_order = max((w.order for w in witnesses), default=0)
@@ -565,9 +562,9 @@ def _hsl_report(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
 
 
 def scan_and_hsl(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
-                 seed: int = 42, e_max: int = 8, window: int = 2, N: int = 8,
+                 seed: int = 42, e_max: int = 8, N: int = 8,
                  jobs: int = 1) -> tuple[FteScanReport, HslReport]:
-    """fte_scan(R, n_random, power_family_max, seed, e_max, window) and
+    """fte_scan(R, n_random, power_family_max, seed, e_max) and
     hsl_estimate(R, scan.base, N, e_max), as one map_tasks call.
 
     The towers need only the base sequence, which is built before the map,
@@ -576,25 +573,23 @@ def scan_and_hsl(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     for its slowest worker.  Both reports equal those of the two calls, and
     the checks of both run, in the same order, before any task does.
     """
-    base, sample_tasks = _scan_tasks(R, n_random, power_family_max, seed,
-                                     e_max, window)
+    base, sample_tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max)
     _check_hsl_args(R, base, e_max)
     d = R.dim
-    task = functools.partial(_scan_or_tower, fseq=base, N=N, e_max=e_max,
-                             window=window)
+    task = functools.partial(_scan_or_tower, fseq=base, N=N, e_max=e_max)
     results = map_tasks(task, R, list(range(d, -1, -1)) + sample_tasks, jobs)
     scan = _scan_report(R, base, results[d + 1:], n_random, power_family_max,
-                        seed, e_max, window)
+                        seed, e_max)
     return scan, _hsl_report(R, base, N, e_max, results[d::-1])
 
 
 def _scan_or_tower(R: QuotientRing, task, fseq: FilterSequence, N: int,
-                   e_max: int, window: int):
+                   e_max: int):
     """A task of scan_and_hsl: the tower of degree task when it is an int,
     else the scan sample it describes."""
     if isinstance(task, int):
         return _hsl_tower(R, task, fseq, N, e_max)
-    return _run_sample(R, task, e_max, window)
+    return _run_sample(R, task, e_max)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +998,7 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     if not ok_seq:
         raise AlgebraError(f"prefix is not filter regular at index {bad}")
 
-    closure = frobenius_closure(ideal(R, [f**n for f in prefix]), e_max, 2)
+    closure = frobenius_closure(ideal(R, [f**n for f in prefix]), e_max)
     forward: list = []
     forward_ok = True
     levels = list(closure.levels)
@@ -1023,7 +1018,7 @@ def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,
     backward_ok = True
     for w in nil.witnesses:
         level_ideal = ideal(R, [f**w.level for f in prefix])
-        level_closure = frobenius_closure(level_ideal, e_max, 2)
+        level_closure = frobenius_closure(level_ideal, e_max)
         member = level_closure.closure.contains(w.poly)
         entry = {"level": w.level, "order": w.order, "poly": str(w.poly),
                  "in_closure": member}

@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -9,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -18,9 +21,9 @@ import frobex.frobenius as frobenius_module
 import frobex.groebner as groebner_module
 import frobex.localcoh as localcoh_module
 from frobex.cli import main
-from frobex.corpus import corpus_labels
+from frobex.corpus import corpus_labels, load_corpus_ring
 from frobex.frobenius import InconsistencyError
-from frobex.groebner import IdealHandle
+from frobex.groebner import IdealHandle, ideal
 
 
 def run(capsys, *argv):
@@ -368,10 +371,10 @@ def test_internal_error_in_a_scan_sample_is_exit_one(capsys, monkeypatch, jobs):
     # patched closure)
     closure = frobenius_module.frobenius_closure
 
-    def broken_closure(I, e_max, window):
+    def broken_closure(I, e_max):
         if [str(g) for g in I.own_gens] == ["x^2", "y"]:
             raise InconsistencyError("closure chain not ascending at level 1")
-        return closure(I, e_max, window)
+        return closure(I, e_max)
 
     monkeypatch.setattr(frobenius_module, "frobenius_closure", broken_closure)
     code, doc, _ = run_json(capsys, "verify-inequality", "--ring", "fermat-cubic-p2",
@@ -539,6 +542,155 @@ def test_cap_trip_in_a_pool_worker_is_exit_three(capsys):
     assert multiprocessing.active_children() == []
 
 
+# --- failed checks ---
+
+def _tower_b_shifted(i, level):
+    """limit_system, with sequence b's tower of degree i one longer from the
+    given level on; ns-check builds the towers of a and b in turn, a first."""
+    real, calls = localcoh_module.limit_system, itertools.count(1)
+
+    def limit_system(R, fseq, j, N):
+        system = real(R, fseq, j, N)
+        if next(calls) % 2 or j != i:
+            return system
+        lengths = [v + (k + 1 >= level) for k, v in enumerate(system.lengths())]
+        return types.SimpleNamespace(lengths=lambda: lengths)
+    return limit_system
+
+
+def _koszul_moved(i, to_edge):
+    """koszul_cohomology_table, with one more class in degree 0 of H^i, or
+    that class moved from degree 0 to the window's top degree."""
+    real = localcoh_module.koszul_cohomology_table
+
+    def koszul_cohomology_table(R, powers, lo, hi):
+        table = real(R, powers, lo, hi)
+        if to_edge:
+            table[i][0] -= 1
+            table[i][hi] += 1
+        else:
+            table[i][0] += 1
+        return table
+    return koszul_cohomology_table
+
+
+# regular-f2-xy at --trunc 4: H^0 = H^1 = 0, and the top tower is 1, 4, 9, 16
+NS_BREAKS = {
+    "top-tower": (_tower_b_shifted(2, 3), "fail",
+                  "top tower differs at level 3: 9 vs 10", None),
+    "stabilized-tail": (_tower_b_shifted(1, 1), "fail",
+                        "stabilized lengths differ at i=1: 0 vs 1", None),
+    "oracle-top": (_koszul_moved(2, False), "fail",
+                   "oracle mismatch at top degree, n=1: koszul 2 vs tower 1", None),
+    "oracle-below-top": (_koszul_moved(1, False), "fail",
+                         "oracle mismatch at i=1, n=1: koszul 1 vs stabilized tower 0",
+                         None),
+    "oracle-window": (_koszul_moved(2, True), "inconclusive", None,
+                      "oracle window too small at i=2, n=1"),
+}
+
+
+@pytest.mark.parametrize("case", NS_BREAKS)
+def test_ns_check_failure_branches(capsys, monkeypatch, case):
+    broken, status, first, note = NS_BREAKS[case]
+    monkeypatch.setattr(localcoh_module, broken.__name__, broken)
+    argv = ("ns-check", "--ring", "regular-f2-xy", "--trunc", "4")
+    code, doc, _ = run_json(capsys, *argv)
+    assert (code, doc["status"], doc["first_disagreement"]) == (1, status, first)
+    assert note is None or note in doc["notes"]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and f"status: {status}" in lines
+    assert [line for line in lines if line.startswith("first disagreement: ")] == \
+        ([f"first disagreement: {first}"] if first else [])
+
+
+def _hsl_replaced(**fields):
+    real = localcoh_module._hsl_report
+    return lambda *args: dataclasses.replace(real(*args), **fields)
+
+
+# fermat-cubic-p2 passes with max_fte = hsl_overall = 1 and no note
+VI_BREAKS = {
+    "mechanism-over-fte": (
+        "chain_level", lambda g, levels, e_max: e_max + 1,
+        {"status": "fail", "holds": True, "mechanism_ok": False}, None),
+    "does-not-hold": (
+        "_hsl_report", _hsl_replaced(overall=2),
+        {"status": "fail", "holds": False, "mechanism_ok": True}, None),
+    "unstable-hsl": (
+        "_hsl_report", _hsl_replaced(stable=False),
+        {"status": "inconclusive", "holds": True, "mechanism_ok": True},
+        "HSL probe run disagreed with the base run"),
+}
+
+
+@pytest.mark.parametrize("case", VI_BREAKS)
+def test_verify_inequality_failure_branches(capsys, monkeypatch, case):
+    name, broken, want, note = VI_BREAKS[case]
+    monkeypatch.setattr(localcoh_module, name, broken)
+    argv = ("verify-inequality", "--ring", "fermat-cubic-p2", "--samples", "0",
+            "--trunc", "4", "--jobs", "1")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert {k: doc[k] for k in want} == want
+    assert doc["notes"] == ([note] if note else [])
+    violating = [c for m in doc["mechanism"] for c in m["classes"] if c.get("violating")]
+    assert bool(violating) == (not want["mechanism_ok"])
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and f"status: {want['status']}" in lines
+    assert [line for line in lines if line.startswith("note: ")] == \
+        ([f"note: {note}"] if note else [])
+
+
+def _witnesses_outside_the_closure():
+    """nilpotent_part, with each witness replaced by the unit, which lies in
+    no closure of a proper ideal."""
+    real = localcoh_module.nilpotent_part
+
+    def nilpotent_part(system, e_max):
+        report = real(system, e_max)
+        return dataclasses.replace(report, witnesses=[
+            dataclasses.replace(w, poly=w.poly.ring.one()) for w in report.witnesses])
+    return nilpotent_part
+
+
+@pytest.mark.parametrize("e, broken", [("0", "forward"), ("1", "backward")])
+def test_prop34_check_failure_branches(capsys, monkeypatch, e, broken):
+    # at e = 0 the closure class x^2, of order 1, violates the forward
+    # direction, and no witness is sought
+    if broken == "backward":
+        monkeypatch.setattr(localcoh_module, "nilpotent_part",
+                            _witnesses_outside_the_closure())
+    code, doc, _ = run_json(capsys, "prop34-check", "--ring", "fermat-cubic-p2",
+                            "--prefix", "y, z", "--trunc", "4", "--emax", "4",
+                            "--e", e)
+    assert code == 1 and doc["ok"] is False
+    for side in ("forward", "backward"):
+        assert doc[f"{side}_ok"] is (side != broken)
+        assert any(entry.get("violating") for entry in doc[side]) is (side == broken)
+    assert doc[broken]
+
+
+def test_a_chain_level_below_the_one_before_it_is_exit_one(capsys, monkeypatch):
+    # every closure chain level is checked to contain the level before it,
+    # whether frobenius_closure or chain_level builds it
+    monkeypatch.setattr(frobenius_module, "qpower_preimage",
+                        lambda K, e: IdealHandle(K.ring))
+    R = load_corpus_ring("fermat-cubic-p2")
+    I = ideal(R, "y", "z")
+    message = "closure chain not ascending at level 1"
+    with pytest.raises(InconsistencyError, match=message):
+        frobenius_module.frobenius_closure(I)
+    with pytest.raises(InconsistencyError, match=message):
+        frobenius_module.chain_level(R.parse("x^2"), [I], 1)
+    for argv in (("fte", "--ideal", "y, z"), ("prop34-check", "--prefix", "y, z")):
+        code, doc, _ = run_json(capsys, *argv, "--ring", "fermat-cubic-p2")
+        assert code == 1
+        assert doc["error"] == {"type": "InconsistencyError", "message": message}
+
+
 # --- exit codes and error documents ---
 
 def test_unknown_command_is_usage(capsys):
@@ -572,7 +724,8 @@ def test_parse_error_is_usage(capsys):
     ("gb", "--ring", "regular-f2-xy", "--ideal", "x", "--bogus"),
     ("gb", "--ring", "regular-f2-xy", "--ideal", "x", "--max-pairs", "0"),
     ("ns-check", "--ring", "regular-f2-xy", "--jobs", "2"),
-], ids=["unknown-flag", "flag-below-bound", "undeclared-flag"])
+    ("fte", "--ring", "regular-f2-xy", "--ideal", "x", "--window", "2"),
+], ids=["unknown-flag", "flag-below-bound", "undeclared-flag", "removed-window-flag"])
 def test_usage_error_under_json_is_the_error_document(capsys, argv):
     code, doc, _ = run_json(capsys, *argv)
     assert code == 2

@@ -480,7 +480,7 @@ def test_closure_fermat_cubic_known_value():
 
 def test_closure_short_budget_reports_unstable():
     R = load_corpus_ring("fermat-cubic-p2")
-    res = frobenius_closure(ideal(R, "y", "z"), e_max=1, window=2)
+    res = frobenius_closure(ideal(R, "y", "z"), e_max=1)
     assert not res.stable
     assert res.levels_computed == 1
 
@@ -516,7 +516,7 @@ def test_chain_level_matches_the_bracket_definition():
     for k, (I, e_max) in enumerate(cases):
         P = I.ambient
         # every other case reads J_1 off a chain and builds only J_2
-        levels = (frobenius_closure(I, 1, 1).levels if k % 2 and e_max > 1
+        levels = (frobenius_closure(I, 1).levels if k % 2 and e_max > 1
                   else [I])
         # members, the quadratic monomials (x^2 has order 1 over the
         # cubic and 2 over the quintic), and random elements with exponents
@@ -689,8 +689,7 @@ def test_pool_tasks_get_the_callers_ring():
 def test_fte_scan_records_sample_failures():
     # a closure chain that cannot stabilize within e_max is an honest failure
     R = load_corpus_ring("fermat-cubic-p2")
-    report = fte_scan(R, n_random=0, power_family_max=1, seed=42,
-                      e_max=1, window=2)
+    report = fte_scan(R, n_random=0, power_family_max=1, seed=42, e_max=1)
     assert report.any_failures
     assert report.max_fte is None
     assert all(s.error for s in report.samples)

@@ -1071,7 +1071,7 @@ def test_verify_inequality_rejects_foreign_reports():
 def test_verify_inequality_inconclusive_without_samples():
     R = load_corpus_ring("fermat-cubic-p2")
     scan = fte_scan(R, n_random=0, power_family_max=1, seed=42,
-                    e_max=1, window=2)  # every sample fails to stabilize
+                    e_max=1)  # every sample fails to stabilize
     hsl = hsl_estimate(R, verified(R, ["y", "z"]), N=4, e_max=1)
     rep = verify_inequality(R, scan, hsl)
     assert rep.status == "inconclusive"
