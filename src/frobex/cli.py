@@ -7,16 +7,23 @@ byte-identical JSON apart from the timestamp), and exits 0 on
 pass/success, 1 on a failed check, 2 on usage errors, 3 when a resource
 cap aborted the computation.  Each subcommand declares only the flags of
 _FLAGS that it reads; any other flag is a usage error.
+
+Every document goes through one json.dumps hook, _encode.  A report whose
+document is exactly its fields is handed over as is; the closure, scan
+sample and scan documents are views (keys read off a chain, base_sop, the
+window), built by their own to_dict.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
 import os
 import sys
+import time
 
 from .algebra import AlgebraError, ParseError, Polynomial
 from .corpus import (
@@ -74,12 +81,27 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _fields(report) -> dict:
+    """The JSON document of a report that is exactly its fields."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def _encode(obj):
+    """json.dumps's hook for what it cannot write itself: a polynomial is its
+    text and a dataclass its fields.  json writes int keys as strings and
+    tuples as lists."""
+    if isinstance(obj, Polynomial):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
+
+
 def _emit(args, name: str, payload: dict, lines: list[str]) -> None:
     if args.json:
         doc = {"schema": f"frobex/{name}/{_SCHEMA_VERSIONS.get(name, 1)}",
-               "timestamp": _timestamp()}
-        doc.update(payload)
-        print(json.dumps(doc, indent=2))
+               "timestamp": _timestamp(), **payload}
+        print(json.dumps(doc, indent=2, default=_encode))
     else:
         for line in lines:
             print(line)
@@ -148,15 +170,16 @@ def _require_jobs(args) -> int:
 def cmd_gb(args) -> int:
     R = _load_ring(args)
     I = ideal(R, _parse_polys(R, args.ideal))
+    t0 = time.perf_counter()
     gens = [str(g) for g in I.groebner_basis()]
+    seconds = time.perf_counter() - t0
     stats = I.gb_stats
-    payload = {"ring_label": R.label, "generators": gens,
-               "stats": stats.to_dict()}
+    payload = {"ring_label": R.label, "generators": gens, "stats": stats}
     lines = ["reduced Groebner basis (with ring relations):"]
     lines += [f"  {g}" for g in gens]
     lines.append(f"pairs={stats.pairs_processed} zero_reductions={stats.zero_reductions} "
                  f"max_degree={stats.max_degree_seen} size={stats.basis_size} "
-                 f"time={stats.wall_seconds:.3f}s")
+                 f"time={seconds:.3f}s")
     _emit(args, "gb", payload, lines)
     return EXIT_OK
 
@@ -303,7 +326,7 @@ def cmd_hsl(args) -> int:
             for i in sorted(report.per_index)]
     lines = _rows(["i", "order", "stable"], body)
     lines.append(f"HSL = {report.overall} ({'stable' if report.stable else 'unstable'})")
-    _emit(args, "hsl", report.to_dict(), lines)
+    _emit(args, "hsl", _fields(report), lines)
     return EXIT_OK
 
 
@@ -312,7 +335,6 @@ def cmd_ns_check(args) -> int:
     seq_a = parameter_base(R, args.seed)
     seq_b = random_filter_regular_sop(R, derive_seed(args.seed, "ns", 1))
     report = ns_consistency_check(R, seq_a, seq_b, N=args.trunc)
-    payload = report.to_dict()
     body = []
     for i in sorted(report.tables):
         body.append([str(i), str(report.tables[i]["a"]), str(report.tables[i]["b"]),
@@ -321,7 +343,7 @@ def cmd_ns_check(args) -> int:
     lines.append(f"status: {report.status}")
     if report.first_disagreement:
         lines.append(f"first disagreement: {report.first_disagreement}")
-    _emit(args, "ns-check", payload, lines)
+    _emit(args, "ns-check", _fields(report), lines)
     return EXIT_OK if report.status == "pass" else EXIT_CHECK
 
 
@@ -329,14 +351,13 @@ def cmd_prop34_check(args) -> int:
     R = _load_ring(args)
     report = prop34_check(R, _parse_polys(R, args.prefix), n=args.n, e=args.e,
                           N=args.trunc, e_max=args.emax)
-    payload = report.to_dict()
     lines = [f"forward (closure classes nilpotent of order <= {args.e}): "
              f"{'pass' if report.forward_ok else 'fail'}"]
     lines += [f"  {entry}" for entry in report.forward]
     lines.append(f"backward (nilpotent witnesses lie in the closure): "
                  f"{'pass' if report.backward_ok else 'fail'}")
     lines += [f"  {entry}" for entry in report.backward]
-    _emit(args, "prop34-check", payload, lines)
+    _emit(args, "prop34-check", _fields(report), lines)
     return EXIT_OK if report.ok else EXIT_CHECK
 
 
@@ -346,7 +367,7 @@ def cmd_verify_inequality(args) -> int:
                              e_max=args.emax, N=args.trunc,
                              jobs=_require_jobs(args))
     report = verify_inequality(R, scan, hsl)
-    payload = {**report.to_dict(), "scan": scan.to_dict(), "hsl": hsl.to_dict()}
+    payload = {**_fields(report), "scan": scan.to_dict(), "hsl": hsl}
     lines = [f"max Fte over samples: {report.max_fte}",
              f"HSL estimate:         {report.hsl_overall}",
              f"inequality holds:     {report.holds}",

@@ -176,7 +176,7 @@ def _qpower_images(n: int, p: int, reducers, q: int):
     shifted by x_i^q and reduced.  No raw power m^q is expanded.
     """
     one = (0,) * n
-    images = {one: _nf_terms({one: 1}, reducers, p, GREVLEX)[0]}
+    images = {one: _nf_terms({one: 1}, reducers, p, GREVLEX)}
     for d in itertools.count(1):
         yield images
         below, images = images, {}
@@ -184,7 +184,7 @@ def _qpower_images(n: int, p: int, reducers, q: int):
             i = next(k for k, a in enumerate(m) if a)
             start = {t[:i] + (t[i] + q,) + t[i + 1:]: c for t, c
                      in below[m[:i] + (m[i] - 1,) + m[i + 1:]].items()}
-            images[m] = _nf_terms(start, reducers, p, GREVLEX)[0]
+            images[m] = _nf_terms(start, reducers, p, GREVLEX)
 
 
 def _preimage_by_elimination(K: IdealHandle, e: int) -> IdealHandle:

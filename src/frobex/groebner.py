@@ -29,7 +29,6 @@ import contextvars
 import functools
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,20 +87,13 @@ DEFAULT_GB_CONFIG = GBConfig()
 
 @dataclass
 class GBStats:
+    """The work counts of one Buchberger run, which do not depend on the
+    machine."""
+
     pairs_processed: int = 0
     zero_reductions: int = 0
     max_degree_seen: int = 0
-    wall_seconds: float = 0.0
     basis_size: int = 0
-
-    def to_dict(self) -> dict:
-        """The work counts, which do not depend on the machine."""
-        return {
-            "pairs_processed": self.pairs_processed,
-            "zero_reductions": self.zero_reductions,
-            "max_degree_seen": self.max_degree_seen,
-            "basis_size": self.basis_size,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +106,9 @@ def _terms_degree(terms: dict) -> int:
     return max(mono_degree(m) for m in terms)
 
 
-def _nf_terms(fterms: dict, reducers: list, p: int, order: MonomialOrder,
-              track: bool = False):
-    """Full normal form of a term dict against reducers [(lm, terms), ...].
-
-    Every reducer must be monic with leading monomial lm.  Returns
-    (remainder, quotients) where quotients is None unless track is set; with
-    tracking, input == sum(quotients[i] * reducers[i]) + remainder.
+def _nf_terms(fterms: dict, reducers: list, p: int, order: MonomialOrder) -> dict:
+    """Full normal form of a term dict against reducers [(lm, terms), ...],
+    as a term dict.  Every reducer must be monic with leading monomial lm.
 
     Work terms wait in a min-heap on order.heap_key, so each step pops the
     leading term in O(log n).  A term whose coefficient cancels stays in
@@ -132,13 +120,12 @@ def _nf_terms(fterms: dict, reducers: list, p: int, order: MonomialOrder,
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict[Mono, int] = {}
-    quotients = [dict() for _ in reducers] if track else None
     while heap:
         mono = heapq.heappop(heap)[1]
         coeff = work.pop(mono)
         if not coeff:
             continue
-        for idx, (lm, gterms) in enumerate(reducers):
+        for lm, gterms in reducers:
             if mono_divides(lm, mono):
                 shift = mono_div(mono, lm)
                 for gm, gc in gterms.items():
@@ -151,13 +138,10 @@ def _nf_terms(fterms: dict, reducers: list, p: int, order: MonomialOrder,
                         heapq.heappush(heap, (heap_key(t), t))
                     else:
                         work[t] = (old - coeff * gc) % p
-                if track:
-                    q = quotients[idx]
-                    q[shift] = (q.get(shift, 0) + coeff) % p
                 break
         else:
             remainder[mono] = coeff
-    return remainder, quotients
+    return remainder
 
 
 def _monic_terms(terms: dict, p: int, order: MonomialOrder) -> tuple[Mono, dict]:
@@ -193,7 +177,6 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
     monomial, GBStats).  Raises ResourceCapExceeded when a cap trips; the
     degree cap bounds growth, past the largest input degree by max_degree.
     """
-    t0 = time.perf_counter()
     polys = [f.terms if isinstance(f, Polynomial) else f for f in polys]
     top = max((_terms_degree(t) for t in polys if t), default=0)
     stats = GBStats(max_degree_seen=top)
@@ -209,7 +192,6 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
         if d > stats.max_degree_seen:
             stats.max_degree_seen = d
         if d > top + config.max_degree:
-            stats.wall_seconds = time.perf_counter() - t0
             raise ResourceCapExceeded(
                 f"degree cap exceeded: {d} > {top} + {config.max_degree}", stats)
 
@@ -232,7 +214,7 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
     for terms in polys:
         if not terms:
             continue
-        rem, _ = _nf_terms(terms, list(zip(lms, basis)), p, order)
+        rem = _nf_terms(terms, list(zip(lms, basis)), p, order)
         if rem:
             add_element(rem, _terms_degree(terms))
 
@@ -243,7 +225,6 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
         pending.discard((i, j))
         stats.pairs_processed += 1
         if stats.pairs_processed > config.max_pairs:
-            stats.wall_seconds = time.perf_counter() - t0
             raise ResourceCapExceeded(
                 f"pair budget exhausted: {config.max_pairs}", stats)
         lcm = mono_lcm(lms[i], lms[j])
@@ -270,14 +251,13 @@ def buchberger_basis(polys, order: MonomialOrder, p: int,
             stats.zero_reductions += 1
             continue
         cap_degree(s)
-        rem, _ = _nf_terms(s, list(zip(lms, basis)), p, order)
+        rem = _nf_terms(s, list(zip(lms, basis)), p, order)
         if not rem:
             stats.zero_reductions += 1
             continue
         add_element(rem, sugar)
 
     reduced = _reduce_basis(basis, lms, p, order)
-    stats.wall_seconds = time.perf_counter() - t0
     stats.basis_size = len(reduced)
     return reduced, stats
 
@@ -348,7 +328,7 @@ def _reduce_basis(basis: list[dict], lms: list[Mono], p: int,
     chosen.sort(key=lambda pair: order.key(pair[0]))
     for idx, (lm, terms) in enumerate(chosen):
         others = [chosen[k] for k in range(len(chosen)) if k != idx]
-        rem, _ = _nf_terms(terms, others, p, order)
+        rem = _nf_terms(terms, others, p, order)
         _, monic = _monic_terms(rem, p, order)
         chosen[idx] = (lm, monic)
     return [terms for _, terms in chosen]
@@ -363,7 +343,7 @@ def spairs_reduce_to_zero(gb_terms: list[dict], p: int,
     for i in range(len(gb_terms)):
         for j in range(i + 1, len(gb_terms)):
             s = _spoly_terms(lms[i], gb_terms[i], lms[j], gb_terms[j], p)
-            rem, _ = _nf_terms(s, reducers, p, order)
+            rem = _nf_terms(s, reducers, p, order)
             if rem:
                 return False, (i, j)
     return True, None
@@ -458,8 +438,7 @@ class IdealHandle:
             f = parse_poly(self._ambient, f)
         if f.ring != self._ambient:
             raise RingMismatchError("polynomial from a different ring")
-        rem, _ = _nf_terms(f.terms, self.reducers(), self._ambient.p,
-                           self._ambient.order)
+        rem = _nf_terms(f.terms, self.reducers(), self._ambient.p, self._ambient.order)
         return Polynomial(self._ambient, rem)
 
     def contains(self, f) -> bool:
@@ -575,17 +554,8 @@ def intersect(I: IdealHandle, K: IdealHandle) -> IdealHandle:
     for g in I.generators:
         gens.append(Polynomial(tagged, _append_tag(g.terms, 1)))
     for g in K.generators:
-        lifted = _append_tag(g.terms, 0)
-        minus_t = _append_tag(g.terms, 1)
-        p = ring.p
-        combined = dict(lifted)
-        for m, c in minus_t.items():
-            v = (combined.get(m, 0) - c) % p
-            if v:
-                combined[m] = v
-            elif m in combined:
-                del combined[m]
-        gens.append(Polynomial(tagged, combined))
+        gens.append(Polynomial(tagged, _append_tag(g.terms, 0))
+                    - Polynomial(tagged, _append_tag(g.terms, 1)))
     work = IdealHandle(tagged, gens)
     gb = work.groebner_basis()
     out = []
@@ -602,16 +572,25 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
         raise RingMismatchError("polynomials from different rings")
     if f.is_zero():
         raise AlgebraError("division by zero polynomial")
-    ring = g.ring
+    ring, p = g.ring, g.ring.p
     lm, c = f.leading_term()
-    monic = f.monic()
-    rem, quots = _nf_terms(g.terms, [(lm, monic.terms)], ring.p, ring.order,
-                           track=True)
-    if rem:
-        raise AlgebraError("not an exact polynomial division")
     inv = ring.field.inv(c)
-    q = {m: (v * inv) % ring.p for m, v in quots[0].items()}
-    return Polynomial(ring, q)
+    rest, quotient = dict(g.terms), {}
+    while rest:
+        # while f divides g, the rest is a multiple of f, led by a multiple of lm
+        mono = max(rest, key=ring.order.key)
+        if not mono_divides(lm, mono):
+            raise AlgebraError("not an exact polynomial division")
+        shift = mono_div(mono, lm)
+        a = quotient[shift] = rest[mono] * inv % p
+        for fm, fc in f.terms.items():
+            t = mono_mul(fm, shift)
+            v = (rest.get(t, 0) - a * fc) % p
+            if v:
+                rest[t] = v
+            else:
+                rest.pop(t, None)
+    return Polynomial(ring, quotient)
 
 
 def colon(I: IdealHandle, K: IdealHandle) -> IdealHandle:

@@ -384,15 +384,16 @@ class NilpotentWitness:
     order: int
     poly: Polynomial
 
-    def to_dict(self) -> dict:
-        return {"level": self.level, "order": self.order, "poly": str(self.poly)}
-
 
 @dataclass
 class NilpotentReport:
+    """undetermined_levels are the nonzero levels with no Frobenius map
+    inside the truncation, read_levels the nonzero levels with one."""
+
     witnesses: list[NilpotentWitness]
     max_order: int
     undetermined_levels: list[int]
+    read_levels: list[int]
 
 
 def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
@@ -410,6 +411,7 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
     N = system.levels
     witnesses: list[NilpotentWitness] = []
     undetermined: list[int] = []
+    read: list[int] = []
     for n in range(1, N + 1):
         snap = system.snapshots[n - 1]
         if snap.length == 0:
@@ -418,6 +420,7 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
         if cap == 0:
             undetermined.append(n)
             continue
+        read.append(n)
         for e in range(1, min(e_max, cap) + 1):
             kernel = linalg.nullspace(system.frobenius_chain(n, e), p)
             if kernel.shape[0] == 0:
@@ -444,7 +447,7 @@ def nilpotent_part(system: LimitSystem, e_max: int) -> NilpotentReport:
             witnesses.append(NilpotentWitness(
                 n, e, system.to_ring(snap.from_coordinates(v))))
     max_order = max((w.order for w in witnesses), default=0)
-    return NilpotentReport(witnesses, max_order, undetermined)
+    return NilpotentReport(witnesses, max_order, undetermined, read)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +462,12 @@ class HslReport:
     """Witnessed HSL numbers per cohomological degree, with stability probe.
 
     per_index[i] is the maximal witnessed Frobenius-nilpotency order on the
-    i-th limit tower at truncation N; overall is the max over i.  stable
-    means the same tower read at truncation N + PROBE_STEP with chain depth
-    e_max + 1 reported the same values everywhere.
+    i-th limit tower at truncation N; overall is the max over i.
+    per_index_stable[i] means the same tower read at truncation
+    N + PROBE_STEP with chain depth e_max + 1 reported the same value, and
+    the base report read one of its nonzero levels at least, if it has any;
+    a degree whose nonzero levels are all undetermined has read nothing.
+    stable means every degree is stable.
     """
 
     fingerprint: str
@@ -477,24 +483,6 @@ class HslReport:
     e_max: int
     probe_N: int
     probe_e_max: int
-
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "ring_label": self.ring_label,
-            "sequence": self.sequence,
-            "per_index": {str(i): v for i, v in self.per_index.items()},
-            "overall": self.overall,
-            "stable": self.stable,
-            "per_index_stable": {str(i): v for i, v in self.per_index_stable.items()},
-            "witnesses": {str(i): [w.to_dict() for w in ws]
-                          for i, ws in self.witnesses.items()},
-            "undetermined": {str(i): v for i, v in self.undetermined.items()},
-            "N": self.N,
-            "e_max": self.e_max,
-            "probe_N": self.probe_N,
-            "probe_e_max": self.probe_e_max,
-        }
 
 
 def _hsl_tower(R: QuotientRing, i: int, fseq: FilterSequence, N: int,
@@ -515,8 +503,9 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
     marked verified is verified here), and e_max must be >= 1.  Each tower
     is built once, to truncation N + PROBE_STEP: the base report reads
     levels 1..N with chain depth e_max, the probe reads every level with
-    depth e_max + 1, and agreement sets the stability flag.  The towers are
-    mapped from the top degree down.
+    depth e_max + 1, and their agreement, on a degree whose base report
+    read a level, sets the stability flag.  The towers are mapped from the
+    top degree down.
     """
     _check_hsl_args(R, fseq, e_max)
     tower = functools.partial(_hsl_tower, fseq=fseq, N=N, e_max=e_max)
@@ -540,10 +529,11 @@ def _hsl_report(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
                 towers: list) -> HslReport:
     """The report of hsl_estimate from the (base, probe) pairs of _hsl_tower,
     indexed by degree."""
-    bases, probes = zip(*towers)
+    bases = [base for base, _ in towers]
     per_index = {i: r.max_order for i, r in enumerate(bases)}
-    per_index_stable = {i: r.max_order == per_index[i]
-                        for i, r in enumerate(probes)}
+    per_index_stable = {i: probe.max_order == base.max_order
+                        and bool(base.read_levels or not base.undetermined_levels)
+                        for i, (base, probe) in enumerate(towers)}
     return HslReport(
         fingerprint=ring_fingerprint(R),
         ring_label=R.label,
@@ -708,21 +698,6 @@ class NsReport:
     first_disagreement: str | None
     notes: list
 
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "ring_label": self.ring_label,
-            "N": self.N,
-            "probes": list(self.probes),
-            "tables": {str(i): v for i, v in self.tables.items()},
-            "stabilized": {str(i): v for i, v in self.stabilized.items()},
-            "oracle": {str(i): {str(n): v for n, v in row.items()}
-                       for i, row in self.oracle.items()},
-            "status": self.status,
-            "first_disagreement": self.first_disagreement,
-            "notes": self.notes,
-        }
-
 
 def _stabilized_tail(values: list[int], window: int) -> int | None:
     if len(values) < window:
@@ -848,19 +823,6 @@ class InequalityReport:
     mechanism_ok: bool
     notes: list
 
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "ring_label": self.ring_label,
-            "max_fte": self.max_fte,
-            "hsl_overall": self.hsl_overall,
-            "holds": self.holds,
-            "status": self.status,
-            "mechanism": self.mechanism,
-            "mechanism_ok": self.mechanism_ok,
-            "notes": self.notes,
-        }
-
 
 def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport:
     """Check max sampled Frobenius test exponent >= witnessed HSL number.
@@ -889,7 +851,9 @@ def verify_inequality(R: QuotientRing, scan, hsl: HslReport) -> InequalityReport
         notes.append("no scan sample succeeded")
     if not hsl.stable:
         status = "inconclusive"
-        notes.append("HSL probe run disagreed with the base run")
+        notes += [f"HSL degree {i} is unstable: the probe run disagreed with the "
+                  f"base run, or the base run read none of its nonzero levels"
+                  for i, ok in hsl.per_index_stable.items() if not ok]
     holds = scan.max_fte is not None and scan.max_fte >= hsl.overall
 
     base = scan.base.elements
@@ -963,19 +927,6 @@ class Prop34Report:
     forward_ok: bool
     backward_ok: bool
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "prefix": self.prefix,
-            "n": self.n,
-            "e": self.e,
-            "forward": self.forward,
-            "backward": self.backward,
-            "forward_ok": self.forward_ok,
-            "backward_ok": self.backward_ok,
-            "ok": self.ok,
-        }
 
 
 def prop34_check(R: QuotientRing, prefix_elements, n: int = 1, e: int = 1,

@@ -542,6 +542,35 @@ def test_cap_trip_in_a_pool_worker_is_exit_three(capsys):
     assert multiprocessing.active_children() == []
 
 
+# --- golden documents ---
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# file name under tests/golden -> the argv that wrote it, with --json
+GOLDEN_ARGV = {
+    "gb": ("gb", "--ring", "regular-f2-xy", "--ideal", "x^2+y, x*y"),
+    "frobenius-closure": ("frobenius", "closure", "--ring", "fermat-cubic-p2",
+                          "--ideal", "y,z"),
+    "fte-scan": ("fte-scan", "--jobs", "1", "--ring", "regular-f2-xy"),
+    "hsl": ("hsl", "--ring", "fermat-cubic-p2"),
+    "ns-check": ("ns-check", "--ring", "two-planes-f2"),
+    "prop34-check": ("prop34-check", "--ring", "fermat-cubic-p2", "--prefix", "y,z"),
+    "verify-inequality": ("verify-inequality", "--jobs", "1", "--ring", "depth-zero-f2"),
+}
+
+
+def untimed(text):
+    return [line for line in text.splitlines() if '"timestamp"' not in line]
+
+
+@pytest.mark.parametrize("name", GOLDEN_ARGV)
+def test_json_document_matches_golden_text(capsys, name):
+    # the text itself, so that key order and layout count as well as values
+    code, out, _ = run(capsys, *GOLDEN_ARGV[name], "--json")
+    assert code == 0
+    assert untimed(out) == untimed((GOLDEN / f"{name}.json").read_text())
+
+
 # --- failed checks ---
 
 def _tower_b_shifted(i, level):
@@ -619,9 +648,11 @@ VI_BREAKS = {
         "_hsl_report", _hsl_replaced(overall=2),
         {"status": "fail", "holds": False, "mechanism_ok": True}, None),
     "unstable-hsl": (
-        "_hsl_report", _hsl_replaced(stable=False),
+        "_hsl_report", _hsl_replaced(stable=False,
+                                     per_index_stable={0: True, 1: False, 2: True}),
         {"status": "inconclusive", "holds": True, "mechanism_ok": True},
-        "HSL probe run disagreed with the base run"),
+        "HSL degree 1 is unstable: the probe run disagreed with the base run, "
+        "or the base run read none of its nonzero levels"),
 }
 
 
@@ -642,6 +673,20 @@ def test_verify_inequality_failure_branches(capsys, monkeypatch, case):
     assert code == 1 and f"status: {want['status']}" in lines
     assert [line for line in lines if line.startswith("note: ")] == \
         ([f"note: {note}"] if note else [])
+
+
+def test_verify_inequality_on_an_hsl_degree_that_reads_no_level(capsys):
+    # at N = 4 < p = 7 the top tower of fermat-cubic-p7 has no level with a
+    # Frobenius map, so its HSL of 0 is no reading, and the verdict no pass
+    argv = ("verify-inequality", "--ring", "fermat-cubic-p7", "--trunc", "4",
+            "--jobs", "1")
+    code, doc, _ = run_json(capsys, *argv)
+    assert (code, doc["status"], doc["hsl_overall"]) == (1, "inconclusive", 0)
+    assert doc["hsl"]["undetermined"]["2"] == [1, 2, 3, 4]
+    assert doc["hsl"]["per_index_stable"] == {"0": True, "1": True, "2": False}
+    assert doc["notes"] == [
+        "HSL degree 2 is unstable: the probe run disagreed with the base run, "
+        "or the base run read none of its nonzero levels"]
 
 
 def _witnesses_outside_the_closure():

@@ -542,7 +542,7 @@ def nilpotent_part_by_full_chains(system, e_max):
     pushing only the kernel basis up the tower."""
     p = system.p
     N = system.levels
-    witnesses, undetermined = [], []
+    witnesses, undetermined, read = [], [], []
     for n in range(1, N + 1):
         snap = system.snapshots[n - 1]
         if snap.length == 0:
@@ -551,6 +551,7 @@ def nilpotent_part_by_full_chains(system, e_max):
         if cap == 0:
             undetermined.append(n)
             continue
+        read.append(n)
         survive_n = full_transition_chain(system, n, N)
         for e in range(1, min(e_max, cap) + 1):
             kernel = linalg.nullspace(system.frobenius_chain(n, e), p)
@@ -579,7 +580,7 @@ def nilpotent_part_by_full_chains(system, e_max):
             witnesses.append(NilpotentWitness(
                 n, e, system.to_ring(snap.from_coordinates(v))))
     max_order = max((w.order for w in witnesses), default=0)
-    return NilpotentReport(witnesses, max_order, undetermined)
+    return NilpotentReport(witnesses, max_order, undetermined, read)
 
 
 @pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
@@ -803,12 +804,24 @@ def test_hsl_fermat_cubic():
     assert rep.stable
 
 
+def test_hsl_degree_that_reads_no_level_is_unstable():
+    # at N = 4 < p = 7 no level has a Frobenius map inside the truncation,
+    # nor at the probe's N = 6: the top tower's 0 reads no level at all,
+    # while the lower towers of this CM ring have no nonzero level
+    R = load_corpus_ring("fermat-cubic-p7")
+    rep = hsl_estimate(R, parameter_base(R, seed=42), N=4)
+    assert rep.per_index == {0: 0, 1: 0, 2: 0}
+    assert rep.undetermined == {0: [], 1: [], 2: [1, 2, 3, 4]}
+    assert rep.per_index_stable == {0: True, 1: True, 2: False}
+    assert not rep.stable
+
+
 def test_hsl_parallel_matches_serial():
     R = load_corpus_ring("depth-zero-f2")
     seq = verified(R, ["y"])
     a = hsl_estimate(R, seq, N=4, e_max=1, jobs=1)
     b = hsl_estimate(R, seq, N=4, e_max=1, jobs=2)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_hsl_run_parallel_equals_serial_with_coords():
@@ -876,7 +889,7 @@ def test_scan_and_hsl_equals_scan_then_hsl(label):
             with shared_bases():
                 one_scan, one_hsl = scan_and_hsl(R, seed=seed, N=4, jobs=jobs, **kw)
             assert one_scan.to_dict() == scan.to_dict(), (seed, jobs)
-            assert one_hsl.to_dict() == hsl.to_dict(), (seed, jobs)
+            assert one_hsl == hsl, (seed, jobs)
 
 
 def test_hsl_verifies_or_rejects_sequence():
