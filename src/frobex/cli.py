@@ -31,7 +31,6 @@ from .corpus import (
     corpus_labels,
     corpus_spec,
     corpus_specs,
-    load_corpus_ring,
     load_ring_spec,
     ring_from_spec,
 )
@@ -142,11 +141,13 @@ def _load_ring(args) -> QuotientRing:
         raise RingSpecError("this command needs --ring (a spec file or corpus label)")
     if os.path.exists(spec):
         return load_ring_spec(spec)
-    if spec in corpus_labels():
-        return load_corpus_ring(spec)
-    raise RingSpecError(
-        f"{spec!r} is neither a readable file nor a corpus label "
-        f"(bundled: {', '.join(corpus_labels())})")
+    try:
+        found = corpus_spec(spec)
+    except RingSpecError:
+        raise RingSpecError(
+            f"{spec!r} is neither a readable file nor a corpus label "
+            f"(bundled: {', '.join(corpus_labels())})") from None
+    return ring_from_spec(found)
 
 
 def _parse_polys(R: QuotientRing, text: str) -> list[Polynomial]:

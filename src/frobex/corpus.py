@@ -123,7 +123,10 @@ def corpus_labels() -> list[str]:
 
 
 def corpus_spec(label: str) -> dict:
-    for spec in corpus_specs():
+    """The bundled spec of that label, read from corpus/<label>.json alone."""
+    entry = resources.files("frobex").joinpath("corpus").joinpath(f"{label}.json")
+    if entry.is_file():
+        spec = validate_ring_spec(json.loads(entry.read_text("utf-8")))
         if spec["label"] == label:
             return spec
     raise RingSpecError(f"no bundled ring named {label!r}; "

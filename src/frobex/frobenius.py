@@ -12,11 +12,15 @@ one of two ways.  When K is homogeneous and m-primary under the standard
 grading (as for every homogeneous parameter ideal), the degree-d part of the
 preimage is the kernel of the F_p-linear map m -> NF_K(m^q) on the degree-d
 monomials, linear because (sum c*m)^q = sum c*m^q over F_p; degrees are taken
-one at a time until every image vanishes.  The same identity lets a linear
-change of coordinates commute with brackets, so the kernels are taken in the
-frame where the linear forms that K's generators are powers of are the last
-variables: there those generators, and a hypersurface relation, lead with
-pure powers of distinct variables and are a Groebner basis already.
+one at a time until every image vanishes.  Frobenius is multiplicative, so
+each image is NF(NF(x_i^q) * NF((m/x_i)^q)), an image of the degree below
+times one of n normal forms taken once.  The preimage is homogeneous, so its
+reduced Groebner basis, in any monomial order, is read off the row-reduced
+kernels, and no Buchberger run builds a level.  The same identity lets a
+linear change of coordinates commute with brackets, so the kernels are taken
+in the frame where the linear forms that K's generators are powers of are
+the last variables: there those generators, and a hypersurface relation,
+lead with pure powers of distinct variables and are a Groebner basis already.
 For any other K the preimage comes from an elimination: in S[w_1..w_n] the
 membership x^q in K becomes linear algebra over the subring generated by
 the w_i = x_i^q, because g(x)^q = g(x^q) over F_p.  This preimage is
@@ -47,6 +51,8 @@ from .algebra import (
     MonomialOrder,
     Polynomial,
     frobenius_raise,
+    mono_divides,
+    mono_mul,
     monomials_of_weighted_degree,
 )
 from .filterreg import (
@@ -64,6 +70,7 @@ from .groebner import (
     _SHARED_BASES,
     _framed_basis,
     _is_graded,
+    _known_basis,
     _nf_terms,
     caps_in_force,
     fresh_names,
@@ -95,27 +102,28 @@ def qpower_preimage(K: IdealHandle, e: int) -> IdealHandle:
 
     For e >= 1 and K homogeneous (quotient relations included) under the
     standard grading and m-primary, the preimage is built degree by degree
-    from kernels of m -> NF_K(m^q) in K's frame; see _graded_preimage.
+    from kernels of m -> NF_K(m^q) in K's frame, and returned with its
+    reduced basis as its own generators, cached; see _graded_preimage.
     Everything else -- e = 0, inhomogeneous or weighted input, or K not
     m-primary -- goes through the tag-variable elimination of
     _preimage_by_elimination; a cap that K's framed basis trips is raised.
     """
     if e > 0:
-        gens = _graded_preimage(K, e)
-        if gens is not None:
-            return IdealHandle(K.ring, gens)
+        level = _graded_preimage(K, e)
+        if level is not None:
+            return level
     return _preimage_by_elimination(K, e)
 
 
-def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
-    """Generators of { x : x^q in K } by graded linear algebra, or None when
-    K is not a standard-graded homogeneous m-primary ideal.
+def _graded_preimage(K: IdealHandle, e: int) -> IdealHandle | None:
+    """{ x : x^q in K } by graded linear algebra, as a handle whose own
+    generators are its reduced Groebner basis in the ring's order, or None
+    when K is not a standard-graded homogeneous m-primary ideal.
 
     For homogeneous K the preimage is homogeneous, and its degree-d part is
     the kernel of the F_p-linear map m -> [m^q] from the monomials of degree
-    d to S/K.  Since K is m-primary some degree d has every image zero; then
-    all of S_d, hence all of S_{>=d}, lies in the preimage, so the kernels
-    below d plus the degree-d monomials generate it.
+    d to S/K.  Since K is m-primary some degree D has every image zero; then
+    all of S_D, hence all of S_{>=D}, lies in the preimage.
 
     The map is written down in K's frame phi, groebner._framed_basis of the
     forms that K's own generators are powers of (see _frame_forms), degree
@@ -124,6 +132,13 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     kernel vector is mapped back by the frame.  The kernel does not depend
     on the monomial order of the normal forms: a normal form is zero
     exactly on K.
+
+    In ring coordinates and row-reduced over the degree-d monomials in
+    descending ring order, a kernel has one row m - NF(m) for each leading
+    monomial m of degree d of the preimage, in any monomial order, as the
+    preimage is homogeneous.  The rows whose m no earlier kept m divides
+    are the reduced basis elements of degree d; at D, the monomials that no
+    kept m divides.
     """
     ring = K.ambient
     n, p = ring.nvars, ring.p
@@ -133,20 +148,37 @@ def _graded_preimage(K: IdealHandle, e: int) -> list[Polynomial] | None:
     # m-primary: some leading monomial is a pure power of each variable
     if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
         return None
-    gens: list[Polynomial] = []
+    order = ring.order
+    basis: list[Polynomial] = []
     for images in _qpower_images(n, p, reducers, p**e):
         monos = list(images)
+        kept = [g.leading_monomial() for g in basis]
         if not any(images.values()):
             # every monomial of this degree, in any coordinates
-            return gens + [ring.monomial(m) for m in monos]
+            basis += [ring.monomial(m) for m in monos
+                      if not any(mono_divides(lm, m) for lm in kept)]
+            basis.sort(key=lambda g: order.key(g.leading_monomial()))
+            return _known_basis(K.ring, basis)
         rows = {t: r for r, t in enumerate({t for img in images.values() for t in img})}
         matrix = linalg.zeros(len(rows), len(monos))
         for col, img in enumerate(images.values()):
             for t, c in img.items():
                 matrix[rows[t], col] = c
-        for vec in linalg.nullspace(matrix, p):
-            kernel = {m: int(c) for m, c in zip(monos, vec) if c}
-            gens.append(Polynomial(ring, back(kernel)))
+        kernel = linalg.nullspace(matrix, p)
+        if not len(kernel):
+            continue
+        # the kernel in ring coordinates, over the monomials in descending order
+        monos.sort(key=order.key, reverse=True)
+        cols = {m: k for k, m in enumerate(monos)}
+        mapped = linalg.zeros(len(kernel), len(monos))
+        for r, vec in enumerate(kernel):
+            for m, c in back({m: int(c) for m, c in zip(images, vec) if c}).items():
+                mapped[r, cols[m]] = c
+        reduced, pivots = linalg.rref(mapped, p)
+        for row, k in zip(reduced, pivots):
+            if not any(mono_divides(lm, monos[k]) for lm in kept):
+                basis.append(Polynomial(ring, {monos[j]: int(c)
+                                               for j, c in enumerate(row) if c}))
 
 
 def _frame_forms(gens) -> tuple[Polynomial, ...]:
@@ -171,19 +203,26 @@ def _qpower_images(n: int, p: int, reducers, q: int):
     monomials_of_weighted_degree, with normal forms as term dicts against
     reducers, a reduced grevlex Groebner basis.  Frobenius is
     multiplicative and a reduced basis gives unique normal forms, so
-    NF(m^q) = NF(x_i^q * NF((m/x_i)^q)) with x_i the first variable dividing
-    m: each image of degree d > 0 is the image of m/x_i from degree d - 1,
-    shifted by x_i^q and reduced.  No raw power m^q is expanded.
+    NF(m^q) = NF(NF(x_i^q) * NF((m/x_i)^q)) with x_i the first variable
+    dividing m: each image of degree d > 0 is the image of m/x_i from
+    degree d - 1 times NF(x_i^q), taken once per call, and reduced.  No raw
+    power m^q is expanded, nor a shifted image reduced by the long chain
+    x_i^q takes down to its normal form.
     """
     one = (0,) * n
+    powers = [_nf_terms({one[:i] + (q,) + one[i + 1:]: 1}, reducers, p, GREVLEX)
+              for i in range(n)]
     images = {one: _nf_terms({one: 1}, reducers, p, GREVLEX)}
     for d in itertools.count(1):
         yield images
         below, images = images, {}
         for m in monomials_of_weighted_degree(n, d, (1,) * n):
             i = next(k for k, a in enumerate(m) if a)
-            start = {t[:i] + (t[i] + q,) + t[i + 1:]: c for t, c
-                     in below[m[:i] + (m[i] - 1,) + m[i + 1:]].items()}
+            start: dict = {}
+            for t, c in below[m[:i] + (m[i] - 1,) + m[i + 1:]].items():
+                for u, b in powers[i].items():
+                    tu = mono_mul(t, u)
+                    start[tu] = (start.get(tu, 0) + c * b) % p
             images[m] = _nf_terms(start, reducers, p, GREVLEX)
 
 

@@ -461,6 +461,15 @@ class IdealHandle:
         return f"Ideal({inside})"
 
 
+def _known_basis(ring, basis) -> IdealHandle:
+    """A handle on ring whose own generators are basis, given as the
+    reduced Groebner basis of those generators and ring's relations, which
+    the handle caches as its own without a Buchberger run."""
+    handle = IdealHandle(ring, basis)
+    handle._gb = handle.own_gens
+    return handle
+
+
 class QuotientRing:
     """R = S/J for a polynomial ring S and proper ideal J (possibly zero).
 

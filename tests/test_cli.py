@@ -551,6 +551,10 @@ GOLDEN_ARGV = {
     "gb": ("gb", "--ring", "regular-f2-xy", "--ideal", "x^2+y, x*y"),
     "frobenius-closure": ("frobenius", "closure", "--ring", "fermat-cubic-p2",
                           "--ideal", "y,z"),
+    # a chain that grows twice: chain_lengths [3, 3, 4, 4, 4]
+    "frobenius-closure-quintic": ("frobenius", "closure", "--ring", "fermat-quintic-p2",
+                                  "--ideal", "x^2,y"),
+    "fte": ("fte", "--ring", "fermat-cubic-p7", "--ideal", "x^3,y"),
     "fte-scan": ("fte-scan", "--jobs", "1", "--ring", "regular-f2-xy"),
     "hsl": ("hsl", "--ring", "fermat-cubic-p2"),
     "ns-check": ("ns-check", "--ring", "two-planes-f2"),

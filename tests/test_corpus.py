@@ -1,10 +1,18 @@
 """Ring-spec validation and the bundled corpus."""
 
+import json
 import pickle
+from importlib import resources
 
 import pytest
 
-from frobex.corpus import RingSpecError, corpus_labels, load_corpus_ring, ring_from_spec
+from frobex.corpus import (
+    RingSpecError,
+    corpus_labels,
+    corpus_spec,
+    load_corpus_ring,
+    ring_from_spec,
+)
 from frobex.groebner import ring_fingerprint
 
 
@@ -42,6 +50,21 @@ def test_corpus_rings_load(label):
     R = load_corpus_ring(label)
     assert R.label == label
     assert_pickles(R)
+
+
+def test_bundled_file_stems_are_their_labels():
+    # corpus_spec reads corpus/<label>.json alone, so each file is named so
+    files = [entry for entry in resources.files("frobex").joinpath("corpus").iterdir()
+             if entry.name.endswith(".json")]
+    assert sorted(entry.name[:-len(".json")] for entry in files) == corpus_labels()
+    for entry in files:
+        assert json.loads(entry.read_text("utf-8"))["label"] == entry.name[:-len(".json")]
+
+
+@pytest.mark.parametrize("label", ["no-such-ring", "../corpus/two-planes-f2", ""])
+def test_unknown_corpus_label_is_rejected(label):
+    with pytest.raises(RingSpecError, match="no bundled ring"):
+        corpus_spec(label)
 
 
 def test_boolean_grading_weight_is_rejected():

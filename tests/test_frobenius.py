@@ -1,5 +1,6 @@
 """Bracket powers, q-th power preimages, Frobenius closure, test exponents."""
 
+import itertools
 import math
 import os
 import pickle
@@ -209,6 +210,34 @@ def test_graded_preimage_matches_elimination_on_parameter_brackets(
                                          elimination_calls)
 
 
+def test_kernel_read_basis_matches_buchberger_and_elimination():
+    # the reduced basis read off the kernels, under grevlex and under
+    # orders that are not degree-compatible, against a Buchberger run on
+    # it (it is reduced) and against the elimination (it is the preimage)
+    rng = random.Random(42)
+    agreed, capped = 0, 0
+    with shared_bases(GBConfig()):
+        for p in (2, 3, 5, 7):
+            for names in (("x", "y"), ("x", "y", "z")):
+                for order in (MonomialOrder("grevlex"), MonomialOrder("block", (0,)),
+                              MonomialOrder("block", (1,))):
+                    P = PolyRing(PrimeField(p), names, order)
+                    for e in (1, 2):
+                        K = random_mprimary_K(rng, P, e)
+                        try:
+                            got = frobenius_module._graded_preimage(K, e)
+                            want = _preimage_by_elimination(K, e)
+                        except ResourceCapExceeded:
+                            capped += 1
+                            continue
+                        rebuilt, _ = groebner_module.buchberger_basis(got.own_gens, order, p)
+                        assert [g.terms for g in got.groebner_basis()] == rebuilt, (K, e)
+                        assert got.groebner_basis() == want.groebner_basis(), (K, e)
+                        agreed += 1
+    # at seed 42, 47 agree, and one K trips the pair budget in its framed basis
+    assert agreed >= 46, (agreed, capped)
+
+
 def assert_images_match_raw_powers(K, e):
     """Every image _qpower_images builds, degree by degree up to the first
     degree where all vanish, equals NF(m^q) reduced from the raw power m^q."""
@@ -245,6 +274,24 @@ def test_qpower_images_match_raw_powers_on_p7_bracket():
     R = load_corpus_ring("fermat-cubic-p7")
     with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
         assert_images_match_raw_powers(frobenius_power(ideal(R, "x^2", "y"), 2), 2)
+
+
+def test_qpower_images_match_raw_powers_on_hypersurface_brackets():
+    # brackets of the variables after a relation's leading one, for every
+    # q <= 49: there NF(x^q) is no monomial, as x^q reduces by the relation,
+    # so the images multiply normal forms with several terms
+    products = 0
+    with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
+        for p in (2, 3, 5, 7):
+            for R in fermat_type_rings(p):
+                params = R.variables[len(R.relations.own_gens):]
+                for e in itertools.takewhile(lambda e: p**e <= 49, itertools.count(1)):
+                    K = frobenius_power(ideal(R, list(params)), e)
+                    assert_images_match_raw_powers(K, e)
+                    x_q = {(p**e,) + (0,) * (R.ambient.nvars - 1): 1}
+                    products += len(groebner_module._nf_terms(
+                        x_q, K.reducers(), p, R.ambient.order)) > 1
+    assert products >= 15, products
 
 
 # --- the order of the graded normal forms ---
@@ -304,7 +351,9 @@ def assert_frame_matches_ring_coordinates(K, e, monkeypatch):
         assert [oracle(u) for u in units] == units
         want = frobenius_module._graded_preimage(K, e)
     assert got is not None and want is not None, K
-    assert ideal(K.ring, got).groebner_basis() == ideal(K.ring, want).groebner_basis(), (K, e)
+    # each level's basis is read off its kernels; Buchberger is the oracle
+    assert (got.groebner_basis() == want.groebner_basis()
+            == ideal(K.ring, want.own_gens).groebner_basis()), (K, e)
     return [forward(u) for u in units] != units
 
 
@@ -430,13 +479,15 @@ def test_f5_curve_closure_is_stable_at_default_caps():
 
 
 def test_p7_square_family_closure_at_default_caps(elimination_calls):
-    # the (t = 2, n = 2) scan sample: at q = 49 the bracket's generators are
-    # their own basis with z ranked first, so it never reaches the degree cap
+    # the (t = 2, n = 2) and (t = 2, n = 3) scan samples: at q = 49 the
+    # bracket's generators are their own basis with z ranked first, so they
+    # never reach the degree cap
     R = load_corpus_ring("fermat-cubic-p7")
-    with shared_bases(GBConfig()):
-        res = frobenius_closure(ideal(R, "x^2", "y^2"))
-    assert elimination_calls == []
-    assert res.certified and res.stabilized_at == 0
+    for gens in (("x^2", "y^2"), ("x^3", "y^3")):
+        with shared_bases(GBConfig()):
+            res = frobenius_closure(ideal(R, *gens))
+        assert elimination_calls == [], gens
+        assert res.certified and res.stabilized_at == 0, gens
 
 
 @pytest.mark.parametrize("gens", [("x^2", "y"), ("x^3", "y")])
