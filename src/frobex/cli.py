@@ -5,8 +5,9 @@ a bundled corpus label), emits either an aligned table or --json (a single
 document with a "schema" tag and a "timestamp"; identical argv and seed give
 byte-identical JSON apart from the timestamp), and exits 0 on
 pass/success, 1 on a failed check, 2 on usage errors, 3 when a resource
-cap aborted the computation.  Each subcommand declares only the flags of
-_FLAGS that it reads; any other flag is a usage error.
+cap aborted the computation or an exponent left the supported range.
+Each subcommand declares only the flags of _FLAGS that it reads; any other
+flag is a usage error.
 
 Every document goes through one json.dumps hook, _encode.  A report whose
 document is exactly its fields is handed over as is; the closure, scan
@@ -25,7 +26,7 @@ import os
 import sys
 import time
 
-from .algebra import AlgebraError, ParseError, Polynomial
+from .algebra import AlgebraError, ExponentOverflowError, ParseError, Polynomial
 from .corpus import (
     RingSpecError,
     corpus_labels,
@@ -49,6 +50,7 @@ from .frobenius import (
     qpower_preimage,
 )
 from .groebner import (
+    DEFAULT_GB_CONFIG,
     GBConfig,
     QuotientRing,
     ResourceCapExceeded,
@@ -129,10 +131,6 @@ def _rows(header: list[str], body: list[list[str]]) -> list[str]:
         if r == 0:
             out.append("  ".join("-" * widths[c] for c in range(len(header))))
     return out
-
-
-def _gb_caps(args) -> GBConfig:
-    return GBConfig(max_pairs=args.max_pairs, max_degree=args.max_degree)
 
 
 def _load_ring(args) -> QuotientRing:
@@ -424,8 +422,8 @@ _FLAGS = {
                           help="random parameter ideals per scan")),
     "--jobs": (0, dict(type=int, default=0, metavar="J",
                        help="worker processes (0 = one per usable CPU)")),
-    "--max-pairs": (1, dict(type=int, default=50_000)),
-    "--max-degree": (1, dict(type=int, default=120)),
+    "--max-pairs": (1, dict(type=int, default=DEFAULT_GB_CONFIG.max_pairs)),
+    "--max-degree": (1, dict(type=int, default=DEFAULT_GB_CONFIG.max_degree)),
     "--ideal": (None, dict(required=True, help="comma-separated generators")),
     "--by": (None, dict(required=True)),
     "--poly": (None, dict(required=True)),
@@ -532,9 +530,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         _validate_flags(args)
-        with shared_bases(_gb_caps(args)):
+        with shared_bases(GBConfig(args.max_pairs, args.max_degree)):
             return args.func(args)
-    except ResourceCapExceeded as exc:
+    except (ResourceCapExceeded, ExponentOverflowError) as exc:
         _emit_error(args.json, exc, EXIT_RESOURCE)
         return EXIT_RESOURCE
     except (RingSpecError, ParseError, SequenceShapeError) as exc:

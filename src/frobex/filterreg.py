@@ -72,10 +72,6 @@ class FilterSequence:
     def __len__(self):
         return len(self.elements)
 
-    def prefix_ideal(self, i: int) -> IdealHandle:
-        """The ideal generated by the first i elements, inside the ring."""
-        return ideal(self.ring, list(self.elements[:i]))
-
     def element_strings(self) -> list[str]:
         return [str(f) for f in self.elements]
 
@@ -84,25 +80,6 @@ def make_sequence(R: QuotientRing, elements) -> FilterSequence:
     """Wrap raw elements (str or Polynomial) without verifying them."""
     elems = tuple(R.parse(f) if isinstance(f, str) else f for f in elements)
     return FilterSequence(R, elems, False)
-
-
-def filter_regular_failure(seq: FilterSequence) -> int | None:
-    """Index of the first element violating the colon-saturation criterion,
-    or None when the whole sequence is filter regular.  This is the
-    definition itself, kept apart from the random search's linear_form_test
-    so that a sequence handed in is certified independently of it."""
-    R = seq.ring
-    m = R.maximal_ideal()
-    for f in seq.elements:
-        if not m.contains(f):
-            raise SequenceShapeError("sequence element outside the maximal ideal")
-    for i, f in enumerate(seq.elements):
-        prefix = seq.prefix_ideal(i)
-        quotient = colon(prefix, ideal(R, [f]))
-        saturated, _ = saturation(prefix, m)
-        if not saturated.contains_ideal(quotient):
-            return i
-    return None
 
 
 def linear_form_test(prefix: IdealHandle, ell: Polynomial) -> tuple[int, bool]:
@@ -135,15 +112,27 @@ def linear_form_test(prefix: IdealHandle, ell: Polynomial) -> tuple[int, bool]:
 
 
 def is_filter_regular_sequence(seq: FilterSequence) -> tuple[bool, int | None]:
-    """(True, None) when filter regular, else (False, first bad index).
+    """(True, None) when filter regular, else (False, first bad index): the
+    first element whose colon over its prefix is not inside the prefix's
+    saturation by m.  This is the definition itself, kept apart from the
+    random search's linear_form_test so that a sequence handed in is
+    certified independently of it.
 
     Marks the sequence verified on success.
     """
-    bad = filter_regular_failure(seq)
-    if bad is None:
-        seq.verified = True
-        return True, None
-    return False, bad
+    R = seq.ring
+    m = R.maximal_ideal()
+    for f in seq.elements:
+        if not m.contains(f):
+            raise SequenceShapeError("sequence element outside the maximal ideal")
+    for i, f in enumerate(seq.elements):
+        prefix = ideal(R, list(seq.elements[:i]))
+        quotient = colon(prefix, ideal(R, [f]))
+        saturated, _ = saturation(prefix, m)
+        if not saturated.contains_ideal(quotient):
+            return False, i
+    seq.verified = True
+    return True, None
 
 
 def is_system_of_parameters(R: QuotientRing, elements) -> bool:

@@ -33,13 +33,16 @@ I^[p^e].  Since g^[q] lies in I^[q] + J exactly when g lies in J_e, it is
 the level at which the chain last grew, and every such order is read off
 the chain's levels.  Scanning it over sampled parameter ideals gives the
 empirical lower bound for the ring-level test exponent that the rest of the
-package compares against HSL numbers.
+package compares against HSL numbers.  Each sample is a self-contained task,
+a partial of _run_sample that holds everything but the ring, and map_tasks
+runs such tasks in turn or on a process pool.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -475,23 +478,23 @@ def _run_sample(R: QuotientRing, task: dict, e_max: int) -> ScanSample:
         return sample
 
 
-def map_tasks(fn, R: QuotientRing, tasks: list, jobs: int) -> list:
-    """[fn(R, task) for task in tasks], on a process pool of its own with
+def map_tasks(R: QuotientRing, tasks: list, jobs: int) -> list:
+    """[task(R) for task in tasks], on a process pool of its own with
     min(jobs, len(tasks)) workers when jobs > 1 and there is more than one
     task; the pool is joined before the call returns.
 
-    fn, R, the tasks and the results cross the pool pickled, so fn is a
-    module-level function or a functools.partial of one.  A pooled task
-    gets an unpickled copy of R, and runs under the caps in force at the
-    call, through its worker's basis memo (see _start_worker).  The results
-    are identical either way.
+    Each task is a module-level function or a functools.partial of one,
+    holding everything it needs but the ring; R, the tasks and the results
+    cross the pool pickled.  A pooled task gets an unpickled copy of R, and runs
+    under the caps in force at the call, through its worker's basis memo
+    (see _start_worker).  The results are identical either way.
     """
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                  initializer=_start_worker,
                                  initargs=(caps_in_force(),)) as pool:
-            return list(pool.map(functools.partial(fn, R), tasks))
-    return [fn(R, task) for task in tasks]
+            return list(pool.map(operator.methodcaller("__call__", R), tasks))
+    return [task(R) for task in tasks]
 
 
 def _start_worker(caps: GBConfig) -> None:
@@ -513,15 +516,15 @@ def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     error is raised.  Requires dim(R) >= 1.
     """
     base, tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max)
-    samples = map_tasks(functools.partial(_run_sample, e_max=e_max), R, tasks, jobs)
+    samples = map_tasks(R, tasks, jobs)
     return _scan_report(R, base, samples, n_random, power_family_max, seed, e_max)
 
 
 def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
-               seed: int, e_max: int) -> tuple[FilterSequence, list[dict]]:
+               seed: int, e_max: int) -> tuple[FilterSequence, list]:
     """The base system of parameters of fte_scan and its sample tasks, each
-    run by _run_sample; raises unless dim(R) >= 1 and the closure chain's
-    e_max is >= 1, before any basis is built."""
+    a partial of _run_sample for map_tasks; raises unless dim(R) >= 1 and
+    the closure chain's e_max is >= 1, before any basis is built."""
     if R.dim < 1:
         raise SequenceShapeError("scan needs a ring of positive dimension")
     if e_max < 1:
@@ -543,7 +546,8 @@ def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
                 "descriptor": {"t": t, "n": n},
                 "base": base.elements,
             })
-    return base, tasks
+    return base, [functools.partial(_run_sample, task=task, e_max=e_max)
+                  for task in tasks]
 
 
 def _scan_report(R: QuotientRing, base: FilterSequence, samples: list[ScanSample],

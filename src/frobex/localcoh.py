@@ -31,7 +31,9 @@ The HSL number of the ring is the maximum, over cohomological degrees, of
 the nilpotency orders seen this way; it is an experimental lower bound.  Each
 tower is built once, PROBE_STEP levels deeper than asked: the base report
 reads its first N levels, and a stability probe reads the whole tower with
-one more Frobenius step.
+one more Frobenius step.  Each tower is a self-contained task of
+frobenius.map_tasks, a partial of _hsl_tower, so verify-inequality maps its
+towers and its scan samples together.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .filterreg import (
 from .frobenius import (
     FteScanReport,
     InconsistencyError,
-    _run_sample,
     _scan_report,
     _scan_tasks,
     chain_level,
@@ -487,12 +488,30 @@ class HslReport:
 
 def _hsl_tower(R: QuotientRing, i: int, fseq: FilterSequence, N: int,
                e_max: int) -> tuple[NilpotentReport, NilpotentReport]:
-    """Base and probe nilpotency reports of the i-th limit tower of fseq (a
-    task of map_tasks).  The tower is built once, at the probe's truncation;
-    the base report reads its first N levels."""
+    """Base and probe nilpotency reports of the i-th limit tower of fseq.
+    The tower is built once, at the probe's truncation; the base report
+    reads its first N levels."""
     system = limit_system(R, fseq, i, N + PROBE_STEP)
     return (nilpotent_part(system.truncated(N), e_max),
             nilpotent_part(system, e_max + 1))
+
+
+def _tower_tasks(R: QuotientRing, fseq: FilterSequence, N: int,
+                 e_max: int) -> list:
+    """The tasks of hsl_estimate for map_tasks, partials of _hsl_tower from
+    the top degree down; raises unless fseq is a filter regular system of
+    parameters (one not marked verified is verified here) and e_max >= 1."""
+    d = R.dim
+    if len(fseq) != d:
+        raise SequenceShapeError(f"need a full system of parameters ({d} elements)")
+    if e_max < 1:
+        raise AlgebraError("e_max must be >= 1")
+    if not fseq.verified:
+        ok, bad = is_filter_regular_sequence(fseq)
+        if not ok:
+            raise AlgebraError(f"sequence is not filter regular at index {bad}")
+    return [functools.partial(_hsl_tower, i=i, fseq=fseq, N=N, e_max=e_max)
+            for i in range(d, -1, -1)]
 
 
 def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
@@ -507,22 +526,8 @@ def hsl_estimate(R: QuotientRing, fseq: FilterSequence, N: int = 8,
     read a level, sets the stability flag.  The towers are mapped from the
     top degree down.
     """
-    _check_hsl_args(R, fseq, e_max)
-    tower = functools.partial(_hsl_tower, fseq=fseq, N=N, e_max=e_max)
-    towers = map_tasks(tower, R, list(range(R.dim, -1, -1)), jobs)
+    towers = map_tasks(R, _tower_tasks(R, fseq, N, e_max), jobs)
     return _hsl_report(R, fseq, N, e_max, towers[::-1])
-
-
-def _check_hsl_args(R: QuotientRing, fseq: FilterSequence, e_max: int) -> None:
-    d = R.dim
-    if len(fseq) != d:
-        raise SequenceShapeError(f"need a full system of parameters ({d} elements)")
-    if e_max < 1:
-        raise AlgebraError("e_max must be >= 1")
-    if not fseq.verified:
-        ok, bad = is_filter_regular_sequence(fseq)
-        if not ok:
-            raise AlgebraError(f"sequence is not filter regular at index {bad}")
 
 
 def _hsl_report(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
@@ -563,23 +568,13 @@ def scan_and_hsl(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     for its slowest worker.  Both reports equal those of the two calls, and
     the checks of both run, in the same order, before any task does.
     """
-    base, sample_tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max)
-    _check_hsl_args(R, base, e_max)
+    base, samples = _scan_tasks(R, n_random, power_family_max, seed, e_max)
+    towers = _tower_tasks(R, base, N, e_max)
+    results = map_tasks(R, towers + samples, jobs)
     d = R.dim
-    task = functools.partial(_scan_or_tower, fseq=base, N=N, e_max=e_max)
-    results = map_tasks(task, R, list(range(d, -1, -1)) + sample_tasks, jobs)
     scan = _scan_report(R, base, results[d + 1:], n_random, power_family_max,
                         seed, e_max)
     return scan, _hsl_report(R, base, N, e_max, results[d::-1])
-
-
-def _scan_or_tower(R: QuotientRing, task, fseq: FilterSequence, N: int,
-                   e_max: int):
-    """A task of scan_and_hsl: the tower of degree task when it is an int,
-    else the scan sample it describes."""
-    if isinstance(task, int):
-        return _hsl_tower(R, task, fseq, N, e_max)
-    return _run_sample(R, task, e_max)
 
 
 # ---------------------------------------------------------------------------

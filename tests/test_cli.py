@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -136,6 +137,19 @@ def test_sat_step_cap_exits_3(monkeypatch, capsys):
                             "--ideal", "x^2*y", "--by", "x")
     assert code == 3
     assert doc["error"]["type"] == "ResourceCapExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobenius", "power", "--ring", "regular-f2-xy", "--ideal", "x", "--e", "40"),
+    ("gb", "--ring", "regular-f2-xy", "--ideal", "x^3000000000"),
+])
+def test_exponent_overflow_exits_3(capsys, argv):
+    # an exponent past the supported range is a resource limit, as a cap
+    # trip is, not a failed check
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 3
+    assert doc["error"]["type"] == "ExponentOverflowError"
+    assert doc["exit_code"] == 3
 
 
 def test_filter_check_exit_codes(capsys):
@@ -515,9 +529,9 @@ def test_jobs_zero_counts_the_cpus_the_process_may_use(capsys, monkeypatch):
     jobs = []
     map_tasks = frobenius_module.map_tasks
 
-    def counted_map_tasks(fn, R, tasks, n):
+    def counted_map_tasks(R, tasks, n):
         jobs.append(n)
-        return map_tasks(fn, R, tasks, n)
+        return map_tasks(R, tasks, n)
 
     monkeypatch.setattr(frobenius_module, "map_tasks", counted_map_tasks)
     monkeypatch.setattr(cli_module.os, "sched_getaffinity", lambda pid: {0},
@@ -1003,3 +1017,12 @@ def test_readme_example_runs(capsys, command, shown):
     assert code == 0, err
     if shown:
         assert _untimed(out.splitlines()) == _untimed(shown)
+
+
+def test_readme_python_blocks_run():
+    # each fenced python block, at the indentation of its list item if any
+    blocks = re.findall(r"^( *)```python\n(.*?)^\1```",
+                        README.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
+    assert blocks
+    for _, code in blocks:
+        exec(compile(textwrap.dedent(code), str(README), "exec"), {})

@@ -1,5 +1,6 @@
 """Bracket powers, q-th power preimages, Frobenius closure, test exponents."""
 
+import functools
 import itertools
 import math
 import os
@@ -681,7 +682,8 @@ def test_pool_workers_keep_one_memo_per_command():
             load_corpus_ring("two-planes-f2")
             parent = set(groebner_module._SHARED_BASES.get()[1])
             results = frobenius_module.map_tasks(
-                _memo_around_one_basis, R, ["x", "y", "x", "y", "x + y", "x"],
+                R, [functools.partial(_memo_around_one_basis, gen=gen)
+                    for gen in ["x", "y", "x", "y", "x + y", "x"]],
                 jobs=2)
         assert parent - task_keys and parent & task_keys
         seen: dict[int, set] = {}
@@ -725,15 +727,15 @@ def test_every_frobex_exception_survives_pickle():
         assert vars(copy) == vars(exc)
 
 
-def _ring_summary(R, task):
+def _ring_summary(R):
     return R.grading, ring_fingerprint(R), R.dim
 
 
 def test_pool_tasks_get_the_callers_ring():
     W = PolyRing(PrimeField(2), ("x", "y"), MonomialOrder("grevlex"), (1, 2))
     R = QuotientRing(W, ["x^4 + y^2"])
-    serial = frobenius_module.map_tasks(_ring_summary, R, [0, 1], jobs=1)
-    pooled = frobenius_module.map_tasks(_ring_summary, R, [0, 1], jobs=2)
+    serial = frobenius_module.map_tasks(R, [_ring_summary] * 2, jobs=1)
+    pooled = frobenius_module.map_tasks(R, [_ring_summary] * 2, jobs=2)
     assert pooled == serial == [((1, 2), ring_fingerprint(R), R.dim)] * 2
 
 
