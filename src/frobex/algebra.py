@@ -425,14 +425,6 @@ class Polynomial:
     def leading_monomial(self) -> Mono:
         return self.leading_term()[0]
 
-    def monic(self) -> "Polynomial":
-        _, c = self.leading_term()
-        if c == 1:
-            return self
-        inv = self.ring.field.inv(c)
-        p = self.ring.p
-        return Polynomial(self.ring, {m: (a * inv) % p for m, a in self.terms.items()})
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

@@ -97,7 +97,7 @@ def linear_form_test(prefix: IdealHandle, ell: Polynomial) -> tuple[int, bool]:
     leading monomial divides g in every exponent but that of x_i.  For
     x_i = y, h itself does.
     """
-    lms = [lm for lm, _ in _framed_basis(prefix, (ell,))[2]]
+    lms = [lm for lm, _ in _framed_basis(prefix, (ell,))[1]]
     n = prefix.ambient.nvars
     y = (0,) * (n - 1) + (1,)
     dim = monomial_dimension([u for u in lms if not u[-1]] + [y], n)

@@ -147,7 +147,7 @@ def _graded_preimage(K: IdealHandle, e: int) -> IdealHandle | None:
     n, p = ring.nvars, ring.p
     if not _is_graded(K):
         return None
-    _, back, reducers = _framed_basis(K, _frame_forms(K.own_gens))
+    back, reducers = _framed_basis(K, _frame_forms(K.own_gens))
     # m-primary: some leading monomial is a pure power of each variable
     if not all(any(lm[i] == sum(lm) for lm, _ in reducers) for i in range(n)):
         return None
@@ -431,7 +431,6 @@ class FteScanReport:
     ring_label: str
     seed: int
     n_random: int
-    power_family_max: int
     base: FilterSequence
     samples: list[ScanSample]
     max_fte: int | None
@@ -444,7 +443,7 @@ class FteScanReport:
             "ring_label": self.ring_label,
             "seed": self.seed,
             "n_random": self.n_random,
-            "power_family_max": self.power_family_max,
+            "power_family_max": POWER_FAMILY_MAX,
             "base_sop": self.base.element_strings(),
             "samples": [s.to_dict() for s in self.samples],
             "max_fte": self.max_fte,
@@ -505,23 +504,28 @@ def _start_worker(caps: GBConfig) -> None:
     _SHARED_BASES.set((caps, {}))
 
 
-def fte_scan(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
-             seed: int = 42, e_max: int = 8, jobs: int = 1) -> FteScanReport:
+# Each prefix-power family of a scan runs through n = 1..POWER_FAMILY_MAX.
+POWER_FAMILY_MAX = 3
+
+
+def fte_scan(R: QuotientRing, n_random: int = 5, seed: int = 42,
+             e_max: int = 8, jobs: int = 1) -> FteScanReport:
     """Closure and test exponent for a deterministic batch of parameter
     ideals: n_random random filter regular systems of parameters plus the
-    prefix-power families of one base system (see parameter_base).
+    prefix-power families of one base system (see parameter_base), up to
+    POWER_FAMILY_MAX.
 
     Per-sample failures (resource caps, exhausted searches, exponent
     overflows) are recorded on the sample and the scan continues; any other
     error is raised.  Requires dim(R) >= 1.
     """
-    base, tasks = _scan_tasks(R, n_random, power_family_max, seed, e_max)
+    base, tasks = _scan_tasks(R, n_random, seed, e_max)
     samples = map_tasks(R, tasks, jobs)
-    return _scan_report(R, base, samples, n_random, power_family_max, seed, e_max)
+    return _scan_report(R, base, samples, n_random, seed, e_max)
 
 
-def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
-               seed: int, e_max: int) -> tuple[FilterSequence, list]:
+def _scan_tasks(R: QuotientRing, n_random: int, seed: int,
+               e_max: int) -> tuple[FilterSequence, list]:
     """The base system of parameters of fte_scan and its sample tasks, each
     a partial of _run_sample for map_tasks; raises unless dim(R) >= 1 and
     the closure chain's e_max is >= 1, before any basis is built."""
@@ -538,7 +542,7 @@ def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
             "seed": derive_seed(seed, "random-sop", k),
         })
     for t in range(1, R.dim + 1):
-        for n in range(1, power_family_max + 1):
+        for n in range(1, POWER_FAMILY_MAX + 1):
             if n == 1 and t > 1:
                 continue  # all t coincide with the base ideal at n = 1
             tasks.append({
@@ -551,8 +555,7 @@ def _scan_tasks(R: QuotientRing, n_random: int, power_family_max: int,
 
 
 def _scan_report(R: QuotientRing, base: FilterSequence, samples: list[ScanSample],
-                n_random: int, power_family_max: int, seed: int,
-                e_max: int) -> FteScanReport:
+                n_random: int, seed: int, e_max: int) -> FteScanReport:
     """The report of fte_scan from its samples, in the order of _scan_tasks."""
     good = [s.fte for s in samples if s.fte is not None and s.error is None]
     return FteScanReport(
@@ -560,7 +563,6 @@ def _scan_report(R: QuotientRing, base: FilterSequence, samples: list[ScanSample
         ring_label=R.label,
         seed=seed,
         n_random=n_random,
-        power_family_max=power_family_max,
         base=base,
         samples=samples,
         max_fte=max(good) if good else None,

@@ -5,12 +5,12 @@ criteria, full normal-form reduction, and produces the reduced (monic,
 auto-reduced, sorted) Groebner basis, which is the canonical form behind
 ideal equality tests everywhere else.  Intersection is built on a
 tag-variable elimination.  For an ideal that is homogeneous under the
-standard grading, the colon and the saturation by one linear form are read
-off one reverse-lex basis in which that form is the last variable, and the
-saturation by the maximal ideal takes one such basis per variable
-(Bayer-Stillman).  Other colons take tag-variable eliminations, and other
-saturations iterate colons.  Resource caps turn runaway computations into
-explicit errors instead of hangs.
+standard grading, the colon and the saturation by linear forms (the maximal
+ideal among them) are read off one reverse-lex basis per form, in which
+that form is the last variable (Bayer-Stillman), and the pieces are
+intersected.  Every other colon takes tag-variable eliminations, and every
+other saturation iterates those colons.  Resource caps turn runaway
+computations into explicit errors instead of hangs.
 
 Ideals are IdealHandle objects: generator lists over an ambient polynomial
 ring, optionally attached to a QuotientRing whose defining relations are
@@ -29,6 +29,7 @@ import contextvars
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -334,21 +335,6 @@ def _reduce_basis(basis: list[dict], lms: list[Mono], p: int,
     return [terms for _, terms in chosen]
 
 
-def spairs_reduce_to_zero(gb_terms: list[dict], p: int,
-                          order: MonomialOrder) -> tuple[bool, tuple[int, int] | None]:
-    """Buchberger criterion audit: every S-polynomial of the basis must have
-    normal form zero.  Returns (ok, first offending pair)."""
-    lms = [max(t, key=order.key) for t in gb_terms]
-    reducers = list(zip(lms, gb_terms))
-    for i in range(len(gb_terms)):
-        for j in range(i + 1, len(gb_terms)):
-            s = _spoly_terms(lms[i], gb_terms[i], lms[j], gb_terms[j], p)
-            rem = _nf_terms(s, reducers, p, order)
-            if rem:
-                return False, (i, j)
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # ideal handles and quotient rings
 
@@ -605,18 +591,17 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 def colon(I: IdealHandle, K: IdealHandle) -> IdealHandle:
     """The colon ideal (I : K) = {r : r*K inside I}, over the same ring.
 
-    When K's own generators are one linear form and I is homogeneous under
-    the standard grading (quotient relations included), the colon is read
-    off one reverse-lex basis; see _colon_by_linear_form.  Otherwise each
+    When K's own generators are linear forms and I is homogeneous under the
+    standard grading (quotient relations included), the colon is read off
+    one reverse-lex basis per form; see _by_linear_forms.  Otherwise each
     (I : f) for f among K's own generators is I cap (f), divided by f, from
     a tag-variable elimination, and the pieces are intersected; see
     _colon_by_elimination.
     """
     if I.ambient != K.ambient:
         raise RingMismatchError("ideals over different ambient rings")
-    if _linear_form_applies(I, K):
-        gens, _ = _colon_by_linear_form(I, K.own_gens[0], saturate=False)
-        return IdealHandle(I.ring, gens)
+    if K.own_gens and all(map(is_linear_form, K.own_gens)) and _is_graded(I):
+        return _by_linear_forms(I, K, saturate=False)[0]
     return _colon_by_elimination(I, K)
 
 
@@ -650,26 +635,24 @@ def saturation(I: IdealHandle, K: IdealHandle) -> tuple[IdealHandle, int]:
     """Stable colon (I : K^infinity) along with the stabilization exponent s,
     the least s with (I : K^s) = (I : K^(s+1)).
 
-    When the grading is standard and I is homogeneous (quotient relations
-    included), two kinds of K are read off reverse-lex bases
-    (Bayer-Stillman): one linear form as K's own generators takes one basis,
-    see _colon_by_linear_form, and the maximal ideal (K's reduced basis is
-    the variables) takes one basis per variable, see
-    _saturation_by_variables.  Everything else goes through the iterated
-    colons of _saturation_by_colons.  Every path raises ResourceCapExceeded
-    when s would reach SATURATION_MAX_STEPS.
+    When K's own generators are linear forms and I is homogeneous under the
+    standard grading (quotient relations included), the saturation is read
+    off one reverse-lex basis per form (Bayer-Stillman); see
+    _by_linear_forms.  Everything else goes through the iterated colons of
+    _saturation_by_colons.  Both paths raise ResourceCapExceeded when s
+    would reach SATURATION_MAX_STEPS.
     """
-    ring = I.ambient
-    if _linear_form_applies(I, K):
-        gens, s = _colon_by_linear_form(I, K.own_gens[0], saturate=True)
-        if s >= SATURATION_MAX_STEPS:
-            raise ResourceCapExceeded(
-                f"saturation did not stabilize within {SATURATION_MAX_STEPS} steps",
-                GBStats())
-        return (IdealHandle(I.ring, gens) if s else I), s
-    if K.ambient == ring and _is_graded(I) and _is_maximal_ideal(K):
-        return _saturation_by_variables(I)
+    if I.ambient != K.ambient:
+        raise RingMismatchError("ideals over different ambient rings")
+    if K.own_gens and all(map(is_linear_form, K.own_gens)) and _is_graded(I):
+        return _by_linear_forms(I, K, saturate=True)
     return _saturation_by_colons(I, K)
+
+
+def _unstable() -> ResourceCapExceeded:
+    """The error of a saturation whose s would reach SATURATION_MAX_STEPS."""
+    return ResourceCapExceeded(
+        f"saturation did not stabilize within {SATURATION_MAX_STEPS} steps", GBStats())
 
 
 def is_linear_form(f: Polynomial) -> bool:
@@ -682,21 +665,6 @@ def _is_graded(I: IdealHandle) -> bool:
     standard grading."""
     return (all(w == 1 for w in I.ambient.weights)
             and all(g.is_homogeneous() for g in I.generators))
-
-
-def _linear_form_applies(I: IdealHandle, K: IdealHandle) -> bool:
-    """Whether K's own generators are one linear form and I is graded, so
-    that (I : K) and (I : K^infinity) come from _colon_by_linear_form."""
-    return (K.ambient == I.ambient and len(K.own_gens) == 1
-            and is_linear_form(K.own_gens[0]) and _is_graded(I))
-
-
-def _is_maximal_ideal(K: IdealHandle) -> bool:
-    """Whether K's reduced basis is the variables of its ambient ring."""
-    gb = K.groebner_basis()
-    return (len(gb) == K.ambient.nvars > 0
-            and all(len(g.terms) == 1 and mono_degree(g.leading_monomial()) == 1
-                    for g in gb))
 
 
 def _linear_substitution(images: list, ring: PolyRing) -> Callable[[dict], dict]:
@@ -777,8 +745,8 @@ def linear_frame(ring: PolyRing, forms: tuple) -> tuple[Callable[[dict], dict], 
 
 
 def _framed_basis(I: IdealHandle, forms: tuple):
-    """(forward, back, reducers): the maps of linear_frame(ring, forms), phi
-    and its inverse, and the reduced grevlex basis of phi(g) for I's
+    """(back, reducers): the map back from linear_frame(ring, forms), the
+    inverse of its phi, and the reduced grevlex basis of phi(g) for I's
     generators g, quotient relations included, as the (leading monomial,
     terms) pairs that _nf_terms reduces by.  The basis is built through
     _basis, so the memo and the caps in force apply; when the frame is the
@@ -786,7 +754,7 @@ def _framed_basis(I: IdealHandle, forms: tuple):
     ring = I.ambient
     forward, back = linear_frame(ring, forms)
     basis, _ = _basis([forward(g.terms) for g in I.generators], GREVLEX, ring.p)
-    return forward, back, [(max(t, key=GREVLEX.key), t) for t in basis]
+    return back, [(max(t, key=GREVLEX.key), t) for t in basis]
 
 
 def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
@@ -804,7 +772,7 @@ def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
     (I : ell^infinity); the largest such power is s, since the reduced
     basis's leading monomials generate the initial ideal minimally.
     """
-    _, back, basis = _framed_basis(I, (ell,))
+    back, basis = _framed_basis(I, (ell,))
     powers = [min(m[-1] for m in terms) for _, terms in basis]
     gens = []
     for (_, terms), a in zip(basis, powers):
@@ -815,62 +783,63 @@ def _colon_by_linear_form(I: IdealHandle, ell: Polynomial,
     return gens, max(powers, default=0)
 
 
-def _saturation_by_variables(I: IdealHandle) -> tuple[IdealHandle, int]:
-    """(I : m^infinity) and its exponent for homogeneous I under the
-    standard grading (Bayer-Stillman; Eisenbud, Prop. 15.12).
+def _by_linear_forms(I: IdealHandle, K: IdealHandle,
+                     saturate: bool) -> tuple[IdealHandle, int]:
+    """(I : K), or (I : K^infinity) when saturate is set, for I homogeneous
+    under the standard grading and K whose own generators are linear forms;
+    with the saturation, its exponent s.
 
-    (I : m^infinity) is the intersection over the variables x_i of the
-    (I : x_i^infinity), each from one reverse-lex basis in which x_i is the
-    last variable (_colon_by_linear_form); a piece that contains the running
-    intersection, or lies inside it, needs no tag elimination.  When no
-    basis element has an x_i factor, (I : x_i^infinity) = I, hence
-    (I : m^infinity) = I and s = 0.  Otherwise s is the largest, over the
-    saturation's reduced basis, of the least k with m^k * g inside I.  The
-    variables are taken from the last one down, so that a grevlex ring
-    starts from the basis of I it has cached.
+    (I : K) is the intersection over K's own generators f of the (I : f),
+    and (I : K^infinity) that of the (I : f^infinity), each read off one
+    reverse-lex basis in which f is the last variable
+    (_colon_by_linear_form).  Every piece is read before any intersection,
+    and one that contains the running intersection, or lies inside it,
+    needs no tag elimination.  When no basis element has an f factor,
+    (I : f) = I, hence the result is I and s = 0.  For one form, s is the
+    exponent read off its basis.  Otherwise s is the least k such that
+    every product of k of K's own generators, times each element of the
+    saturation's reduced basis, lies in I: those products span K^k.  The
+    forms are taken from the last one down, so that the maximal ideal of a
+    grevlex ring starts from the basis of I it has cached.
     """
-    ring = I.ambient
     pieces = []
-    for i in reversed(range(ring.nvars)):
-        gens, power = _colon_by_linear_form(I, ring.gen(i), saturate=True)
-        if not power:
+    for ell in reversed(K.own_gens):
+        gens, s = _colon_by_linear_form(I, ell, saturate)
+        if not s:
             return I, 0
-        pieces.append(IdealHandle(ring, gens))
-    sat = pieces[0]
+        pieces.append(IdealHandle(I.ambient, gens))
+    result = pieces[0]
     for piece in pieces[1:]:
-        if piece.contains_ideal(sat):
+        if piece.contains_ideal(result):
             continue
-        if sat.contains_ideal(piece):
-            sat = piece
+        if result.contains_ideal(piece):
+            result = piece
         else:
-            sat = intersect(sat, piece)
-    sat = IdealHandle(I.ring, sat.own_gens)
-    s = max(_kill_exponent(I, g) for g in sat.groebner_basis())
-    return sat, s
-
-
-def _kill_exponent(I: IdealHandle, g: Polynomial) -> int:
-    """Least k < SATURATION_MAX_STEPS with m^k * g inside I."""
-    ring = I.ambient
-    for k in range(SATURATION_MAX_STEPS):
-        monos = monomials_of_weighted_degree(ring.nvars, k, (1,) * ring.nvars)
-        if all(I.contains(ring.monomial(a) * g) for a in monos):
-            return k
-    raise ResourceCapExceeded(
-        f"saturation did not stabilize within {SATURATION_MAX_STEPS} steps", GBStats())
+            result = intersect(result, piece)
+    result = IdealHandle(I.ring, result.own_gens)
+    if saturate and len(pieces) > 1:
+        s = 0  # K^s * g inside I implies K^(s+1) * g inside I, so s only grows
+        for g in result.groebner_basis():
+            while s < SATURATION_MAX_STEPS and not all(
+                    I.contains(math.prod(forms, start=g))
+                    for forms in itertools.combinations_with_replacement(K.own_gens, s)):
+                s += 1
+    if saturate and s >= SATURATION_MAX_STEPS:
+        raise _unstable()
+    return result, s
 
 
 def _saturation_by_colons(I: IdealHandle, K: IdealHandle) -> tuple[IdealHandle, int]:
-    """(I : K^infinity) by iterated colons until two agree; the general path
-    of saturation and the oracle its fast path is tested against."""
+    """(I : K^infinity) by iterated elimination colons until two agree; the
+    general path of saturation and the oracle its fast path is tested
+    against."""
     current = I
     for s in range(SATURATION_MAX_STEPS):
-        nxt = colon(current, K)
+        nxt = _colon_by_elimination(current, K)
         if nxt.equals(current):
             return current, s
         current = nxt
-    raise ResourceCapExceeded(
-        f"saturation did not stabilize within {SATURATION_MAX_STEPS} steps", GBStats())
+    raise _unstable()
 
 
 def dimension(I: IdealHandle) -> int:

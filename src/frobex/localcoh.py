@@ -232,7 +232,6 @@ class LimitSystem:
 
     ring: QuotientRing
     prefix: tuple[Polynomial, ...]
-    index: int
     levels: int
     snapshots: list[TorsionQuotientSnapshot]
     transitions: list[np.ndarray]
@@ -359,7 +358,7 @@ def limit_system(R: QuotientRing, fseq: FilterSequence, i: int, N: int) -> Limit
         [frobenius_raise(b, 1) for b in snapshots[n - 1].basis])
         for n in range(1, N // p + 1)}
 
-    system = LimitSystem(frame, prefix, i, N, snapshots, transitions, frobenius, back)
+    system = LimitSystem(frame, prefix, N, snapshots, transitions, frobenius, back)
     witness = system.audit_commutation()
     if witness is not None:
         raise InconsistencyError(f"Frobenius-transition commutation failed: {witness}")
@@ -556,10 +555,10 @@ def _hsl_report(R: QuotientRing, fseq: FilterSequence, N: int, e_max: int,
     )
 
 
-def scan_and_hsl(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
-                 seed: int = 42, e_max: int = 8, N: int = 8,
+def scan_and_hsl(R: QuotientRing, n_random: int = 5, seed: int = 42,
+                 e_max: int = 8, N: int = 8,
                  jobs: int = 1) -> tuple[FteScanReport, HslReport]:
-    """fte_scan(R, n_random, power_family_max, seed, e_max) and
+    """fte_scan(R, n_random, seed, e_max) and
     hsl_estimate(R, scan.base, N, e_max), as one map_tasks call.
 
     The towers need only the base sequence, which is built before the map,
@@ -568,12 +567,11 @@ def scan_and_hsl(R: QuotientRing, n_random: int = 5, power_family_max: int = 3,
     for its slowest worker.  Both reports equal those of the two calls, and
     the checks of both run, in the same order, before any task does.
     """
-    base, samples = _scan_tasks(R, n_random, power_family_max, seed, e_max)
+    base, samples = _scan_tasks(R, n_random, seed, e_max)
     towers = _tower_tasks(R, base, N, e_max)
     results = map_tasks(R, towers + samples, jobs)
     d = R.dim
-    scan = _scan_report(R, base, results[d + 1:], n_random, power_family_max,
-                        seed, e_max)
+    scan = _scan_report(R, base, results[d + 1:], n_random, seed, e_max)
     return scan, _hsl_report(R, base, N, e_max, results[d::-1])
 
 
@@ -713,10 +711,13 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
     the same stabilized torsion-quotient tables, and that both agree with
     the graded Koszul cohomology oracle at the levels NS_PROBES.
 
-    For i = dim(R) the towers are compared entrywise (the quotients are the
-    same R/Q_n up to choice of parameters); for i < dim(R) the tails of the
-    last STAB_WINDOW lengths are compared once they are constant.  A tower
-    that fails its commutation audit raises InconsistencyError.
+    For i = dim(R) the towers are compared entrywise when both sequences
+    are linear forms under the standard grading; otherwise a note says the
+    comparison was skipped, since level n is R/Q_n, whose length depends on
+    the degrees of the parameters (on a Cohen-Macaulay ring it is the
+    multiplicity e(Q_n)).  For i < dim(R) the tails of the last STAB_WINDOW
+    lengths are compared once they are constant.  A tower that fails its
+    commutation audit raises InconsistencyError.
     """
     d = R.dim
     tables: dict = {}
@@ -732,13 +733,18 @@ def ns_consistency_check(R: QuotientRing, fseq_a: FilterSequence,
         if first is None:
             first = msg
 
+    linear = (all(w == 1 for w in R.ambient.weights)
+              and all(map(is_linear_form, fseq_a.elements + fseq_b.elements)))
     for i in range(d + 1):
         ta = limit_system(R, fseq_a, i, N).lengths()
         tb = limit_system(R, fseq_b, i, N).lengths()
         tables[i] = {"a": ta, "b": tb}
         if i == d:
             stabilized[i] = None
-            if ta != tb:
+            if not linear:
+                notes.append("top towers not compared (the sequences are not "
+                             "all linear forms under the standard grading)")
+            elif ta != tb:
                 lvl = next(k for k in range(len(ta)) if ta[k] != tb[k])
                 fail(f"top tower differs at level {lvl + 1}: {ta[lvl]} vs {tb[lvl]}")
         else:

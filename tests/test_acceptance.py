@@ -4,6 +4,7 @@ Each test is independent and deterministic (fixed seeds); pytest -v shows
 one pass/fail line per criterion.
 """
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -30,9 +31,9 @@ from frobex.frobenius import (
 )
 from frobex.groebner import (
     _nf_terms,
+    _spoly_terms,
     ideal,
     shared_bases,
-    spairs_reduce_to_zero,
 )
 from frobex.localcoh import (
     hsl_estimate,
@@ -246,8 +247,10 @@ def test_criterion_8_invariant_suites(monkeypatch, tmp_path):
     def audited_build(polys, order, p, caps):
         polys = [getattr(f, "terms", f) for f in polys]
         basis, stats = build(polys, order, p, caps)
-        _, failed = spairs_reduce_to_zero(basis, p, order)
         reducers = [(max(g, key=order.key), g) for g in basis]
+        pairs = itertools.combinations(reducers, 2)
+        failed = next((f"the S-pair of {a[0]} and {b[0]}" for a, b in pairs
+                       if _nf_terms(_spoly_terms(*a, *b, p), reducers, p, order)), None)
         if failed is None and any(_nf_terms(f, reducers, p, order) for f in polys):
             failed = "an input does not reduce to zero"
         # every build comes through groebner._basis, so the callers that

@@ -79,6 +79,17 @@ def test_corpus_unknown_label_is_usage_error(capsys):
     assert doc["exit_code"] == 2
 
 
+def test_invalid_spec_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"label": "t", "characteristic": 4,
+                                "variables": ["x"], "relations": []}))
+    code, doc, _ = run_json(capsys, "gb", "--ring", str(path), "--ideal", "x")
+    assert code == 2
+    assert doc["schema"] == "frobex/error/1"
+    assert doc["error"] == {"type": "RingSpecError",
+                            "message": "characteristic not prime: 4"}
+
+
 # --- basic algebra commands ---
 
 def test_gb_json(capsys):
@@ -337,6 +348,24 @@ def test_ns_check_regular(capsys):
     assert code == 0
     assert doc["status"] == "pass"
     assert doc["stabilized"]["0"] == 0
+
+
+def test_ns_check_passes_a_weighted_cohen_macaulay_ring(capsys, tmp_path):
+    # sequence a is x, y and sequence b z, x+y+z: their top towers are
+    # e(Q_n), 2n^2 and 3n^2, which depend on the degrees of the parameters,
+    # so they are not compared; the Koszul oracle agrees with tower a
+    path = tmp_path / "w-f2.json"
+    path.write_text(json.dumps({"label": "w-f2", "characteristic": 2,
+                                "variables": ["x", "y", "z"],
+                                "relations": ["x^2*y+z^2"], "grading": [1, 2, 2]}))
+    code, doc, _ = run_json(capsys, "ns-check", "--ring", str(path))
+    assert code == 0
+    assert doc["status"] == "pass" and doc["first_disagreement"] is None
+    assert doc["notes"] == ["top towers not compared (the sequences are not all "
+                            "linear forms under the standard grading)"]
+    assert doc["tables"]["2"]["a"][:2] == [2, 8]
+    assert doc["tables"]["2"]["b"][:2] == [3, 12]
+    assert doc["oracle"]["2"] == {"1": 2, "2": 8}
 
 
 def test_prop34_check_fermat(capsys):

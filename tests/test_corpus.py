@@ -11,6 +11,7 @@ from frobex.corpus import (
     corpus_labels,
     corpus_spec,
     load_corpus_ring,
+    load_ring_spec,
     ring_from_spec,
 )
 from frobex.groebner import ring_fingerprint
@@ -23,12 +24,39 @@ def assert_pickles(R):
     assert ring_fingerprint(back) == ring_fingerprint(R)
 
 
-def spec(relations, grading=None, variables=("x", "y", "z")):
+def spec(relations, grading=None, variables=("x", "y", "z"), **fields):
+    """A spec over F_3; a field given as ... is left out."""
     data = {"label": "t", "characteristic": 3, "variables": list(variables),
-            "relations": relations}
+            "relations": relations, **fields}
     if grading is not None:
         data["grading"] = grading
-    return data
+    return {key: value for key, value in data.items() if value is not ...}
+
+
+@pytest.mark.parametrize("data,message", [
+    ([spec([])], "must be a JSON object"),
+    (spec([], colour="red"), r"unknown ring spec fields: \['colour'\]"),
+    (spec([], label=...), "missing field 'label'"),
+    (spec([], label=""), "label must be a nonempty string"),
+    (spec([], characteristic=4), "characteristic not prime: 4"),
+    (spec([], variables=("x", "2y")), "variables must be a nonempty list"),
+    (spec([], variables=("x", "x")), "must be distinct"),
+    (spec([2]), "relations must be a list of polynomial strings"),
+    (spec(["x^"]), "bad relation polynomial"),
+    (spec(["1"]), "relations generate the unit ideal"),
+    (spec([], variables=("_x", "y")), "bad variable name: '_x'"),
+], ids=["not-an-object", "unknown-field", "missing-field", "empty-label",
+        "characteristic-not-prime", "bad-variables", "duplicate-variables",
+        "relation-not-a-string", "relation-does-not-parse", "unit-ideal",
+        "variable-not-in-the-ring"])
+def test_invalid_spec_is_rejected(data, message):
+    with pytest.raises(RingSpecError, match=message):
+        ring_from_spec(data)
+
+
+def test_unreadable_spec_path_is_rejected(tmp_path):
+    with pytest.raises(RingSpecError, match="cannot read ring spec"):
+        load_ring_spec(str(tmp_path))
 
 
 def test_inhomogeneous_relation_is_rejected():

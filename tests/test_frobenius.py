@@ -38,6 +38,7 @@ from frobex.groebner import (
     ResourceCapExceeded,
     _framed_basis,
     ideal,
+    linear_frame,
     ring_fingerprint,
     shared_bases,
 )
@@ -344,11 +345,11 @@ def assert_frame_matches_ring_coordinates(K, e, monkeypatch):
     Returns whether the frame moved the coordinates."""
     units = [{m: 1} for m in monomials_of_weighted_degree(K.ambient.nvars, 1,
                                                           K.ambient.weights)]
-    forward, _, _ = _framed_basis(K, frobenius_module._frame_forms(K.own_gens))
+    forward, _ = linear_frame(K.ambient, frobenius_module._frame_forms(K.own_gens))
     got = frobenius_module._graded_preimage(K, e)
     with monkeypatch.context() as m:
         m.setattr(frobenius_module, "_frame_forms", lambda gens: ())
-        oracle, _, _ = _framed_basis(K, frobenius_module._frame_forms(K.own_gens))
+        oracle, _ = linear_frame(K.ambient, frobenius_module._frame_forms(K.own_gens))
         assert [oracle(u) for u in units] == units
         want = frobenius_module._graded_preimage(K, e)
     assert got is not None and want is not None, K
@@ -382,7 +383,7 @@ def test_permuted_order_matches_ring_order_on_p7_bracket(monkeypatch):
     R = load_corpus_ring("fermat-cubic-p7")
     K = frobenius_power(ideal(R, "x^2", "y"), 2)
     with shared_bases(GBConfig(max_pairs=400_000, max_degree=300)):
-        _, _, reducers = _framed_basis(K, frobenius_module._frame_forms(K.own_gens))
+        _, reducers = _framed_basis(K, frobenius_module._frame_forms(K.own_gens))
         assert sorted(lm for lm, _ in reducers) == [(0, 0, 49), (0, 98, 0), (3, 0, 0)]
         assert assert_frame_matches_ring_coordinates(K, 2, monkeypatch)
 
@@ -620,9 +621,10 @@ def test_parameter_base_prefers_coordinates():
     assert len(base) == 2 and base.verified is True
 
 
-def test_fte_scan_regular_ring():
+def test_fte_scan_regular_ring(monkeypatch):
     R = load_corpus_ring("regular-f2-xy")
-    report = fte_scan(R, n_random=2, power_family_max=2, seed=42)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 2)
+    report = fte_scan(R, n_random=2, seed=42)
     assert report.max_fte == 0
     assert not report.any_failures
     kinds = [s.kind for s in report.samples]
@@ -634,25 +636,28 @@ def test_fte_scan_regular_ring():
     assert report.to_dict()["base_sop"] == ["x", "y"]
 
 
-def test_fte_scan_detects_fermat_closure():
+def test_fte_scan_detects_fermat_closure(monkeypatch):
     R = load_corpus_ring("fermat-cubic-p2")
-    report = fte_scan(R, n_random=1, power_family_max=1, seed=42)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 1)
+    report = fte_scan(R, n_random=1, seed=42)
     assert report.max_fte == 1
     assert any(s.to_dict()["nontrivial"] for s in report.samples)
     assert not report.any_failures
 
 
-def test_fte_scan_is_deterministic():
+def test_fte_scan_is_deterministic(monkeypatch):
     R = load_corpus_ring("regular-f2-xy")
-    a = fte_scan(R, n_random=2, power_family_max=1, seed=7)
-    b = fte_scan(R, n_random=2, power_family_max=1, seed=7)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 1)
+    a = fte_scan(R, n_random=2, seed=7)
+    b = fte_scan(R, n_random=2, seed=7)
     assert a.to_dict() == b.to_dict()
 
 
-def test_fte_scan_parallel_matches_serial():
+def test_fte_scan_parallel_matches_serial(monkeypatch):
     R = load_corpus_ring("regular-f2-xy")
-    serial = fte_scan(R, n_random=1, power_family_max=1, seed=42, jobs=1)
-    parallel = fte_scan(R, n_random=1, power_family_max=1, seed=42, jobs=2)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 1)
+    serial = fte_scan(R, n_random=1, seed=42, jobs=1)
+    parallel = fte_scan(R, n_random=1, seed=42, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
 
 
@@ -739,32 +744,34 @@ def test_pool_tasks_get_the_callers_ring():
     assert pooled == serial == [((1, 2), ring_fingerprint(R), R.dim)] * 2
 
 
-def test_fte_scan_records_sample_failures():
+def test_fte_scan_records_sample_failures(monkeypatch):
     # a closure chain that cannot stabilize within e_max is an honest failure
     R = load_corpus_ring("fermat-cubic-p2")
-    report = fte_scan(R, n_random=0, power_family_max=1, seed=42, e_max=1)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 1)
+    report = fte_scan(R, n_random=0, seed=42, e_max=1)
     assert report.any_failures
     assert report.max_fte is None
     assert all(s.error for s in report.samples)
 
 
-def test_failed_scan_samples_keep_their_generators():
+def test_failed_scan_samples_keep_their_generators(monkeypatch):
     # the degree cap trips on growth in the closure chain, after each ideal
     # is built
     R = load_corpus_ring("two-planes-f2")
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 2)
     with shared_bases(GBConfig(max_degree=2)):
-        serial = fte_scan(R, n_random=0, power_family_max=2)
+        serial = fte_scan(R, n_random=0)
     assert [s.gens for s in serial.samples] == [
         ["x+y+u+v", "x+v"], ["x^2+y^2+u^2+v^2", "x+v"],
         ["x^2+y^2+u^2+v^2", "x^2+v^2"]]
     assert all(s.error.startswith("ResourceCapExceeded: degree cap exceeded")
                for s in serial.samples)
     with shared_bases(GBConfig(max_degree=2)):
-        pooled = fte_scan(R, n_random=0, power_family_max=2, jobs=2)
+        pooled = fte_scan(R, n_random=0, jobs=2)
     assert pooled.to_dict() == serial.to_dict()
 
 
 def test_fte_scan_rejects_dimension_zero():
     R = QuotientRing(poly_ring(2, "x"), ["x^2"])
     with pytest.raises(AlgebraError):
-        fte_scan(R, n_random=1, power_family_max=1)
+        fte_scan(R, n_random=1)

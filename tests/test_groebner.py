@@ -36,6 +36,7 @@ from frobex.groebner import (
     _colon_by_linear_form,
     _nf_terms,
     _saturation_by_colons,
+    _spoly_terms,
     buchberger_basis,
     colon,
     dimension,
@@ -46,7 +47,6 @@ from frobex.groebner import (
     linear_frame,
     ring_fingerprint,
     saturation,
-    spairs_reduce_to_zero,
     staircase,
     std_monomials,
     std_monomials_of_weighted_degree,
@@ -64,6 +64,21 @@ def random_poly(rng, R, max_terms=4, max_deg=3):
         m = tuple(rng.randrange(max_deg + 1) for _ in range(R.nvars))
         terms[m] = rng.randrange(R.p)
     return R.poly(terms)
+
+
+def spairs_reduce_to_zero(gb_terms: list[dict], p: int,
+                          order: MonomialOrder) -> tuple[bool, tuple[int, int] | None]:
+    """Buchberger criterion audit: every S-polynomial of the basis must have
+    normal form zero.  Returns (ok, first offending pair)."""
+    lms = [max(t, key=order.key) for t in gb_terms]
+    reducers = list(zip(lms, gb_terms))
+    for i in range(len(gb_terms)):
+        for j in range(i + 1, len(gb_terms)):
+            s = _spoly_terms(lms[i], gb_terms[i], lms[j], gb_terms[j], p)
+            rem = _nf_terms(s, reducers, p, order)
+            if rem:
+                return False, (i, j)
+    return True, None
 
 
 # --- bases ---
@@ -143,7 +158,7 @@ def test_degree_cap():
 
 def test_spair_audit_flags_incomplete_basis():
     P = poly_ring(5, "x", "y", "z")
-    broken = [P.parse("x^2 - y").monic().terms, P.parse("x^3 - z").monic().terms]
+    broken = [P.parse("x^2 - y").terms, P.parse("x^3 - z").terms]
     ok, pair = spairs_reduce_to_zero(broken, P.p, P.order)
     assert not ok and pair == (0, 1)
 
@@ -688,6 +703,35 @@ def test_linear_form_colon_and_saturation_match_oracles(monkeypatch, colon_satur
             assert [(J, f) for J, f, _ in linear_form_runs] == [(I, ell)] * 2
         assert colon_saturations == []
     assert positive >= 30 and moved >= 30
+
+
+def test_several_linear_forms_match_oracles(colon_saturations, linear_form_runs):
+    # K of two random linear forms f, g, or of f, g, f + g and a third random
+    # form: one reverse-lex basis per form, and the pieces intersected,
+    # against the elimination oracles in reduced basis and in s, on a random
+    # I and on (f^3, g^2), whose s (4 for independent f and g) needs both
+    rng = random.Random(42)
+    rings = [poly_ring(p, *names) for p in (2, 3, 7)
+             for names in (("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w"))]
+    rings += [load_corpus_ring(label) for label in corpus_labels()]
+    positive = intersected = 0
+    for R in rings:
+        P = R.ambient if isinstance(R, QuotientRing) else R
+        kinds = [kind for kind in LINEAR_FORM_KINDS if kind != "non-unit" or P.p > 2]
+        for dependent in (False, True):
+            forms = [random_linear_form(rng, P, rng.choice(kinds)) for _ in range(2)]
+            if dependent:
+                forms += [forms[0] + forms[1], random_linear_form(rng, P, rng.choice(kinds))]
+            K = ideal(R, forms)
+            for I in (random_torsion_ideal(rng, R), ideal(R, forms[0]**3, forms[1]**2)):
+                linear_form_runs.clear()
+                positive += assert_saturation_matches_oracle(I, K) > 0
+                assert (colon(I, K).groebner_basis()
+                        == _colon_by_elimination(I, K).groebner_basis()), (I, K)
+                assert linear_form_runs and all(J is I for J, _, _ in linear_form_runs)
+                intersected += len(linear_form_runs) > 2
+    assert colon_saturations == []
+    assert positive >= 50 and intersected >= 50, (positive, intersected)
 
 
 # --- linear frames ---

@@ -722,8 +722,7 @@ def synthetic_system(R, transitions, frobenius):
     snapshots = [TorsionQuotientSnapshot(
         R, ideal(R), tuple(R.parse("x") ** k for k in range(length)), ())
         for length in lengths]
-    return LimitSystem(R, (), 0, len(lengths), snapshots, list(transitions),
-                       frobenius)
+    return LimitSystem(R, (), len(lengths), snapshots, list(transitions), frobenius)
 
 
 def test_nilpotent_part_matches_full_chain_oracle_on_random_towers():
@@ -861,7 +860,8 @@ def test_every_pool_goes_through_frobenius(monkeypatch):
 
     monkeypatch.setattr(frobenius_module, "ProcessPoolExecutor", CountingPool)
     R = load_corpus_ring("depth-zero-f2")
-    fte_scan(R, n_random=1, power_family_max=1, jobs=2)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 1)
+    fte_scan(R, n_random=1, jobs=2)
     assert len(entered) == 1
     hsl_estimate(R, verified(R, ["y"]), N=3, e_max=1, jobs=2)
     assert len(entered) == 2  # one pool for all towers, probes included
@@ -876,11 +876,12 @@ def test_every_pool_goes_through_frobenius(monkeypatch):
 @pytest.mark.parametrize("label", ["depth-zero-f2", "fermat-cubic-p2",
                                    "regular-f2-xy", "regular-f3-xyz",
                                    "two-planes-f2", "fermat-quintic-p2"])
-def test_scan_and_hsl_equals_scan_then_hsl(label):
+def test_scan_and_hsl_equals_scan_then_hsl(label, monkeypatch):
     # the one map of scan_and_hsl against its oracle, fte_scan followed by
     # hsl_estimate on the scan's base, each under its own command's block
     R = load_corpus_ring(label)
-    kw = dict(n_random=1, power_family_max=2)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 2)
+    kw = dict(n_random=1)
     for seed in (42, 1801):
         for jobs in (1, 2):
             with shared_bases():
@@ -1016,9 +1017,10 @@ def test_ns_check_corrupted_tower_fails_audit(monkeypatch):
 
 # --- the main inequality and the correspondence check ---
 
-def test_verify_inequality_regular_equality():
+def test_verify_inequality_regular_equality(monkeypatch):
     R = load_corpus_ring("regular-f2-xy")
-    scan = fte_scan(R, n_random=1, power_family_max=2, seed=42)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 2)
+    scan = fte_scan(R, n_random=1, seed=42)
     hsl = hsl_estimate(R, verified(R, ["x", "y"]), N=4, e_max=2)
     rep = verify_inequality(R, scan, hsl)
     assert rep.status == "pass"
@@ -1030,9 +1032,10 @@ def test_verify_inequality_regular_equality():
     assert all(m["classes"] == [] for m in rep.mechanism)
 
 
-def test_verify_inequality_fermat_mechanism():
+def test_verify_inequality_fermat_mechanism(monkeypatch):
     R = load_corpus_ring("fermat-cubic-p2")
-    scan = fte_scan(R, n_random=1, power_family_max=2, seed=42)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 2)
+    scan = fte_scan(R, n_random=1, seed=42)
     hsl = hsl_estimate(R, verified(R, ["y", "z"]), N=6, e_max=2)
     rep = verify_inequality(R, scan, hsl)
     assert rep.status == "pass"
@@ -1054,7 +1057,8 @@ def test_mechanism_builds_the_levels_a_uniform_chain_lacks(label, monkeypatch):
         scan, hsl = scan_and_hsl(R, n_random=0, N=4)
         want = verify_inequality(R, scan, hsl).mechanism
         d = len(scan.base.elements)
-        uniform = {(1, 1)} | {(d, n) for n in range(2, scan.power_family_max + 1)}
+        top = frobenius_module.POWER_FAMILY_MAX
+        uniform = {(1, 1)} | {(d, n) for n in range(2, top + 1)}
         for s in scan.samples:
             if (s.descriptor["t"], s.descriptor["n"]) in uniform:
                 s.chain, s.error = None, "removed"
@@ -1072,19 +1076,20 @@ def test_mechanism_builds_the_levels_a_uniform_chain_lacks(label, monkeypatch):
     assert builds and len(builds) == len(set(builds))
 
 
-def test_verify_inequality_rejects_foreign_reports():
+def test_verify_inequality_rejects_foreign_reports(monkeypatch):
     R = load_corpus_ring("regular-f2-xy")
     other = load_corpus_ring("depth-zero-f2")
-    scan = fte_scan(other, n_random=1, power_family_max=1, seed=42)
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 1)
+    scan = fte_scan(other, n_random=1, seed=42)
     hsl = hsl_estimate(R, verified(R, ["x", "y"]), N=3, e_max=1)
     with pytest.raises(AlgebraError):
         verify_inequality(R, scan, hsl)
 
 
-def test_verify_inequality_inconclusive_without_samples():
+def test_verify_inequality_inconclusive_without_samples(monkeypatch):
     R = load_corpus_ring("fermat-cubic-p2")
-    scan = fte_scan(R, n_random=0, power_family_max=1, seed=42,
-                    e_max=1)  # every sample fails to stabilize
+    monkeypatch.setattr(frobenius_module, "POWER_FAMILY_MAX", 1)
+    scan = fte_scan(R, n_random=0, seed=42, e_max=1)  # every sample fails to stabilize
     hsl = hsl_estimate(R, verified(R, ["y", "z"]), N=4, e_max=1)
     rep = verify_inequality(R, scan, hsl)
     assert rep.status == "inconclusive"
